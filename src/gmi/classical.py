@@ -24,10 +24,10 @@ from .spectra import (
     DensityGrid,
     FrequencyGrid,
     MinimalityReport,
+    ObservedSpectrum,
     _chi_beta,
-    combine,
-    inverse_density,
-    minimality_value,
+    _minimality,
+    observed_spectrum,
 )
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -132,20 +132,19 @@ class FourierBlocks:
     N: int
     n_gamma: int
     dim: int
+    spectrum: ObservedSpectrum = field(repr=False)  # the samples the blocks came from
 
 
 def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index) -> np.ndarray:
     """Assemble a (size*dim)^2 matrix from per-offset T x T blocks.
 
     ``coeffs`` maps offsets -(size-1)..(size-1) (offset m at position
-    m + size - 1); ``index(j, k)`` gives the offset used for block (j, k).
+    m + size - 1); ``index(j, k)`` gives the offset used for block (j, k)
+    and is evaluated once on whole index arrays.
     """
-    out = np.empty((size * dim, size * dim), dtype=complex)
-    for j in range(size):
-        for k in range(size):
-            blk = coeffs[index(j, k) + size - 1]
-            out[j * dim:(j + 1) * dim, k * dim:(k + 1) * dim] = blk
-    return out
+    j, k = np.indices((size, size))
+    blocks = np.asarray(coeffs, dtype=complex)[index(j, k) + size - 1]
+    return blocks.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
 
 
 def fourier_blocks(
@@ -158,21 +157,20 @@ def fourier_blocks(
         T: (-1)^{sum d} (|beta|^2 / |chi|^2) g p^{-1}
         Q: f p^{-1} g
     Each is sampled nodewise and transformed once; blocks depend on the
-    index offset only.
+    index offset only.  The symbols and p^{-1} are kept on the result for
+    the later stages of the same problem.
     """
     grid = f.grid
     ng = spec.n_gamma()
     dim = f.dim
     size = N + ng + 1
-    p = combine(f, g, spec)
-    p_inv = inverse_density(p)
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-    w = np.abs(beta) ** 2 / np.abs(chi) ** 2
+    obs = observed_spectrum(spec, f, g)
+    w = np.abs(obs.beta) ** 2 / np.abs(obs.chi) ** 2
 
-    k_p = w[:, None, None] * p_inv
+    k_p = w[:, None, None] * obs.p_inv
     sign = -1.0 if spec.total_order() % 2 else 1.0
-    k_t = sign * w[:, None, None] * (g.values @ p_inv)
-    k_q = f.values @ p_inv @ g.values
+    k_t = sign * w[:, None, None] * (g.values @ obs.p_inv)
+    k_q = f.values @ obs.p_inv @ g.values
 
     for name, kern in (("P", k_p), ("T", k_t), ("Q", k_q)):
         if not np.all(np.isfinite(kern)):
@@ -184,15 +182,12 @@ def fourier_blocks(
     offsets = np.arange(-(size - 1), size)
     p_coeffs = grid.fourier(k_p, offsets).transpose(0, 2, 1)
     t_coeffs = grid.fourier(k_t, offsets).transpose(0, 2, 1)
-    q_off = np.arange(-N, N + 1)
-    q_coeffs = grid.fourier(k_q, q_off)
+    q_coeffs = grid.fourier(k_q, np.arange(-N, N + 1))
 
     P = _block_toeplitz(p_coeffs, size, dim, lambda j, k: k - j)
     T = _block_toeplitz(t_coeffs, size, dim, lambda j, k: k - j)
-    q_full = np.zeros((2 * (N + 1) - 1, dim, dim), dtype=complex)
-    q_full[(N + 1 - 1) + q_off - 0] = q_coeffs  # offsets -N..N at positions 0..2N
-    Q = _block_toeplitz(q_full, N + 1, dim, lambda j, k: j - k)
-    return FourierBlocks(P=P, T=T, Q=Q, N=N, n_gamma=ng, dim=dim)
+    Q = _block_toeplitz(q_coeffs, N + 1, dim, lambda j, k: j - k)
+    return FourierBlocks(P=P, T=T, Q=Q, N=N, n_gamma=ng, dim=dim, spectrum=obs)
 
 
 def padded_b(b: np.ndarray, n_gamma: int) -> np.ndarray:
@@ -205,15 +200,23 @@ def padded_b(b: np.ndarray, n_gamma: int) -> np.ndarray:
 
 @dataclass
 class SystemSolution:
-    c: np.ndarray          # (N+ng+1, T)
+    c: np.ndarray          # (N+ng+1, T), c = c1 - c2
     rhs: np.ndarray        # stacked right-hand side
     condition_number: float
     residual: float
+    c1: np.ndarray         # P^{-1} [b]_+, the differenced-target part
+    c2: np.ndarray         # P^{-1} T a_mu, the noise part
 
 
 def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> SystemSolution:
-    """Solve P c = [b]_+ - T a_mu; reports conditioning and residual."""
-    rhs = padded_b(b, blocks.n_gamma) - blocks.T @ a_mu.reshape(-1).astype(complex)
+    """Solve P c = [b]_+ - T a_mu; reports conditioning and residual.
+
+    One solve with the two right-hand sides [b]_+ and T a_mu gives the
+    parts c1 and c2 of c = c1 - c2.
+    """
+    parts = np.stack([padded_b(b, blocks.n_gamma),
+                      blocks.T @ a_mu.reshape(-1).astype(complex)], axis=1)
+    rhs = parts[:, 0] - parts[:, 1]
     cond = float(np.linalg.cond(blocks.P))
     if not np.isfinite(cond):
         raise NumericalError("singular projection matrix P")
@@ -224,24 +227,91 @@ def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> Syst
             stacklevel=2,
         )
     try:
-        c_flat = np.linalg.solve(blocks.P, rhs)
+        c12 = np.linalg.solve(blocks.P, parts)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular projection matrix P") from exc
+    c_flat = c12[:, 0] - c12[:, 1]
     residual = float(np.linalg.norm(blocks.P @ c_flat - rhs))
-    size = blocks.N + blocks.n_gamma + 1
+    shape = (blocks.N + blocks.n_gamma + 1, blocks.dim)
     return SystemSolution(
-        c=c_flat.reshape(size, blocks.dim),
+        c=c_flat.reshape(shape),
         rhs=rhs,
         condition_number=cond,
         residual=residual,
+        c1=c12[:, 0].reshape(shape),
+        c2=c12[:, 1].reshape(shape),
     )
 
 
-def _row_polynomial(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] e^{i k lambda} on the nodes -> (n, T)."""
-    K = coeffs.shape[0]
-    phases = np.exp(1j * np.outer(nodes, np.arange(K)))
-    return phases @ coeffs.astype(complex)
+def _row_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Evaluate sum_k coeffs[k] e^{i k lambda_j} on the grid nodes -> (n, T).
+
+    On the midpoint grid lambda_j = -pi + (j + 1/2) 2pi/n the sum is
+    n * ifft(coeffs[k] e^{ik(-pi + pi/n)})[j], one zero-padded FFT per
+    column.  Twiddled coefficients beyond n fold onto k mod n, which is
+    exact because the remaining factor e^{2pi i kj/n} has period n in k.
+    """
+    n = grid.n_grid
+    coeffs = np.asarray(coeffs)
+    k = np.arange(coeffs.shape[0])
+    twiddled = coeffs * np.exp(1j * k * (-np.pi + np.pi / n))[:, None]
+    if len(k) > n:
+        folds = -(-len(k) // n)
+        padded = np.zeros((folds * n, coeffs.shape[1]), dtype=complex)
+        padded[: len(k)] = twiddled
+        twiddled = padded.reshape(folds, n, -1).sum(axis=0)
+    return n * np.fft.ifft(twiddled, n=n, axis=0)
+
+
+@dataclass(frozen=True)
+class _Target:
+    """Symbols and target row polynomials of (spec, fspec) on one grid.
+
+    A and B evaluate the weights a and the differenced-target weights b.
+    """
+
+    chi: np.ndarray
+    beta: np.ndarray
+    b: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+
+
+def _target(spec: GMIncrementSpec, fspec: FunctionalSpec, grid: FrequencyGrid,
+            chi: np.ndarray, beta: np.ndarray) -> _Target:
+    b = transform_b(spec, fspec)
+    return _Target(chi=chi, beta=beta, b=b,
+                   A=_row_polynomial(fspec.a, grid), B=_row_polynomial(b, grid))
+
+
+def _solve(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, fspec: FunctionalSpec):
+    """Build each per-problem quantity once and solve the system.
+
+    Returns (blocks, target, a_mu, solution); the blocks carry the symbols
+    and p^{-1}.
+    """
+    blocks = fourier_blocks(spec, f, g, fspec.N)
+    obs = blocks.spectrum
+    target = _target(spec, fspec, f.grid, obs.chi, obs.beta)
+    a_mu = coeffs_a_mu(spec, fspec)
+    return blocks, target, a_mu, solve_system(blocks, target.b, a_mu)
+
+
+def _characteristic(t: _Target, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
+                    c: np.ndarray | None = None):
+    """(h, h1, h2) from the split c = c1 - c2; h is rebuilt from c if given."""
+    grid = g.grid
+    target_term = t.B * (t.chi / t.beta)[:, None]
+    noise_term = np.einsum("nt,nts->ns", t.A, g.values @ p_inv) * np.conj(t.beta)[:, None]
+    c_weight = (np.conj(t.beta) / np.conj(t.chi))[:, None]
+
+    def c_term(cc: np.ndarray) -> np.ndarray:
+        return np.einsum("nt,nts->ns", _row_polynomial(cc, grid), p_inv) * c_weight
+
+    h1 = target_term - c_term(sol.c1)
+    h2 = noise_term - c_term(sol.c2)
+    h = h1 - h2 if c is None else target_term - noise_term - c_term(np.asarray(c))
+    return h, h1, h2
 
 
 def spectral_characteristic(
@@ -260,35 +330,26 @@ def spectral_characteristic(
     differenced-target part, h2 the noise part, each with its share of the
     C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).
     """
-    grid = f.grid
-    nodes = grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
-    p = combine(f, g, spec)
-    p_inv = inverse_density(p)
+    blocks, target, _, sol = _solve(spec, f, g, fspec)
+    return _characteristic(target, g, blocks.spectrum.p_inv, sol, c)
 
-    b = transform_b(spec, fspec)
-    a_mu = coeffs_a_mu(spec, fspec)
-    blocks = fourier_blocks(spec, f, g, fspec.N)
-    size = blocks.N + blocks.n_gamma + 1
-    c1 = np.linalg.solve(blocks.P, padded_b(b, blocks.n_gamma)).reshape(size, blocks.dim)
-    c2 = np.linalg.solve(blocks.P, blocks.T @ a_mu.reshape(-1).astype(complex))
-    c2 = c2.reshape(size, blocks.dim)
 
-    A_row = _row_polynomial(fspec.a, nodes)
-    B_row = _row_polynomial(b, nodes)
+def _error_rows(t: _Target, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error responses r_f = B^T chi/beta - h^T and r_g = B^T chi - A^T - beta h^T."""
+    h = np.asarray(h, dtype=complex)
+    r_f = t.B * (t.chi / t.beta)[:, None] - h
+    r_g = t.B * t.chi[:, None] - t.A - t.beta[:, None] * h
+    return r_f, r_g
 
-    def c_term(cc: np.ndarray) -> np.ndarray:
-        C_row = _row_polynomial(np.asarray(cc), nodes)
-        out = np.einsum("nt,nts->ns", C_row, p_inv)
-        return out * (np.conj(beta) / np.conj(chi))[:, None]
 
-    noise_term = np.einsum("nt,nts->ns", A_row, g.values @ p_inv) * np.conj(beta)[:, None]
-    target_term = B_row * (chi / beta)[:, None]
-
-    h1 = target_term - c_term(c1)
-    h2 = noise_term - c_term(c2)
-    h = target_term - noise_term - c_term(np.asarray(c))
-    return h, h1, h2
+def _error_energy(t: _Target, f: DensityGrid, g: DensityGrid, h: np.ndarray) -> float:
+    r_f, r_g = _error_rows(t, h)
+    term_f = np.einsum("nt,nts,ns->n", r_f, f.values, np.conj(r_f))
+    term_g = np.einsum("nt,nts,ns->n", r_g, g.values, np.conj(r_g))
+    total = np.mean(term_f + term_g)
+    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
+        raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")
+    return float(total.real)
 
 
 def mse_of_characteristic(
@@ -304,22 +365,8 @@ def mse_of_characteristic(
     r_f = B^T chi/beta - h^T and r_g = B^T chi - A^T - beta h^T.
     Linear in (f, g); h = 0 gives the raw variance of the target.
     """
-    grid = f.grid
-    nodes = grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
-    b = transform_b(spec, fspec)
-    A_row = _row_polynomial(fspec.a, nodes)
-    B_row = _row_polynomial(b, nodes)
-    h = np.asarray(h, dtype=complex)
-
-    r_f = B_row * (chi / beta)[:, None] - h
-    r_g = B_row * chi[:, None] - A_row - beta[:, None] * h
-    term_f = np.einsum("nt,nts,ns->n", r_f, f.values, np.conj(r_f))
-    term_g = np.einsum("nt,nts,ns->n", r_g, g.values, np.conj(r_g))
-    total = np.mean(term_f + term_g)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
-        raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")
-    return float(total.real)
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    return _error_energy(_target(spec, fspec, f.grid, chi, beta), f, g, h)
 
 
 @dataclass
@@ -330,6 +377,24 @@ class MseReport:
     @property
     def difference(self) -> float:
         return abs(self.algebraic - self.spectral)
+
+
+def _mse_routes(blocks: FourierBlocks, c: np.ndarray, rhs: np.ndarray, a: np.ndarray,
+                spectral: float) -> MseReport:
+    """Algebraic error <rhs, c> + <Q a, a> next to the spectral one.
+
+    Raises if the two disagree beyond 1e-6 relative.
+    """
+    a_flat = a.reshape(-1).astype(complex)
+    algebraic = float((np.vdot(c.reshape(-1).astype(complex), rhs)
+                       + np.vdot(a_flat, blocks.Q @ a_flat)).real)
+    report = MseReport(algebraic=algebraic, spectral=spectral)
+    scale = max(abs(algebraic), abs(spectral), 1e-300)
+    if report.difference > MSE_CONSISTENCY_RTOL * scale and report.difference > 1e-12:
+        raise MseInconsistencyError(
+            f"MSE routes disagree: algebraic {algebraic!r} vs spectral {spectral!r}"
+        )
+    return report
 
 
 def mse_value(
@@ -345,22 +410,9 @@ def mse_value(
     quadrature of the error spectra with h rebuilt from c.  Raises if the
     two disagree beyond 1e-6 relative.
     """
-    b = transform_b(spec, fspec)
-    a_mu = coeffs_a_mu(spec, fspec)
-    blocks = fourier_blocks(spec, f, g, fspec.N)
-    rhs = padded_b(b, blocks.n_gamma) - blocks.T @ a_mu.reshape(-1).astype(complex)
-    a_flat = fspec.a.reshape(-1).astype(complex)
-    algebraic = float((np.vdot(c.reshape(-1).astype(complex), rhs)
-                       + np.vdot(a_flat, blocks.Q @ a_flat)).real)
-    h, _, _ = spectral_characteristic(spec, f, g, c, fspec)
-    spectral = mse_of_characteristic(spec, f, g, fspec, h)
-    report = MseReport(algebraic=algebraic, spectral=spectral)
-    scale = max(abs(algebraic), abs(spectral), 1e-300)
-    if report.difference > MSE_CONSISTENCY_RTOL * scale and report.difference > 1e-12:
-        raise MseInconsistencyError(
-            f"MSE routes disagree: algebraic {algebraic!r} vs spectral {spectral!r}"
-        )
-    return report
+    blocks, target, _, sol = _solve(spec, f, g, fspec)
+    h, _, _ = _characteristic(target, g, blocks.spectrum.p_inv, sol, c)
+    return _mse_routes(blocks, np.asarray(c), sol.rhs, fspec.a, _error_energy(target, f, g, h))
 
 
 @dataclass
@@ -393,35 +445,24 @@ def solve_interpolation(
     """Run the full pipeline for known densities (f, g)."""
     if f.dim != fspec.dim:
         raise ValidationError("functional dimension does not match the densities")
-    minimality = minimality_value(spec, f, g)
-    b = transform_b(spec, fspec)
-    a_mu = coeffs_a_mu(spec, fspec)
-    blocks = fourier_blocks(spec, f, g, fspec.N)
-    sol = solve_system(blocks, b, a_mu)
-    h, h1, h2 = spectral_characteristic(spec, f, g, sol.c, fspec)
-    a_flat = fspec.a.reshape(-1).astype(complex)
-    delta_alg = float((np.vdot(sol.c.reshape(-1).astype(complex), sol.rhs)
-                       + np.vdot(a_flat, blocks.Q @ a_flat)).real)
-    delta_spec = mse_of_characteristic(spec, f, g, fspec, h)
-    scale = max(abs(delta_alg), abs(delta_spec), 1e-300)
-    if abs(delta_alg - delta_spec) > MSE_CONSISTENCY_RTOL * scale and \
-            abs(delta_alg - delta_spec) > 1e-12:
-        raise MseInconsistencyError(
-            f"MSE routes disagree: algebraic {delta_alg!r} vs spectral {delta_spec!r}"
-        )
-    if delta_alg < -1e-10 * scale:
+    blocks, target, a_mu, sol = _solve(spec, f, g, fspec)
+    minimality = _minimality(spec, blocks.spectrum)
+    h, h1, h2 = _characteristic(target, g, blocks.spectrum.p_inv, sol)
+    routes = _mse_routes(blocks, sol.c, sol.rhs, fspec.a, _error_energy(target, f, g, h))
+    delta_alg = routes.algebraic
+    if delta_alg < -1e-10 * max(abs(delta_alg), abs(routes.spectral), 1e-300):
         raise NumericalError(f"negative interpolation error {delta_alg!r}")
     return InterpolationSolution(
         spec=spec,
         fspec=fspec,
         c=sol.c,
-        v=v_coeffs(spec, b),
+        v=v_coeffs(spec, target.b),
         h=h,
         h1=h1,
         h2=h2,
         delta=max(delta_alg, 0.0),
-        delta_spectral=delta_spec,
-        b=b,
+        delta_spectral=routes.spectral,
+        b=target.b,
         a_mu=a_mu,
         condition_number=sol.condition_number,
         residual=sol.residual,

@@ -187,9 +187,12 @@ def _functional(config):
 
 
 def _densities(config, grid, dim_hint=None):
+    from .errors import ValidationError
     from .spectra import DensityModel
 
     problem = config["problem"]
+    if "signal_density" not in problem:
+        raise ValidationError("problem.signal_density is required for this command")
     f = _density_model(problem["signal_density"]).evaluate(grid)
     noise = problem.get("noise_density")
     if noise is None:

@@ -175,19 +175,28 @@ def minimax_result_from_dict(data: dict) -> dict:
     }
 
 
+def _write_table(path: Path, header: list, table: np.ndarray) -> None:
+    """CSV of a real table, every value in the ``_format_float`` form."""
+    bad = ~np.isfinite(table)
+    if np.any(bad):
+        _format_float(float(table[bad][0]))  # raises ValidationError
+    table = table + 0.0  # normalize negative zero
+    template = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [template % tuple(row) for row in table.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_characteristic_csv(path: Path, grid_nodes: np.ndarray, h: np.ndarray) -> None:
     h = np.asarray(h, dtype=complex)
     dim = h.shape[1]
     header = ["lambda"]
     for p in range(dim):
         header += [f"h{p}_re", f"h{p}_im"]
-    lines = [",".join(header)]
-    for j, lam in enumerate(grid_nodes):
-        row = [_format_float(float(lam))]
-        for p in range(dim):
-            row += [_format_float(float(h[j, p].real)), _format_float(float(h[j, p].imag))]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.empty((h.shape[0], 1 + 2 * dim))
+    table[:, 0] = grid_nodes
+    table[:, 1::2] = h.real
+    table[:, 2::2] = h.imag
+    _write_table(path, header, table)
 
 
 def write_density_csv(path: Path, density: DensityGrid) -> None:
@@ -196,15 +205,12 @@ def write_density_csv(path: Path, density: DensityGrid) -> None:
     for i in range(dim):
         for j in range(dim):
             header += [f"f{i}{j}_re", f"f{i}{j}_im"]
-    lines = [",".join(header)]
-    for k, lam in enumerate(density.grid.nodes):
-        row = [_format_float(float(lam))]
-        for i in range(dim):
-            for j in range(dim):
-                z = density.values[k, i, j]
-                row += [_format_float(float(z.real)), _format_float(float(z.imag))]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = density.values.reshape(density.grid.n_grid, dim * dim)
+    table = np.empty((density.grid.n_grid, 1 + 2 * dim * dim))
+    table[:, 0] = density.grid.nodes
+    table[:, 1::2] = values.real
+    table[:, 2::2] = values.imag
+    _write_table(path, header, table)
 
 
 def write_convergence_csv(path: Path, rows: list, delta_classical: float) -> None:

@@ -25,12 +25,15 @@ import numpy as np
 from .classical import (
     FunctionalSpec,
     InterpolationSolution,
+    _error_rows,
     _row_polynomial,
+    _target,
     coeffs_a_mu,
     fourier_blocks,
     mse_of_characteristic,
     padded_b,
     solve_interpolation,
+    spectral_characteristic,
     transform_b,
 )
 from .errors import NumericalError, ValidationError
@@ -39,10 +42,29 @@ from .spectra import DensityGrid, FrequencyGrid, _chi_beta
 
 FEASIBILITY_TOL = 1e-8
 
-F_CLASS_KINDS = ("fixed", "D0_1", "D0_2", "D0_3", "D0_4",
-                 "D1delta_1", "D1delta_2", "D1delta_3", "D1delta_4")
-G_CLASS_KINDS = ("zero", "fixed", "Deps_1", "Deps_2", "Deps_3", "Deps_4",
-                 "DVU_1", "DVU_2", "DVU_3", "DVU_4")
+#: class kind -> the parameters it requires
+F_CLASS_PARAMS = {
+    "fixed": ("f1",),
+    "D0_1": ("P",), "D0_2": ("p",), "D0_3": ("p_k",), "D0_4": ("B1", "p"),
+    "D1delta_1": ("f1", "delta"), "D1delta_2": ("f1", "delta_k"),
+    "D1delta_3": ("f1", "B1", "delta"), "D1delta_4": ("f1", "delta_ij"),
+}
+G_CLASS_PARAMS = {
+    "zero": (), "fixed": ("g1",),
+    "Deps_1": ("eps", "g1", "q"), "Deps_2": ("eps", "g1", "q_k"),
+    "Deps_3": ("eps", "g1", "B2", "q"), "Deps_4": ("eps", "g1", "Q"),
+    "DVU_1": ("V", "U", "Q"), "DVU_2": ("V", "U", "q"),
+    "DVU_3": ("V", "U", "q_k"), "DVU_4": ("V", "U", "B2", "q"),
+}
+
+
+def _check_class(side: str, kind: str, params: dict, required: dict) -> None:
+    if kind not in required:
+        raise ValidationError(f"unknown {side}-class {kind!r}")
+    missing = [key for key in required[kind] if key not in params]
+    if missing:
+        raise ValidationError(
+            f"{side}-class {kind} requires parameter(s) {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +73,7 @@ class FClassSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in F_CLASS_KINDS:
-            raise ValidationError(f"unknown f-class {self.kind!r}")
+        _check_class("f", self.kind, self.params, F_CLASS_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -61,8 +82,7 @@ class GClassSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in G_CLASS_KINDS:
-            raise ValidationError(f"unknown g-class {self.kind!r}")
+        _check_class("g", self.kind, self.params, G_CLASS_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -390,13 +410,8 @@ def mse_functional(f0: DensityGrid, g0: DensityGrid, f: DensityGrid, g: DensityG
 
 def _gradient_kernels(spec, fspec, f, g, h):
     """Pointwise PSD kernels M_f, M_g with Delta(h; f, g) = mean Tr[f M_f] + mean Tr[g M_g]."""
-    nodes = f.grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
-    b = transform_b(spec, fspec)
-    A_row = _row_polynomial(fspec.a, nodes)
-    B_row = _row_polynomial(b, nodes)
-    r_f = B_row * (chi / beta)[:, None] - h
-    r_g = B_row * chi[:, None] - A_row - beta[:, None] * h
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    r_f, r_g = _error_rows(_target(spec, fspec, f.grid, chi, beta), h)
     M_f = np.einsum("nt,ns->nst", r_f, np.conj(r_f))
     M_g = np.einsum("nt,ns->nst", r_g, np.conj(r_g))
     return M_f, M_g
@@ -698,11 +713,10 @@ def _line_search(spec, fspec, f_vals, g_vals, fv_vals, gv_vals, grid, evals: int
 
 def _ee_shapes(spec, fspec, grid, f, g, c):
     """|C^{f0}| and |C^{g0}| shapes entering the scalar extremal equations."""
-    nodes = grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
     w = np.abs(chi) ** 2 / np.abs(beta) ** 2
-    A_row = _row_polynomial(fspec.a, nodes)
-    C_row = _row_polynomial(np.asarray(c), nodes)
+    A_row = _row_polynomial(fspec.a, grid)
+    C_row = _row_polynomial(np.asarray(c), grid)
     cf0 = np.conj(chi)[:, None] * np.einsum("nt,nts->ns", A_row, g.values) + C_row
     cg0 = chi[:, None] * C_row - w[:, None] * np.einsum("nt,nts->ns", A_row, f.values)
     sf = np.abs(cf0[:, 0])
@@ -833,7 +847,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for it in range(options.max_iter):
-            sol_h, _, _ = _characteristic_only(spec, f, g, fspec, c)
+            sol_h, _, _ = spectral_characteristic(spec, f, g, c, fspec)
             M_f, M_g = _gradient_kernels(spec, fspec, f, g, sol_h)
 
             fv = _lp_f(class_spec, spec, grid, dim, M_f)
@@ -905,21 +919,15 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
     return result
 
 
-def _characteristic_only(spec, f, g, fspec, c):
-    from .classical import spectral_characteristic
-
-    return spectral_characteristic(spec, f, g, np.asarray(c), fspec)
-
-
 # ---------------------------------------------------------------------------
 # extremal equations and saddle verification
 
 def _extremal_functions(spec, fspec, f0, g0, c):
-    nodes = f0.grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
+    grid = f0.grid
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
     w = np.abs(chi) ** 2 / np.abs(beta) ** 2
-    A_row = _row_polynomial(fspec.a, nodes)
-    C_row = _row_polynomial(np.asarray(c), nodes)
+    A_row = _row_polynomial(fspec.a, grid)
+    C_row = _row_polynomial(np.asarray(c), grid)
     cf0 = np.conj(chi)[:, None] * np.einsum("nt,nts->ns", A_row, g0.values) + C_row
     cg0 = chi[:, None] * C_row - w[:, None] * np.einsum("nt,nts->ns", A_row, f0.values)
     p_vals = f0.values + (np.abs(beta) ** 2)[:, None, None] * g0.values
@@ -1298,8 +1306,8 @@ def two_atom_search(class_spec: DensityClassSpec, fspec: FunctionalSpec,
         # refine g by the waterfill family at the current best f
         f_best = DensityGrid(grid, best["f"], validate=False)
         _, c = _delta_core(spec, f_best, DensityGrid(grid, g_vals, validate=False), fspec)
-        h, _, _ = _characteristic_only(spec, f_best,
-                                       DensityGrid(grid, g_vals, validate=False), fspec, c)
+        h, _, _ = spectral_characteristic(spec, f_best,
+                                          DensityGrid(grid, g_vals, validate=False), c, fspec)
         _, M_g = _gradient_kernels(spec, fspec, f_best,
                                    DensityGrid(grid, g_vals, validate=False), h)
         gv = _lp_g(class_spec, spec, grid, dim, M_g)

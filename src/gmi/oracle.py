@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FunctionalSpec, _row_polynomial, mse_of_characteristic, transform_b
+from .classical import FunctionalSpec, _target, mse_of_characteristic
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
 from .spectra import DensityGrid, _chi_beta, combine, structural_function
@@ -90,11 +90,9 @@ def gram_covariances(
             )
 
         # cross_j = E[target conj(obs_j)] as rows, stacked conjugated for columns
-        b = transform_b(spec, fspec)
-        A_row = _row_polynomial(fspec.a, grid.nodes)
-        B_row = _row_polynomial(b, grid.nodes)
-        u1 = np.einsum("nt,nts->ns", B_row, f.values) * (np.abs(chi) ** 2 / np.abs(beta) ** 2)[:, None]
-        u2 = np.einsum("nt,nts->ns", B_row * chi[:, None] - A_row, g.values) * np.conj(chi)[:, None]
+        t = _target(spec, fspec, grid, chi, beta)
+        u1 = np.einsum("nt,nts->ns", t.B, f.values) * (np.abs(chi) ** 2 / np.abs(beta) ** 2)[:, None]
+        u2 = np.einsum("nt,nts->ns", t.B * chi[:, None] - t.A, g.values) * np.conj(chi)[:, None]
         kappa = grid.fourier(u1 + u2, -idx)   # (|J|, T) rows E[H w(j)^H]
         cross = np.conj(kappa).reshape(-1)
     else:

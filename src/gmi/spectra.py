@@ -289,11 +289,36 @@ def fm_density(spec: FMIncrementSpec, base: DensityGrid, grid: FrequencyGrid) ->
 
 def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGrid:
     """Observed-sequence density p(l) = f(l) + |beta(il)|^2 g(l)."""
+    _, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    return _combine(f, g, beta)
+
+
+def _combine(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> DensityGrid:
     if f.dim != g.dim or f.grid.n_grid != g.grid.n_grid:
         raise ValidationError("signal and noise densities have mismatched dimensions")
-    _, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
     values = f.values + (np.abs(beta) ** 2)[:, None, None] * g.values
     return DensityGrid(f.grid, values, validate=False)
+
+
+@dataclass(frozen=True)
+class ObservedSpectrum:
+    """Per-node quantities of one problem (spec, f, g), sampled once.
+
+    chi and beta are the operator symbol and its weight, p = f + |beta|^2 g
+    is the density of the observed sequence and p_inv its nodewise inverse.
+    """
+
+    chi: np.ndarray
+    beta: np.ndarray
+    p: DensityGrid
+    p_inv: np.ndarray
+
+
+def observed_spectrum(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> ObservedSpectrum:
+    """Symbols, observed density and its inverse; raises if p is singular."""
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    p = _combine(f, g, beta)
+    return ObservedSpectrum(chi=chi, beta=beta, p=p, p_inv=inverse_density(p))
 
 
 def structural_function(
@@ -351,16 +376,18 @@ def minimality_value(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> M
     interpolation (the weight owns the poles, p is smooth at that scale).
     A > 5% gap between the two values flags a non-minimal configuration.
     """
-    p = combine(f, g, spec)
-    p_inv = inverse_density(p)
-    lam = f.grid.nodes
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, lam)
-    weight = np.abs(beta) ** 2 / np.abs(chi) ** 2
-    integrand = weight * np.trace(p_inv, axis1=1, axis2=2).real
+    return _minimality(spec, observed_spectrum(spec, f, g))
+
+
+def _minimality(spec: GMIncrementSpec, obs: ObservedSpectrum) -> MinimalityReport:
+    p = obs.p
+    lam = p.grid.nodes
+    weight = np.abs(obs.beta) ** 2 / np.abs(obs.chi) ** 2
+    integrand = weight * np.trace(obs.p_inv, axis1=1, axis2=2).real
     value = float(np.mean(integrand))
 
     # refined midpoints sit at +-Delta/4 around each node
-    delta = 2.0 * np.pi / f.grid.n_grid
+    delta = 2.0 * np.pi / p.grid.n_grid
     lam_fine = np.concatenate([lam - delta / 4.0, lam + delta / 4.0])
     p_left = 0.75 * p.values + 0.25 * np.roll(p.values, 1, axis=0)
     p_right = 0.75 * p.values + 0.25 * np.roll(p.values, -1, axis=0)

@@ -7,6 +7,8 @@ from conftest import constant_density, matrix_ma_density, pchi_one_density, rati
 from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
+    _block_toeplitz,
+    _row_polynomial,
     coeffs_a_mu,
     fourier_blocks,
     lift_periodic,
@@ -349,3 +351,55 @@ class TestPeriodicLifting:
         sol_lift = solve_interpolation(SPEC11, f, g, lifted)
         sol_direct = solve_interpolation(SPEC11, f, g, direct)
         assert sol_lift.delta == pytest.approx(sol_direct.delta, abs=1e-10)
+
+
+def dense_row_polynomial(coeffs, nodes, chunk=512):
+    """sum_k coeffs[k] e^{i k lambda} by explicit phases, a chunk of k at a time."""
+    out = np.zeros((len(nodes), coeffs.shape[1]), dtype=complex)
+    for start in range(0, coeffs.shape[0], chunk):
+        k = np.arange(start, min(start + chunk, coeffs.shape[0]))
+        out += np.exp(1j * np.outer(nodes, k)) @ coeffs[k].astype(complex)
+    return out
+
+
+class TestRowPolynomial:
+    @pytest.mark.parametrize("n_grid", [1024, 4096])
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    @pytest.mark.parametrize("extra", [-1000, 0, 123])  # K = n + extra; K > n folds
+    def test_fft_matches_dense_phases(self, n_grid, T, extra):
+        grid = FrequencyGrid(n_grid)
+        K = n_grid + extra
+        rng = np.random.default_rng(n_grid + 10 * T + extra)
+        coeffs = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
+        got = _row_polynomial(coeffs, grid)
+        assert got.shape == (n_grid, T)
+        expected = dense_row_polynomial(coeffs, grid.nodes)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.sum(np.abs(coeffs))
+
+    def test_real_short_coefficients(self, grid1k):
+        coeffs = np.array([[1.0, 0.0], [0.5, -2.0], [0.0, 3.0]])
+        got = _row_polynomial(coeffs, grid1k)
+        expected = dense_row_polynomial(coeffs, grid1k.nodes)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.sum(np.abs(coeffs))
+
+
+def block_toeplitz_loop(coeffs, size, dim, index):
+    """Block-by-block assembly, the reference for the index-array gather."""
+    out = np.empty((size * dim, size * dim), dtype=complex)
+    for j in range(size):
+        for k in range(size):
+            out[j * dim:(j + 1) * dim, k * dim:(k + 1) * dim] = coeffs[index(j, k) + size - 1]
+    return out
+
+
+class TestBlockToeplitz:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("index", [lambda j, k: k - j, lambda j, k: j - k],
+                             ids=["k-j", "j-k"])
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_matches_loop(self, dim, index, size):
+        rng = np.random.default_rng(dim * 10 + size)
+        coeffs = (rng.standard_normal((2 * size - 1, dim, dim))
+                  + 1j * rng.standard_normal((2 * size - 1, dim, dim)))
+        got = _block_toeplitz(coeffs, size, dim, index)
+        assert np.array_equal(got, block_toeplitz_loop(coeffs, size, dim, index))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gmi.io import (
     parse_complex_array,
     solution_from_dict,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -93,6 +96,25 @@ class TestExitCodes:
         assert code == 3
         envelope = json.loads(capsys.readouterr().err.strip())
         assert "singular" in envelope["message"]
+
+    def test_minimax_missing_class_parameter_is_2(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "minimax.json").read_text())
+        del config["minimax"]["f_class"]["f1"]
+        cfg = write_config(tmp_path, config)
+        code = main(["minimax", "--config", str(cfg),
+                     "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        envelope = json.loads(capsys.readouterr().err.strip())
+        assert envelope["code"] == "validation_error"
+        assert "f1" in envelope["message"]
+
+    def test_oracle_without_signal_density_is_2(self, tmp_path, capsys):
+        code = main(["oracle-verify", "--config", str(CONFIGS / "minimax.json"),
+                     "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        envelope = json.loads(capsys.readouterr().err.strip())
+        assert envelope["code"] == "validation_error"
+        assert "signal_density" in envelope["message"]
 
     def test_verification_failure_is_4(self, tmp_path, capsys):
         strict = json.loads(json.dumps(BASE_CONFIG))

@@ -76,6 +76,42 @@ class TestMseFunctional:
             mse_of_characteristic(SPEC11, f_other, zero, fs, sol.h), rel=1e-12)
 
 
+class TestClassSpec:
+    # every parameter each kind reads, written out independently of the module
+    F_REQUIRED = {"fixed": ["f1"], "D0_1": ["P"], "D0_2": ["p"], "D0_3": ["p_k"],
+                  "D0_4": ["B1", "p"], "D1delta_1": ["f1", "delta"],
+                  "D1delta_2": ["f1", "delta_k"], "D1delta_3": ["f1", "B1", "delta"],
+                  "D1delta_4": ["f1", "delta_ij"]}
+    G_REQUIRED = {"fixed": ["g1"], "Deps_1": ["eps", "g1", "q"],
+                  "Deps_2": ["eps", "g1", "q_k"], "Deps_3": ["eps", "g1", "B2", "q"],
+                  "Deps_4": ["eps", "g1", "Q"], "DVU_1": ["V", "U", "Q"],
+                  "DVU_2": ["V", "U", "q"], "DVU_3": ["V", "U", "q_k"],
+                  "DVU_4": ["V", "U", "B2", "q"]}
+
+    @pytest.mark.parametrize("kind,key", [(k, key) for k, keys in F_REQUIRED.items()
+                                          for key in keys])
+    def test_f_class_missing_parameter(self, kind, key):
+        params = {name: 1.0 for name in self.F_REQUIRED[kind] if name != key}
+        with pytest.raises(ValidationError, match=key):
+            FClassSpec(kind, params)
+        FClassSpec(kind, dict(params, **{key: 1.0}))
+
+    @pytest.mark.parametrize("kind,key", [(k, key) for k, keys in G_REQUIRED.items()
+                                          for key in keys])
+    def test_g_class_missing_parameter(self, kind, key):
+        params = {name: 1.0 for name in self.G_REQUIRED[kind] if name != key}
+        with pytest.raises(ValidationError, match=key):
+            GClassSpec(kind, params)
+        GClassSpec(kind, dict(params, **{key: 1.0}))
+
+    def test_unknown_kinds(self):
+        with pytest.raises(ValidationError):
+            FClassSpec("D2_1", {})
+        with pytest.raises(ValidationError):
+            GClassSpec("DVU_5", {})
+        GClassSpec("zero")
+
+
 class TestFeasibleStart:
     @pytest.mark.parametrize("fkind,fparams", [
         ("D0_1", {"P": [[1.2]]}),
