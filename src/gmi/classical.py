@@ -148,7 +148,8 @@ def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index) -> np.ndarra
 
 
 def fourier_blocks(
-    spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, N: int
+    spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, N: int,
+    symbols: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FourierBlocks:
     """Fourier-coefficient block matrices P, T, Q of the linear system.
 
@@ -158,13 +159,14 @@ def fourier_blocks(
         Q: f p^{-1} g
     Each is sampled nodewise and transformed once; blocks depend on the
     index offset only.  The symbols and p^{-1} are kept on the result for
-    the later stages of the same problem.
+    the later stages of the same problem; ``symbols`` passes (chi, beta)
+    when the caller has sampled them already.
     """
     grid = f.grid
     ng = spec.n_gamma()
     dim = f.dim
     size = N + ng + 1
-    obs = observed_spectrum(spec, f, g)
+    obs = observed_spectrum(spec, f, g, symbols)
     w = np.abs(obs.beta) ** 2 / np.abs(obs.chi) ** 2
 
     k_p = w[:, None, None] * obs.p_inv
@@ -379,15 +381,17 @@ class MseReport:
         return abs(self.algebraic - self.spectral)
 
 
-def _mse_routes(blocks: FourierBlocks, c: np.ndarray, rhs: np.ndarray, a: np.ndarray,
-                spectral: float) -> MseReport:
-    """Algebraic error <rhs, c> + <Q a, a> next to the spectral one.
-
-    Raises if the two disagree beyond 1e-6 relative.
-    """
+def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) -> float:
+    """Error read off the solved system: <rhs, c> + <Q a, a>."""
     a_flat = a.reshape(-1).astype(complex)
-    algebraic = float((np.vdot(c.reshape(-1).astype(complex), rhs)
-                       + np.vdot(a_flat, blocks.Q @ a_flat)).real)
+    return float((np.vdot(sol.c.reshape(-1).astype(complex), sol.rhs)
+                  + np.vdot(a_flat, blocks.Q @ a_flat)).real)
+
+
+def _mse_routes(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray,
+                spectral: float) -> MseReport:
+    """Algebraic error next to the spectral one; raises if they differ beyond 1e-6 relative."""
+    algebraic = _algebraic_mse(blocks, sol, a)
     report = MseReport(algebraic=algebraic, spectral=spectral)
     scale = max(abs(algebraic), abs(spectral), 1e-300)
     if report.difference > MSE_CONSISTENCY_RTOL * scale and report.difference > 1e-12:
@@ -395,24 +399,6 @@ def _mse_routes(blocks: FourierBlocks, c: np.ndarray, rhs: np.ndarray, a: np.nda
             f"MSE routes disagree: algebraic {algebraic!r} vs spectral {spectral!r}"
         )
     return report
-
-
-def mse_value(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    g: DensityGrid,
-    fspec: FunctionalSpec,
-    c: np.ndarray,
-) -> MseReport:
-    """Interpolation error by the algebraic and the spectral route.
-
-    Algebraic: <rhs, c> + <Q a, a> from the solved system.  Spectral:
-    quadrature of the error spectra with h rebuilt from c.  Raises if the
-    two disagree beyond 1e-6 relative.
-    """
-    blocks, target, _, sol = _solve(spec, f, g, fspec)
-    h, _, _ = _characteristic(target, g, blocks.spectrum.p_inv, sol, c)
-    return _mse_routes(blocks, np.asarray(c), sol.rhs, fspec.a, _error_energy(target, f, g, h))
 
 
 @dataclass
@@ -448,7 +434,7 @@ def solve_interpolation(
     blocks, target, a_mu, sol = _solve(spec, f, g, fspec)
     minimality = _minimality(spec, blocks.spectrum)
     h, h1, h2 = _characteristic(target, g, blocks.spectrum.p_inv, sol)
-    routes = _mse_routes(blocks, sol.c, sol.rhs, fspec.a, _error_energy(target, f, g, h))
+    routes = _mse_routes(blocks, sol, fspec.a, _error_energy(target, f, g, h))
     delta_alg = routes.algebraic
     if delta_alg < -1e-10 * max(abs(delta_alg), abs(routes.spectral), 1e-300):
         raise NumericalError(f"negative interpolation error {delta_alg!r}")

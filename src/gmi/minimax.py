@@ -1,18 +1,12 @@
 """Least favorable spectral densities over uncertainty classes.
 
-The worst-case pair maximizes the optimal-estimate error, a concave
-functional of the densities (a pointwise minimum of functionals linear in
-(f, g)).  The solver is a monotone projected ascent: at the current pair it
-solves the exact interpolation problem, linearizes the error in (f, g)
-through the fixed characteristic, solves the inner linear program over the
-class exactly (mass transport to the best symmetric node pair for budget
-constraints, bang-bang waterfilling for boxes), and line-searches the
-blend.  Budget-type classes get an extra candidate from the extremal
-equation fixed point, which accelerates the tail of the ascent.
-
-Class ids follow the f-side / g-side split: D0_1..4 and D1delta_1..4
-constrain the signal density, Deps_1..4 and DVU_1..4 the noise density;
-'fixed' pins a side, 'zero' pins the noise at zero.
+A monotone projected ascent of the optimal-estimate error, which is concave
+in (f, g): linearize through the error rows r_f, r_g (the gradient kernels
+conj(r) r^T are rank one), step toward a class vertex, line-search the
+blend; scalar problems also try the extremal-equation fixed points.  Each
+class kind is one family read through one measure (CLASS_TABLE).  Every
+vertex is exact at T = 1; at T > 1 only D0_2, D0_4 and DVU_2 are, and the
+other kinds are listed in residual_report["approximate"] and never converge.
 """
 
 from __future__ import annotations
@@ -25,64 +19,411 @@ import numpy as np
 from .classical import (
     FunctionalSpec,
     InterpolationSolution,
+    _algebraic_mse,
+    _characteristic,
+    _error_energy,
     _error_rows,
     _row_polynomial,
     _target,
     coeffs_a_mu,
     fourier_blocks,
     mse_of_characteristic,
-    padded_b,
     solve_interpolation,
-    spectral_characteristic,
-    transform_b,
+    solve_system,
 )
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
 from .spectra import DensityGrid, FrequencyGrid, _chi_beta
 
 FEASIBILITY_TOL = 1e-8
+#: a stopped ascent is converged only if its certificate gap is below this share of delta0
+GAP_RTOL = 1e-3
+
+
+def _norm2(r: np.ndarray) -> np.ndarray:
+    return np.sum(r.real ** 2 + r.imag ** 2, axis=1)
+
+
+def _rank_one(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """v v^H / norm per node; the last basis vector where v vanishes, as eigh gives."""
+    zero = norm <= 0
+    v = np.where(zero[:, None], np.eye(v.shape[1])[-1], v)
+    return np.einsum("nt,ns->nts", v, np.conj(v)) / np.where(zero, 1.0, norm)[:, None, None]
+
+
+def _psd_violation(y: np.ndarray) -> float:
+    herm = 0.5 * (y + np.conj(np.swapaxes(y, -1, -2)))
+    return max(-float(np.min(np.linalg.eigvalsh(herm))), 0.0)
+
+
+class _Measure:
+    """How a class reads a T x T value x.  components(r, budget) gives (rate,
+    block) pairs: block[j] at node j raises r^T x conj(r) by rate[j]."""
+
+    parse = staticmethod(float)
+
+    def __init__(self, name: str, dim: int, B=None):
+        self.name, self.dim = name, dim
+        self.B = np.eye(dim) if B is None else np.atleast_2d(np.asarray(B, dtype=complex))
+
+    def below(self, y) -> float:  # largest violation of y >= 0
+        return max(-float(np.min(y)), 0.0)
+
+    def rescale(self, x, target, have):  # move the measure of x from have to target
+        return x * (target / max(have, 1e-300))
+
+
+class _Trace(_Measure):
+    """Tr[B x] (B = I for "trace"); a budget goes along B^{-1} conj(r)."""
+
+    def of(self, x):
+        return np.einsum("ts,...st->...", self.B, x).real
+
+    def flat(self, y):
+        return y / float(np.trace(self.B).real) * np.eye(self.dim)
+
+    def components(self, r, budget, whiten=True):
+        v = np.conj(r) @ np.linalg.inv(self.B).T if whiten else np.conj(r)
+        norm = np.einsum("nt,ts,ns->n", np.conj(v), self.B, v).real
+        return [(norm if whiten else _norm2(r), budget * _rank_one(v, norm))]
+
+
+class _Diag(_Measure):
+    """diag x; budget k goes on e_k e_k^T at its own best node."""
+
+    parse = staticmethod(lambda value: np.asarray(value, dtype=float).reshape(-1))
+    of = staticmethod(lambda x: np.diagonal(x, axis1=-2, axis2=-1).real)
+    flat = staticmethod(np.diag)
+
+    def rescale(self, x, target, have):
+        s = np.sqrt(target / np.maximum(have, 1e-300))
+        return x * s[None, None, :] * s[None, :, None]
+
+    def components(self, r, budget, whiten=True):
+        unit = np.eye(self.dim)
+        return [(_norm2(r[:, [k]]), np.broadcast_to(budget[k] * np.diag(unit[k]),
+                                                    (len(r),) + unit.shape))
+                for k in range(self.dim)]
+
+
+class _Matrix(_Measure):
+    """x itself, entrywise; a budget matrix moves as one block."""
+
+    parse = staticmethod(np.atleast_2d)
+    of = flat = staticmethod(lambda x: x)
+    below = staticmethod(_psd_violation)
+
+    def rescale(self, x, target, have):
+        return x * (np.trace(target).real / max(np.trace(have).real, 1e-300))
+
+    def components(self, r, budget, whiten=True):
+        return [(_norm2(r), np.broadcast_to(budget, (len(r),) + budget.shape))]
+
+
+_MEASURES = {"trace": _Trace, "btrace": _Trace, "diag": _Diag, "matrix": _Matrix}
+
+
+def _traces(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=1, axis2=2).real
+
+
+class _Pinned:
+    """'fixed' pins a side at its reference density; 'zero' pins the noise at 0."""
+
+    bounds = None  # no extremal-equation candidate
+    approximate = False
+
+    def __init__(self, kind, values):
+        self.kind, self.values = kind, values
+
+    def start(self, vals=None):
+        return self.values.copy()
+
+    project = start  # every sample projects onto the pinned density
+
+    vertex = staticmethod(lambda r: None)
+
+    def residual(self, vals):
+        return float(np.max(np.abs(vals - self.values)))
+
+
+class _Family:
+    """A class family read through a measure: start, vertex(r), project,
+    residual; bounds = (floor, ceiling or None) feed the scalar
+    extremal-equation candidates and the active sets of the report."""
+
+    base: tuple = ()     # parameters besides the measure's
+    budgets: dict = {}   # measure -> budget parameter
+    b_param = ""         # the metric B of the weighted trace
+    exact: tuple = ()    # measures whose vertex is exact at T > 1
+    names: tuple = ()    # report keys: active share, lower / upper overshoot, multiplier
+    bound_tol = 1e-6     # a node sits on a bound within this share of max Tr or box span
+
+    def __init__(self, kind, m, params, w):
+        self.kind, self.m, self.w, self.n, self.dim = kind, m, w, len(w), m.dim
+        self.budget = m.parse(params[self.budgets[m.name]])
+        self.approximate = self.dim > 1 and m.name not in self.exact
+        if self.dim == 1:  # the budget in density units
+            self.scalar_budget = float(np.real(np.ravel(self.budget)[0]
+                                               / np.ravel(m.of(np.eye(1)))[0]))
+
+    @classmethod
+    def params(cls, measure: str) -> tuple:
+        return cls.base + ((cls.b_param,) if measure == "btrace" else ()) + (cls.budgets[measure],)
+
+    def weighted_mean(self, y):
+        return np.mean(self.w.reshape((-1,) + (1,) * (y.ndim - 1)) * y, axis=0)
+
+    def place(self, vals, components, scale):
+        """Add each component's block at its best node pair with mass n / (2 scale_j)."""
+        for rate, block in components:
+            j = int(np.argmax(rate[: self.n // 2] / scale[: self.n // 2]))
+            atom = block[j] * (self.n / (2.0 * scale[j]))
+            vals[j] += atom
+            vals[self.n - 1 - j] += atom.T
+        return vals
+
+    def residual(self, vals):
+        """Noise families: the larger of the bound violations and the budget miss."""
+        got, (lo, hi) = self.m.of(vals), self.bounds
+        miss = [float(np.max(np.abs(np.mean(got, axis=0) - self.budget))),
+                self.m.below(got - self.m.of(lo))]
+        return max(miss + ([] if hi is None else [self.m.below(self.m.of(hi) - got)]))
+
+    def budget_residual(self, vals):
+        return self.residual(vals)
+
+    def extremal(self, lhs, shape, vals):
+        """Multiplier fitted on the active nodes; overshoots where the density sits on a bound."""
+        lo, hi = self.bounds
+        tr = _traces(vals)
+        tol = self.bound_tol * max(float(np.max(tr if hi is None else _traces(hi - lo))), 1e-300)
+        at_lo = tr <= _traces(lo) + tol
+        at_hi = np.zeros_like(at_lo) if hi is None else tr >= _traces(hi) - tol
+        active = ~at_lo & ~at_hi
+        scale, rel = 0.0, 0.0  # least-squares fit of shape onto lhs over the active nodes
+        if np.any(active):
+            den = float(np.sum(shape[active] ** 2))
+            scale = float(np.sum(lhs[active] * shape[active])) / den if den > 0 else 0.0
+            rel = float(np.max(np.abs(lhs[active] - scale * shape[active]))) / \
+                max(float(np.max(np.abs(lhs[active]))), 1e-300)
+        top = max(float(np.max(lhs)), 1e-300)
+        rep = {"relative_residual": rel, self.names[0]: float(np.mean(active)),
+               "budget_residual": self.budget_residual(vals)}
+        for key, mask, excess in ((self.names[1], at_lo, lhs - scale * shape),
+                                  (self.names[2], at_hi, scale * shape - lhs)):
+            if key:
+                rep[key] = float(np.max(np.maximum(excess[mask], 0.0))) / top \
+                    if np.any(mask) and np.any(active) else 0.0
+        return rep, {self.names[3]: scale}
+
+
+class _Budget(_Family):
+    """D0: mean(w m(f)) = budget; the vertex puts it all at the best node pair."""
+
+    budgets = {"matrix": "P", "trace": "p", "diag": "p_k", "btrace": "p"}
+    b_param, exact, names = "B1", ("trace", "btrace"), ("active_fraction", None, None, "alpha2")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bounds = (np.zeros((self.n, 1, 1)), None)
+
+    def budget_used(self, vals):
+        return self.weighted_mean(self.m.of(vals))
+
+    def start(self):
+        flat = self.m.flat(self.budget) / np.mean(self.w)
+        return np.broadcast_to(flat, (self.n, self.dim, self.dim)).astype(complex)
+
+    def residual(self, vals):
+        return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
+
+    def vertex(self, r):
+        zeros = np.zeros((self.n, self.dim, self.dim), dtype=complex)
+        return self.place(zeros, self.m.components(r, self.budget), self.w)
+
+    def project(self, vals):
+        return self.m.rescale(vals, self.budget, self.budget_used(vals))
+
+
+class _Ball(_Family):
+    """D1delta: mean(w |m(f - f1)|) <= delta; the vertex adds delta at the best
+    pair, ranked by |r|^2 / w (not in the metric B); an entrywise ball spends
+    only its diagonal budgets."""
+
+    base = ("f1",)
+    budgets = {"trace": "delta", "diag": "delta_k", "btrace": "delta", "matrix": "delta_ij"}
+    b_param, names, bound_tol = "B1", ("moved_fraction", "inactive_overshoot", None, "beta2"), 1e-9
+
+    def __init__(self, kind, m, params, w):
+        super().__init__(kind, m, params, w)
+        self.f1 = params["f1"].values
+        self.bounds = (self.f1, None)
+
+    def budget_used(self, vals):
+        return self.weighted_mean(np.abs(self.m.of(vals - self.f1)))
+
+    def start(self):
+        return self.f1.copy()
+
+    def residual(self, vals):
+        return float(max(np.max(self.budget_used(vals) - self.budget), 0.0))
+
+    def budget_residual(self, vals):
+        return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
+
+    def vertex(self, r):
+        m, budget = self.m, self.budget
+        if m.name == "matrix":
+            m, budget = _Diag("diag", self.dim), np.diagonal(budget)
+        return self.place(self.f1.copy(), m.components(r, budget, whiten=False), self.w)
+
+    def project(self, vals):
+        used, bound = float(np.max(self.budget_used(vals))), float(np.max(self.budget))
+        return vals if used <= bound else self.f1 + (bound / used) * (vals - self.f1)
+
+
+class _Floor(_Family):
+    """Deps: m(g) >= (1 - eps) m(g1), mean m(g) = q; the vertex adds the free
+    budget at the best pair."""
+
+    base = ("eps", "g1")
+    budgets = {"trace": "q", "diag": "q_k", "btrace": "q", "matrix": "Q"}
+    b_param, names, bound_tol = "B2", ("free_fraction", "clamped_overshoot", None, "g_alpha2"), 1e-8
+
+    def __init__(self, kind, m, params, w):
+        super().__init__(kind, m, params, w)
+        self.floor = (1.0 - float(params["eps"])) * params["g1"].values
+        self.bounds = (self.floor, None)
+        self.free = self.budget - m.of(np.mean(self.floor, axis=0))
+        # what the vertex spends; a matrix budget moves as it is
+        self.spend = self.free if m.name == "matrix" else np.maximum(self.free, 0.0)
+
+    def start(self):
+        if self.m.below(self.free) > FEASIBILITY_TOL:
+            raise ValidationError("infeasible noise class: budget below the floor mass")
+        return self.floor + self.m.flat(self.spend)
+
+    def vertex(self, r):
+        return self.place(self.floor.copy(), self.m.components(r, self.spend), np.ones(self.n))
+
+    def project(self, vals):
+        free = vals - self.floor
+        if self.dim == 1:
+            free = np.maximum(free.real, 0.0).astype(complex)
+        return self.floor + self.m.rescale(free, self.free, self.m.of(np.mean(free, axis=0)))
+
+
+class _Box(_Family):
+    """DVU: m(V) <= m(g) <= m(U), mean m(g) = q.  Trace and diagonal boxes
+    waterfill node by node, the others along the segment V + theta (U - V)."""
+
+    base = ("V", "U")
+    budgets = {"matrix": "Q", "trace": "q", "diag": "q_k", "btrace": "q"}
+    b_param, exact = "B2", ("trace",)
+    names = ("interior_fraction", "lower_overshoot", "upper_overshoot", "g_beta2")
+
+    def __init__(self, kind, m, params, w):
+        super().__init__(kind, m, params, w)
+        self.V, self.U = params["V"].values, params["U"].values
+        self.bounds = (self.V, self.U)
+        lo, hi = (np.mean(m.of(x), axis=0) for x in (self.V, self.U))
+        span = float(np.sum(np.abs(hi - lo) ** 2))
+        # the segment point whose mean measure is nearest the budget
+        self.theta = 0.0 if span == 0 else \
+            float(np.real(np.sum((self.budget - lo) * np.conj(hi - lo)))) / span
+
+    def start(self):
+        if not -FEASIBILITY_TOL <= self.theta <= 1.0 + FEASIBILITY_TOL:
+            raise ValidationError("infeasible noise class: budget outside the box range")
+        return self.V + min(max(self.theta, 0.0), 1.0) * (self.U - self.V)
+
+    def vertex(self, r):
+        n, half = self.n, self.n // 2
+
+        def mirrored(rate):  # the rates of the first half, mirrored onto the second
+            return np.concatenate([rate[:half], rate[:half][::-1]])
+
+        if self.m.name in ("trace", "diag"):
+            lo, hi = (self.m.of(x).reshape(n, -1) for x in (self.V, self.U))
+            budget = np.reshape(self.budget, -1)
+            vals = np.zeros((n, self.dim, self.dim), dtype=complex)
+            for k, (rate, block) in enumerate(self.m.components(r, np.ones_like(self.budget))):
+                t = _waterfill_traces(mirrored(rate), lo[:, k], hi[:, k], budget[k])
+                vals += 0.5 * (t + t[::-1])[:, None, None] * block
+            vals[half:] = vals[:half][::-1].transpose(0, 2, 1)
+            return vals
+        if self.m.name == "matrix":
+            lo, hi, budget = np.zeros(n), np.ones(n), self.theta
+        else:
+            lo, hi, budget = self.m.of(self.V), self.m.of(self.U), self.budget
+        span = np.where(hi - lo > 0, hi - lo, 1.0)
+        rate = np.einsum("nt,nts,ns->n", r, self.U - self.V, np.conj(r)).real / span
+        theta = (_waterfill_traces(mirrored(rate), lo, hi, budget) - lo) / span
+        return self.V + (0.5 * (theta + theta[::-1]))[:, None, None] * (self.U - self.V)
+
+    def project(self, vals):
+        if self.dim == 1:
+            x = _shift_clip(vals[:, 0, 0].real, self.V[:, 0, 0].real, self.U[:, 0, 0].real,
+                            self.scalar_budget)
+            return x.reshape(-1, 1, 1).astype(complex)
+        if self.m.name == "matrix":  # blend toward the feasible start until admissible
+            start = self.start()
+            for t in np.linspace(0.0, 1.0, 21):
+                cand = (1.0 - t) * vals + t * start
+                if self.residual(cand) <= FEASIBILITY_TOL:
+                    return cand
+            return vals
+        # shift each measured component into the box, then rescale every node to it
+        got, lo, hi = (self.m.of(x).reshape(self.n, -1) for x in (vals, self.V, self.U))
+        t = np.stack([_shift_clip(got[:, k], lo[:, k], hi[:, k], b)
+                      for k, b in enumerate(np.reshape(self.budget, -1))], axis=1)
+        s = np.sqrt(t / np.maximum(got, 1e-300))
+        return vals * s[:, None, :] * s[:, :, None]
+
+
+#: class kind -> (family, measure): the suffixes _1.._4 differ only in the measure
+CLASS_TABLE = {
+    "D0_1": (_Budget, "matrix"), "D0_2": (_Budget, "trace"),
+    "D0_3": (_Budget, "diag"), "D0_4": (_Budget, "btrace"),
+    "D1delta_1": (_Ball, "trace"), "D1delta_2": (_Ball, "diag"),
+    "D1delta_3": (_Ball, "btrace"), "D1delta_4": (_Ball, "matrix"),
+    "Deps_1": (_Floor, "trace"), "Deps_2": (_Floor, "diag"),
+    "Deps_3": (_Floor, "btrace"), "Deps_4": (_Floor, "matrix"),
+    "DVU_1": (_Box, "matrix"), "DVU_2": (_Box, "trace"),
+    "DVU_3": (_Box, "diag"), "DVU_4": (_Box, "btrace"),
+}
 
 #: class kind -> the parameters it requires
-F_CLASS_PARAMS = {
-    "fixed": ("f1",),
-    "D0_1": ("P",), "D0_2": ("p",), "D0_3": ("p_k",), "D0_4": ("B1", "p"),
-    "D1delta_1": ("f1", "delta"), "D1delta_2": ("f1", "delta_k"),
-    "D1delta_3": ("f1", "B1", "delta"), "D1delta_4": ("f1", "delta_ij"),
-}
-G_CLASS_PARAMS = {
-    "zero": (), "fixed": ("g1",),
-    "Deps_1": ("eps", "g1", "q"), "Deps_2": ("eps", "g1", "q_k"),
-    "Deps_3": ("eps", "g1", "B2", "q"), "Deps_4": ("eps", "g1", "Q"),
-    "DVU_1": ("V", "U", "Q"), "DVU_2": ("V", "U", "q"),
-    "DVU_3": ("V", "U", "q_k"), "DVU_4": ("V", "U", "B2", "q"),
-}
-
-
-def _check_class(side: str, kind: str, params: dict, required: dict) -> None:
-    if kind not in required:
-        raise ValidationError(f"unknown {side}-class {kind!r}")
-    missing = [key for key in required[kind] if key not in params]
-    if missing:
-        raise ValidationError(
-            f"{side}-class {kind} requires parameter(s) {', '.join(missing)}")
+F_CLASS_PARAMS = {"fixed": ("f1",), **{
+    kind: fam.params(m) for kind, (fam, m) in CLASS_TABLE.items() if fam.b_param == "B1"}}
+G_CLASS_PARAMS = {"zero": (), "fixed": ("g1",), **{
+    kind: fam.params(m) for kind, (fam, m) in CLASS_TABLE.items() if fam.b_param == "B2"}}
 
 
 @dataclass(frozen=True)
-class FClassSpec:
+class _ClassSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_class("f", self.kind, self.params, F_CLASS_PARAMS)
+        required = F_CLASS_PARAMS if self.side == "f" else G_CLASS_PARAMS
+        if self.kind not in required:
+            raise ValidationError(f"unknown {self.side}-class {self.kind!r}")
+        missing = [key for key in required[self.kind] if key not in self.params]
+        if missing:
+            raise ValidationError(
+                f"{self.side}-class {self.kind} requires parameter(s) {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
-class GClassSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
+class FClassSpec(_ClassSpec):
+    side = "f"
 
-    def __post_init__(self):
-        _check_class("g", self.kind, self.params, G_CLASS_PARAMS)
+
+@dataclass(frozen=True)
+class GClassSpec(_ClassSpec):
+    side = "g"
 
 
 @dataclass(frozen=True)
@@ -114,8 +455,28 @@ class MinimaxResult:
     solution: InterpolationSolution
 
 
-# ---------------------------------------------------------------------------
-# weights, budgets, feasibility
+def _family(side: _ClassSpec, w: np.ndarray, dim: int):
+    if side.kind == "zero":
+        return _Pinned("zero", np.zeros((len(w), dim, dim), dtype=complex))
+    if side.kind == "fixed":
+        return _Pinned("fixed", side.params[side.side + "1"].values)
+    family, measure = CLASS_TABLE[side.kind]
+    metric = side.params.get(family.b_param) if measure == "btrace" else None
+    return family(side.kind, _MEASURES[measure](measure, dim, metric), side.params, w)
+
+
+class _Problem:
+    """What one run never changes: symbols, weights, target rows, a_mu and the two families."""
+
+    def __init__(self, class_spec, spec, fspec, grid):
+        chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+        self.spec, self.fspec, self.grid = spec, fspec, grid
+        self.w = np.abs(chi) ** 2 / np.abs(beta) ** 2   # the weight of every f-side budget
+        self.beta2 = np.abs(beta) ** 2
+        self.target = _target(spec, fspec, grid, chi, beta)
+        self.a_mu = coeffs_a_mu(spec, fspec)
+        self.f, self.g = (_family(side, self.w, fspec.dim) for side in (class_spec.f, class_spec.g))
+
 
 def budget_weight(spec: GMIncrementSpec, grid: FrequencyGrid) -> np.ndarray:
     """|chi|^2 / |beta|^2; every f-side budget integrates against it."""
@@ -123,611 +484,181 @@ def budget_weight(spec: GMIncrementSpec, grid: FrequencyGrid) -> np.ndarray:
     return np.abs(chi) ** 2 / np.abs(beta) ** 2
 
 
-def _pair_index(n: int, j: int) -> int:
-    return n - 1 - j
+def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
+    """Symmetrize so that value(-l) = value(l)^T holds exactly; clip scalar values at 0."""
+    x = 0.5 * (x + x[::-1].transpose(0, 2, 1))
+    return np.maximum(x.real, 0.0).astype(complex) if clip and x.shape[1] == 1 else x
 
 
-def _sym_value(x: np.ndarray) -> np.ndarray:
-    """Symmetrize samples so that value(-l) = value(l)^T holds exactly."""
-    return 0.5 * (x + x[::-1].transpose(0, 2, 1))
-
-
-def _f_budget_used(kind: str, params: dict, w: np.ndarray, f: DensityGrid):
-    vals = f.values
-    if kind == "D0_1":
-        return np.mean(w[:, None, None] * vals, axis=0)
-    if kind == "D0_2":
-        return float(np.mean(w * np.trace(vals, axis1=1, axis2=2).real))
-    if kind == "D0_3":
-        return np.mean(w[:, None] * np.diagonal(vals, axis1=1, axis2=2).real, axis=0)
-    if kind == "D0_4":
-        b1 = np.atleast_2d(np.asarray(params["B1"]))
-        return float(np.mean(w * np.einsum("ts,nst->n", b1, vals).real))
-    raise ValidationError(kind)
-
-
-def _l1_budget_used(kind: str, params: dict, w: np.ndarray, f: DensityGrid):
-    e = f.values - params["f1"].values
-    if kind == "D1delta_1":
-        return float(np.mean(w * np.abs(np.trace(e, axis1=1, axis2=2))))
-    if kind == "D1delta_2":
-        return np.mean(w[:, None] * np.abs(np.diagonal(e, axis1=1, axis2=2)), axis=0)
-    if kind == "D1delta_3":
-        b1 = np.atleast_2d(np.asarray(params["B1"]))
-        return float(np.mean(w * np.abs(np.einsum("ts,nst->n", b1, e))))
-    if kind == "D1delta_4":
-        return np.mean(w[:, None, None] * np.abs(e), axis=0)
-    raise ValidationError(kind)
-
-
-def _g_traces(g: DensityGrid) -> np.ndarray:
-    return np.trace(g.values, axis1=1, axis2=2).real
+def _feasibility(F, G, f_vals: np.ndarray, g_vals: np.ndarray) -> dict:
+    rf, rg = F.residual(f_vals), G.residual(g_vals)
+    return {"f": {"kind": F.kind, "residual": rf}, "g": {"kind": G.kind, "residual": rg},
+            "max_residual": max(rf, rg)}
 
 
 def feasibility_report(class_spec: DensityClassSpec, spec: GMIncrementSpec,
                        f: DensityGrid, g: DensityGrid) -> dict:
     """Signed constraint residuals for the pair (f, g); 0 means feasible."""
     w = budget_weight(spec, f.grid)
-    rep_f: dict = {"kind": class_spec.f.kind}
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    if kf == "fixed":
-        rep_f["residual"] = float(np.max(np.abs(f.values - pf["f1"].values)))
-    elif kf.startswith("D0"):
-        used = _f_budget_used(kf, pf, w, f)
-        target = {"D0_1": lambda: np.atleast_2d(np.asarray(pf["P"])),
-                  "D0_2": lambda: pf["p"],
-                  "D0_3": lambda: np.asarray(pf["p_k"], dtype=float),
-                  "D0_4": lambda: pf["p"]}[kf]()
-        rep_f["residual"] = float(np.max(np.abs(np.asarray(used) - np.asarray(target))))
-    else:
-        used = _l1_budget_used(kf, pf, w, f)
-        bound = {"D1delta_1": lambda: pf["delta"],
-                 "D1delta_2": lambda: np.asarray(pf["delta_k"], dtype=float),
-                 "D1delta_3": lambda: pf["delta"],
-                 "D1delta_4": lambda: np.asarray(pf["delta_ij"], dtype=float)}[kf]()
-        over = np.asarray(used) - np.asarray(bound)
-        rep_f["residual"] = float(max(np.max(over), 0.0))
-        rep_f["budget_used"] = used if np.isscalar(used) else np.asarray(used)
-
-    rep_g: dict = {"kind": class_spec.g.kind}
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    if kg == "zero":
-        rep_g["residual"] = float(np.max(np.abs(g.values)))
-    elif kg == "fixed":
-        rep_g["residual"] = float(np.max(np.abs(g.values - pg["g1"].values)))
-    elif kg.startswith("Deps"):
-        eps = float(pg["eps"])
-        g1 = pg["g1"]
-        if kg == "Deps_1":
-            floor = (1.0 - eps) * _g_traces(g1)
-            below = np.max(np.maximum(floor - _g_traces(g), 0.0))
-            bud = abs(float(np.mean(_g_traces(g))) - float(pg["q"]))
-        elif kg == "Deps_2":
-            floor = (1.0 - eps) * np.diagonal(g1.values, axis1=1, axis2=2).real
-            diag = np.diagonal(g.values, axis1=1, axis2=2).real
-            below = np.max(np.maximum(floor - diag, 0.0))
-            bud = float(np.max(np.abs(np.mean(diag, axis=0) - np.asarray(pg["q_k"], dtype=float))))
-        elif kg == "Deps_3":
-            b2 = np.atleast_2d(np.asarray(pg["B2"]))
-            val = np.einsum("ts,nst->n", b2, g.values).real
-            val1 = np.einsum("ts,nst->n", b2, g1.values).real
-            below = np.max(np.maximum((1.0 - eps) * val1 - val, 0.0))
-            bud = abs(float(np.mean(val)) - float(pg["q"]))
-        else:  # Deps_4, PSD-order floor
-            diff = g.values - (1.0 - eps) * g1.values
-            herm = 0.5 * (diff + diff.conj().transpose(0, 2, 1))
-            below = max(-float(np.min(np.linalg.eigvalsh(herm))), 0.0)
-            bud = float(np.max(np.abs(np.mean(g.values, axis=0)
-                                      - np.atleast_2d(np.asarray(pg["Q"])))))
-        rep_g["residual"] = float(max(below, bud))
-    else:  # DVU
-        if kg == "DVU_1":
-            lo = g.values - pg["V"].values
-            hi = pg["U"].values - g.values
-            viol = 0.0
-            for m in (lo, hi):
-                herm = 0.5 * (m + m.conj().transpose(0, 2, 1))
-                viol = max(viol, max(-float(np.min(np.linalg.eigvalsh(herm))), 0.0))
-            bud = float(np.max(np.abs(np.mean(g.values, axis=0)
-                                      - np.atleast_2d(np.asarray(pg["Q"])))))
-        elif kg == "DVU_2":
-            t = _g_traces(g)
-            viol = float(max(np.max(np.maximum(_g_traces(pg["V"]) - t, 0.0)),
-                             np.max(np.maximum(t - _g_traces(pg["U"]), 0.0))))
-            bud = abs(float(np.mean(t)) - float(pg["q"]))
-        elif kg == "DVU_3":
-            diag = np.diagonal(g.values, axis1=1, axis2=2).real
-            dv = np.diagonal(pg["V"].values, axis1=1, axis2=2).real
-            du = np.diagonal(pg["U"].values, axis1=1, axis2=2).real
-            viol = float(max(np.max(np.maximum(dv - diag, 0.0)),
-                             np.max(np.maximum(diag - du, 0.0))))
-            bud = float(np.max(np.abs(np.mean(diag, axis=0) - np.asarray(pg["q_k"], dtype=float))))
-        else:  # DVU_4
-            b2 = np.atleast_2d(np.asarray(pg["B2"]))
-            val = np.einsum("ts,nst->n", b2, g.values).real
-            vv = np.einsum("ts,nst->n", b2, pg["V"].values).real
-            vu = np.einsum("ts,nst->n", b2, pg["U"].values).real
-            viol = float(max(np.max(np.maximum(vv - val, 0.0)),
-                             np.max(np.maximum(val - vu, 0.0))))
-            bud = abs(float(np.mean(val)) - float(pg["q"]))
-        rep_g["residual"] = float(max(viol, bud))
-    return {"f": rep_f, "g": rep_g,
-            "max_residual": max(rep_f["residual"], rep_g["residual"])}
-
-
-# ---------------------------------------------------------------------------
-# feasible starting points
-
-def _require_hpd(name: str, matrix) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValidationError(f"class parameter {name} must be Hermitian")
-    if float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) <= 0:
-        raise ValidationError(f"class parameter {name} must be positive definite")
+    return _feasibility(_family(class_spec.f, w, f.dim), _family(class_spec.g, w, f.dim),
+                        f.values, g.values)
 
 
 def validate_class_spec(class_spec: DensityClassSpec) -> None:
     """Enforce the structural constraints on the class parameters."""
-    pf = class_spec.f.params
-    for key in ("P", "B1"):
-        if key in pf:
-            _require_hpd(key, pf[key])
+    pf, pg = class_spec.f.params, class_spec.g.params
+    for key, params in (("P", pf), ("B1", pf), ("Q", pg), ("B2", pg)):
+        if key not in params:
+            continue
+        m = np.atleast_2d(np.asarray(params[key], dtype=complex))
+        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+            raise ValidationError(f"class parameter {key} must be Hermitian")
+        if float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) <= 0:
+            raise ValidationError(f"class parameter {key} must be positive definite")
     for key in ("delta", "delta_k", "delta_ij"):
         if key in pf and np.min(np.asarray(pf[key], dtype=float)) <= 0:
             raise ValidationError(f"class parameter {key} must be positive")
-    pg = class_spec.g.params
-    for key in ("Q", "B2"):
-        if key in pg:
-            _require_hpd(key, pg[key])
     if "eps" in pg and not 0.0 <= float(pg["eps"]) <= 1.0:
         raise ValidationError("contamination level eps must lie in [0, 1]")
-    if "V" in pg and "U" in pg:
-        diff = pg["U"].values - pg["V"].values
-        herm = 0.5 * (diff + diff.conj().transpose(0, 2, 1))
-        scale = max(float(np.max(np.abs(pg["U"].values))), 1.0)
-        if float(np.min(np.linalg.eigvalsh(herm))) < -1e-10 * scale:
-            raise ValidationError("box bounds require V <= U in the PSD order pointwise")
+    if "V" in pg and "U" in pg and _psd_violation(pg["U"].values - pg["V"].values) > \
+            1e-10 * max(float(np.max(np.abs(pg["U"].values))), 1.0):
+        raise ValidationError("box bounds require V <= U in the PSD order pointwise")
 
 
 def feasible_start(class_spec: DensityClassSpec, spec: GMIncrementSpec,
                    grid: FrequencyGrid, dim: int) -> tuple[DensityGrid, DensityGrid]:
     validate_class_spec(class_spec)
     w = budget_weight(spec, grid)
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    n = grid.n_grid
-    eye = np.eye(dim)
-
-    if kf == "fixed":
-        f = DensityGrid(grid, pf["f1"].values.copy(), validate=False)
-    elif kf == "D0_1":
-        target = np.atleast_2d(np.asarray(pf["P"], dtype=complex))
-        f = DensityGrid(grid, np.broadcast_to(target / np.mean(w), (n, dim, dim)).copy(),
-                        validate=False)
-    elif kf == "D0_2":
-        c = float(pf["p"]) / (dim * float(np.mean(w)))
-        f = DensityGrid(grid, np.broadcast_to(c * eye, (n, dim, dim)).copy(), validate=False)
-    elif kf == "D0_3":
-        diag = np.asarray(pf["p_k"], dtype=float) / np.mean(w)
-        f = DensityGrid(grid, np.broadcast_to(np.diag(diag), (n, dim, dim)).astype(complex).copy(),
-                        validate=False)
-    elif kf == "D0_4":
-        b1 = np.atleast_2d(np.asarray(pf["B1"]))
-        c = float(pf["p"]) / (float(np.mean(w)) * float(np.trace(b1).real))
-        f = DensityGrid(grid, np.broadcast_to(c * eye, (n, dim, dim)).copy(), validate=False)
-    else:
-        f = DensityGrid(grid, pf["f1"].values.copy(), validate=False)
-
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    if kg == "zero":
-        g = DensityGrid.zero(grid, dim)
-    elif kg == "fixed":
-        g = DensityGrid(grid, pg["g1"].values.copy(), validate=False)
-    elif kg.startswith("Deps"):
-        eps = float(pg["eps"])
-        g1 = pg["g1"]
-        floor = (1.0 - eps) * g1.values
-        if kg in ("Deps_1", "Deps_3"):
-            have = float(np.mean(_g_traces(g1))) * (1.0 - eps)
-            q = float(pg["q"]) if kg == "Deps_1" else None
-            if kg == "Deps_3":
-                b2 = np.atleast_2d(np.asarray(pg["B2"]))
-                have = (1.0 - eps) * float(np.mean(np.einsum("ts,nst->n", b2, g1.values).real))
-                scale = float(np.trace(b2).real)
-                free = (float(pg["q"]) - have) / scale
-            else:
-                free = float(pg["q"]) - have
-            if free < -FEASIBILITY_TOL:
-                raise ValidationError("infeasible noise class: budget below the floor mass")
-            g = DensityGrid(grid, floor + max(free, 0.0) / dim * np.broadcast_to(
-                np.eye(dim), (n, dim, dim)), validate=False)
-        elif kg == "Deps_2":
-            qk = np.asarray(pg["q_k"], dtype=float).reshape(-1)
-            diag1 = np.diagonal(g1.values, axis1=1, axis2=2).real
-            free = qk - (1.0 - eps) * np.mean(diag1, axis=0)
-            if np.min(free) < -FEASIBILITY_TOL:
-                raise ValidationError("infeasible noise class: budget below the floor mass")
-            g = DensityGrid(grid, floor + np.broadcast_to(
-                np.diag(np.maximum(free, 0.0)), (n, dim, dim)).astype(complex), validate=False)
-        else:  # Deps_4
-            q_mat = np.atleast_2d(np.asarray(pg["Q"], dtype=complex))
-            w_mat = (q_mat - (1.0 - eps) * np.mean(g1.values, axis=0)) / eps
-            if float(np.min(np.linalg.eigvalsh(0.5 * (w_mat + w_mat.conj().T)))) < -FEASIBILITY_TOL:
-                raise ValidationError("infeasible noise class: residual budget not PSD")
-            g = DensityGrid(grid, floor + eps * np.broadcast_to(w_mat, (n, dim, dim)),
-                            validate=False)
-    else:  # DVU
-        V, U = pg["V"], pg["U"]
-        if kg == "DVU_2":
-            q = float(pg["q"])
-            tv, tu = _g_traces(V), _g_traces(U)
-            if not (np.mean(tv) - FEASIBILITY_TOL <= q <= np.mean(tu) + FEASIBILITY_TOL):
-                raise ValidationError("infeasible noise class: budget outside the box range")
-            theta = 0.0 if np.allclose(tu, tv) else (q - np.mean(tv)) / (np.mean(tu) - np.mean(tv))
-            g = DensityGrid(grid, V.values + theta * (U.values - V.values), validate=False)
-        else:
-            # linear interpolation meets every entrywise/trace/weighted budget
-            if kg == "DVU_1":
-                lo = np.mean(V.values, axis=0)
-                hi = np.mean(U.values, axis=0)
-                target = np.atleast_2d(np.asarray(pg["Q"], dtype=complex))
-                denom = float(np.max(np.abs(hi - lo)))
-                theta = 0.0 if denom == 0 else float(
-                    np.real(np.sum((target - lo) * np.conj(hi - lo))) /
-                    max(np.sum(np.abs(hi - lo) ** 2), 1e-300))
-            elif kg == "DVU_3":
-                qk = np.asarray(pg["q_k"], dtype=float).reshape(-1)
-                lo = np.mean(np.diagonal(V.values, axis1=1, axis2=2).real, axis=0)
-                hi = np.mean(np.diagonal(U.values, axis1=1, axis2=2).real, axis=0)
-                theta = float(np.sum(qk - lo) / max(np.sum(hi - lo), 1e-300))
-            else:
-                b2 = np.atleast_2d(np.asarray(pg["B2"]))
-                lo = float(np.mean(np.einsum("ts,nst->n", b2, V.values).real))
-                hi = float(np.mean(np.einsum("ts,nst->n", b2, U.values).real))
-                theta = (float(pg["q"]) - lo) / max(hi - lo, 1e-300)
-            if not -FEASIBILITY_TOL <= theta <= 1.0 + FEASIBILITY_TOL:
-                raise ValidationError("infeasible noise class: budget outside the box range")
-            theta = min(max(theta, 0.0), 1.0)
-            g = DensityGrid(grid, V.values + theta * (U.values - V.values), validate=False)
-
-    rep = feasibility_report(class_spec, spec, f, g)
+    F, G = _family(class_spec.f, w, dim), _family(class_spec.g, w, dim)
+    f_vals, g_vals = F.start(), G.start()
+    rep = _feasibility(F, G, f_vals, g_vals)
     if rep["max_residual"] > 1e-6:
         raise ValidationError(f"could not construct a feasible starting pair: {rep}")
-    return f, g
+    return DensityGrid(grid, f_vals, validate=False), DensityGrid(grid, g_vals, validate=False)
 
-
-# ---------------------------------------------------------------------------
-# the linearized objective and the inner linear program
 
 def mse_functional(f0: DensityGrid, g0: DensityGrid, f: DensityGrid, g: DensityGrid,
                    fspec: FunctionalSpec, spec: GMIncrementSpec) -> float:
-    """Error of the characteristic solved at (f0, g0) when (f, g) are true.
-
-    Linear in (f, g); equals the exact error at (f, g) = (f0, g0).
-    """
+    """Error of the characteristic solved at (f0, g0) when (f, g) are true (linear in f, g)."""
     sol = solve_interpolation(spec, f0, g0, fspec)
     return mse_of_characteristic(spec, f, g, fspec, sol.h)
 
 
-def _gradient_kernels(spec, fspec, f, g, h):
-    """Pointwise PSD kernels M_f, M_g with Delta(h; f, g) = mean Tr[f M_f] + mean Tr[g M_g]."""
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
-    r_f, r_g = _error_rows(_target(spec, fspec, f.grid, chi, beta), h)
-    M_f = np.einsum("nt,ns->nst", r_f, np.conj(r_f))
-    M_g = np.einsum("nt,ns->nst", r_g, np.conj(r_g))
-    return M_f, M_g
+def _gradient_kernels(ctx: _Problem, g_vals, blocks, sol) -> tuple[np.ndarray, np.ndarray]:
+    """Error rows r_f, r_g; the gradient kernels conj(r) r^T of the error are rank one."""
+    g = DensityGrid(ctx.grid, g_vals, validate=False)
+    return _error_rows(ctx.target, _characteristic(ctx.target, g, blocks.spectrum.p_inv,
+                                                   sol, sol.c)[0])
 
 
-def _top_dir(block: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    return float(vals[-1]), vecs[:, -1]
+def _lp_f(ctx: _Problem, r_f: np.ndarray) -> np.ndarray | None:
+    """Inner LP vertex for the f side (None if the side is pinned)."""
+    return ctx.f.vertex(r_f)
 
 
-def _pair_atom(values: np.ndarray, j: int, block: np.ndarray):
-    """Place block at node j and its transpose at the mirror node."""
-    n = values.shape[0]
-    values[j] += block
-    values[_pair_index(n, j)] += block.T
+def _lp_g(ctx: _Problem, r_g: np.ndarray) -> np.ndarray | None:
+    return ctx.g.vertex(r_g)
 
 
-def _lp_f(class_spec, spec, grid, dim, M_f) -> np.ndarray | None:
-    """Exact inner LP vertex for the f side (None if the side is pinned)."""
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    if kf == "fixed":
-        return None
-    n = grid.n_grid
-    w = budget_weight(spec, grid)
-    half = n // 2
-
-    if kf.startswith("D0"):
-        if kf == "D0_2":
-            rate = np.array([_top_dir(M_f[j])[0] for j in range(half)]) / w[:half]
-            j = int(np.argmax(rate))
-            _, u = _top_dir(M_f[j])
-            vals = np.zeros((n, dim, dim), dtype=complex)
-            mass = float(pf["p"]) * n / (2.0 * w[j])
-            _pair_atom(vals, j, mass * np.outer(u, np.conj(u)))
-            return vals
-        if kf == "D0_3":
-            pk = np.asarray(pf["p_k"], dtype=float).reshape(-1)
-            vals = np.zeros((n, dim, dim), dtype=complex)
-            for k in range(dim):
-                rate = M_f[:half, k, k].real / w[:half]
-                j = int(np.argmax(rate))
-                mass = pk[k] * n / (2.0 * w[j])
-                blk = np.zeros((dim, dim), dtype=complex)
-                blk[k, k] = mass
-                _pair_atom(vals, j, blk)
-            return vals
-        if kf == "D0_4":
-            b1 = np.atleast_2d(np.asarray(pf["B1"], dtype=complex))
-            evals, evecs = np.linalg.eigh(b1)
-            b1_inv_half = evecs @ np.diag(1.0 / np.sqrt(np.clip(evals, 1e-15, None))) @ evecs.conj().T
-            best = (-np.inf, 0, None)
-            for j in range(half):
-                lam, u = _top_dir(b1_inv_half @ M_f[j] @ b1_inv_half)
-                if lam / w[j] > best[0]:
-                    best = (lam / w[j], j, b1_inv_half @ u)
-            _, j, u = best
-            u = u / np.sqrt(np.real(np.vdot(u, b1 @ u)))
-            vals = np.zeros((n, dim, dim), dtype=complex)
-            mass = float(pf["p"]) * n / (2.0 * w[j])
-            _pair_atom(vals, j, mass * np.outer(u, np.conj(u)))
-            return vals
-        # D0_1: entrywise matrix budget; scalar case coincides with D0_2
-        target = np.atleast_2d(np.asarray(pf["P"], dtype=complex))
-        if dim == 1:
-            rate = M_f[:half, 0, 0].real / w[:half]
-            j = int(np.argmax(rate))
-            vals = np.zeros((n, 1, 1), dtype=complex)
-            mass = float(target[0, 0].real) * n / (2.0 * w[j])
-            _pair_atom(vals, j, np.array([[mass]], dtype=complex))
-            return vals
-        # T > 1: top-eigendirection step preserving the entrywise budget
-        rate = np.array([_top_dir(M_f[j])[0] for j in range(half)]) / w[:half]
-        j = int(np.argmax(rate))
-        vals = np.zeros((n, dim, dim), dtype=complex)
-        _pair_atom(vals, j, target * n / (2.0 * w[j]))
-        return vals
-
-    # D1delta: add the full perturbation budget at the best pair
-    f1 = pf["f1"].values
-    vals = f1.copy()
-    if kf in ("D1delta_1", "D1delta_3"):
-        bound = float(pf["delta"])
-        rate = np.array([_top_dir(M_f[j])[0] for j in range(half)]) / w[:half]
-        j = int(np.argmax(rate))
-        _, u = _top_dir(M_f[j])
-        if kf == "D1delta_1":
-            mass = bound * n / (2.0 * w[j])
-        else:
-            b1 = np.atleast_2d(np.asarray(pf["B1"], dtype=complex))
-            cost = float(np.real(np.vdot(u, b1 @ u)))
-            mass = bound * n / (2.0 * w[j] * cost)
-        _pair_atom(vals, j, mass * np.outer(u, np.conj(u)))
-        return vals
-    if kf == "D1delta_2":
-        dk = np.asarray(pf["delta_k"], dtype=float).reshape(-1)
-        for k in range(dim):
-            rate = M_f[:half, k, k].real / w[:half]
-            j = int(np.argmax(rate))
-            mass = dk[k] * n / (2.0 * w[j])
-            blk = np.zeros((dim, dim), dtype=complex)
-            blk[k, k] = mass
-            _pair_atom(vals, j, blk)
-        return vals
-    # D1delta_4, diagonal budget use (off-diagonal budgets left unspent)
-    dij = np.asarray(pf["delta_ij"], dtype=float)
-    dij = np.atleast_2d(dij)
-    for k in range(dim):
-        rate = M_f[:half, k, k].real / w[:half]
-        j = int(np.argmax(rate))
-        mass = float(dij[k, k]) * n / (2.0 * w[j])
-        blk = np.zeros((dim, dim), dtype=complex)
-        blk[k, k] = mass
-        _pair_atom(vals, j, blk)
-    return vals
+def _vertex_pair(ctx, f_vals, g_vals, rows, delta):
+    """Vertex pair of the linearized problem and the duality gap it certifies."""
+    fv, gv = _lp_f(ctx, rows[0]), _lp_g(ctx, rows[1])
+    fv = f_vals if fv is None else fv
+    gv = g_vals if gv is None else gv
+    gain = sum(float(np.mean(np.einsum("nt,nts,ns->n", r, x, np.conj(r)).real))
+               for r, x in zip(rows, (fv, gv)))
+    return fv, gv, gain - delta
 
 
 def _waterfill_traces(rate: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget_mean: float):
-    """Maximize mean(rate * t) over lo <= t <= hi with mean(t) = budget.
-
-    Bang-bang by rate with one partial node; exact for the trace LP.
-    """
-    n = len(rate)
-    order = np.argsort(-rate)
-    t = lo.astype(float).copy()
-    remaining = budget_mean * n - float(np.sum(lo))
-    if remaining < -1e-9 * max(abs(budget_mean) * n, 1.0):
+    """Maximize mean(rate * t) over lo <= t <= hi with mean(t) = budget: bang-bang by rate."""
+    remaining = budget_mean * len(rate) - float(np.sum(lo))
+    if remaining < -1e-9 * max(abs(budget_mean) * len(rate), 1.0):
         raise ValidationError("infeasible box budget")
-    for j in order:
-        room = hi[j] - lo[j]
-        take = min(room, remaining)
-        t[j] += take
-        remaining -= take
-        if remaining <= 0:
-            break
+    order = np.argsort(-rate)
+    room = (hi - lo)[order]
+    t = lo.astype(float).copy()
+    t[order] += np.clip(remaining - (np.cumsum(room) - room), 0.0, room)
     return t
 
 
-def _lp_g(class_spec, spec, grid, dim, M_g) -> np.ndarray | None:
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    if kg in ("zero", "fixed"):
-        return None
-    n = grid.n_grid
-    half = n // 2
+def _shift_clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float) -> np.ndarray:
+    """clip(x + s, lo, hi) for x clipped to the box, with the shift s that gives the mean.
 
-    if kg.startswith("Deps"):
-        eps = float(pg["eps"])
-        g1 = pg["g1"].values
-        floor = (1.0 - eps) * g1
-        vals = floor.copy()
-        if kg in ("Deps_1", "Deps_3", "Deps_4"):
-            if kg == "Deps_1":
-                free = float(pg["q"]) - (1.0 - eps) * float(np.mean(np.trace(g1, axis1=1, axis2=2).real))
-                rate = np.array([_top_dir(M_g[j])[0] for j in range(half)])
-                j = int(np.argmax(rate))
-                _, u = _top_dir(M_g[j])
-                _pair_atom(vals, j, max(free, 0.0) * n / 2.0 * np.outer(u, np.conj(u)))
-            elif kg == "Deps_3":
-                b2 = np.atleast_2d(np.asarray(pg["B2"], dtype=complex))
-                have = (1.0 - eps) * float(np.mean(np.einsum("ts,nst->n", b2, g1).real))
-                free = float(pg["q"]) - have
-                evals, evecs = np.linalg.eigh(b2)
-                b2_inv_half = evecs @ np.diag(1.0 / np.sqrt(np.clip(evals, 1e-15, None))) @ evecs.conj().T
-                best = (-np.inf, 0, None)
-                for j in range(half):
-                    lam, u = _top_dir(b2_inv_half @ M_g[j] @ b2_inv_half)
-                    if lam > best[0]:
-                        best = (lam, j, b2_inv_half @ u)
-                _, j, u = best
-                u = u / np.sqrt(np.real(np.vdot(u, b2 @ u)))
-                _pair_atom(vals, j, max(free, 0.0) * n / 2.0 * np.outer(u, np.conj(u)))
-            else:  # Deps_4: entrywise budget, move the free mass to the best pair
-                q_mat = np.atleast_2d(np.asarray(pg["Q"], dtype=complex))
-                w_mat = q_mat - (1.0 - eps) * np.mean(g1, axis=0)
-                rate = np.array([_top_dir(M_g[j])[0] for j in range(half)])
-                j = int(np.argmax(rate))
-                _pair_atom(vals, j, w_mat * n / 2.0)
-            return vals
-        # Deps_2: per-component floors and budgets
-        qk = np.asarray(pg["q_k"], dtype=float).reshape(-1)
-        diag1 = np.diagonal(g1, axis1=1, axis2=2).real
-        for k in range(dim):
-            free = qk[k] - (1.0 - eps) * float(np.mean(diag1[:, k]))
-            rate = M_g[:half, k, k].real
-            j = int(np.argmax(rate))
-            blk = np.zeros((dim, dim), dtype=complex)
-            blk[k, k] = max(free, 0.0) * n / 2.0
-            _pair_atom(vals, j, blk)
-        return vals
-
-    V, U = pg["V"].values, pg["U"].values
-    if kg == "DVU_2":
-        rate_half = np.array([_top_dir(M_g[j])[0] for j in range(half)])
-        rate = np.concatenate([rate_half, rate_half[::-1]])
-        lo = np.trace(V, axis1=1, axis2=2).real
-        hi = np.trace(U, axis1=1, axis2=2).real
-        t = _waterfill_traces(rate, lo, hi, float(pg["q"]))
-        t = 0.5 * (t + t[::-1])
-        if dim == 1:
-            return t.reshape(-1, 1, 1).astype(complex)
-        vals = np.zeros((n, dim, dim), dtype=complex)
-        for j in range(half):
-            _, u = _top_dir(M_g[j])
-            blk = t[j] * np.outer(u, np.conj(u))
-            vals[j] = blk
-            vals[_pair_index(n, j)] = blk.T
-        return vals
-    if kg == "DVU_3":
-        vals = np.zeros((n, dim, dim), dtype=complex)
-        dv = np.diagonal(V, axis1=1, axis2=2).real
-        du = np.diagonal(U, axis1=1, axis2=2).real
-        qk = np.asarray(pg["q_k"], dtype=float).reshape(-1)
-        diag = np.zeros((n, dim))
-        for k in range(dim):
-            rate_half = M_g[:half, k, k].real
-            rate = np.concatenate([rate_half, rate_half[::-1]])
-            t = _waterfill_traces(rate, dv[:, k], du[:, k], qk[k])
-            diag[:, k] = 0.5 * (t + t[::-1])
-        for k in range(dim):
-            vals[:, k, k] = diag[:, k]
-        return vals
-    if kg == "DVU_4":
-        b2 = np.atleast_2d(np.asarray(pg["B2"], dtype=complex))
-        vv = np.einsum("ts,nst->n", b2, V).real
-        vu = np.einsum("ts,nst->n", b2, U).real
-        span = np.where(vu - vv > 0, vu - vv, 1.0)
-        rate_half = np.array([float(np.real(np.trace(
-            (U[j] - V[j]) @ M_g[j]))) for j in range(half)]) / span[:half]
-        rate = np.concatenate([rate_half, rate_half[::-1]])
-        t = _waterfill_traces(rate, vv, vu, float(pg["q"]))
-        theta = (t - vv) / span
-        theta = 0.5 * (theta + theta[::-1])
-        return V + theta[:, None, None] * (U - V)
-    # DVU_1: PSD box with entrywise budget; interpolate bang-bang along V..U
-    rate_half = np.array([float(np.real(np.trace((U[j] - V[j]) @ M_g[j]))) for j in range(half)])
-    rate = np.concatenate([rate_half, rate_half[::-1]])
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    target = np.atleast_2d(np.asarray(pg["Q"], dtype=complex))
-    lo_mean = np.mean(V, axis=0)
-    hi_mean = np.mean(U, axis=0)
-    denom = float(np.real(np.sum((hi_mean - lo_mean) * np.conj(hi_mean - lo_mean))))
-    budget_theta = float(np.real(np.sum((target - lo_mean) * np.conj(hi_mean - lo_mean)))) / \
-        max(denom, 1e-300)
-    theta = _waterfill_traces(rate, lo, hi, budget_theta)
-    theta = 0.5 * (theta + theta[::-1])
-    return V + theta[:, None, None] * (U - V)
+    The sum is piecewise linear in s: its slope rises by one where a node
+    leaves lo (s = lo - x) and falls by one where it reaches hi (s = hi - x).
+    """
+    x = np.clip(x, lo, hi)
+    knots = np.concatenate([lo - x, hi - x])
+    order = np.argsort(knots, kind="stable")
+    knots, slope = knots[order], np.cumsum(np.repeat([1.0, -1.0], len(x))[order])
+    sums = np.sum(lo) + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(knots))])
+    return np.clip(x + np.interp(mean * len(x), sums, knots), lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # the ascent
 
-def _delta_core(spec, f, g, fspec) -> tuple[float, np.ndarray]:
-    """Interpolation error and solved coefficients, no extras."""
-    b = transform_b(spec, fspec)
-    a_mu = coeffs_a_mu(spec, fspec)
-    blocks = fourier_blocks(spec, f, g, fspec.N)
-    rhs = padded_b(b, blocks.n_gamma) - blocks.T @ a_mu.reshape(-1).astype(complex)
-    c = np.linalg.solve(blocks.P, rhs)
-    a_flat = fspec.a.reshape(-1).astype(complex)
-    delta = float((np.vdot(c, rhs) + np.vdot(a_flat, blocks.Q @ a_flat)).real)
-    size = blocks.N + blocks.n_gamma + 1
-    return delta, c.reshape(size, blocks.dim)
+def _delta_core(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray):
+    """Interpolation error of the pair with its blocks and solved system."""
+    f = DensityGrid(ctx.grid, f_vals, validate=False)
+    g = DensityGrid(ctx.grid, g_vals, validate=False)
+    t = ctx.target
+    blocks = fourier_blocks(ctx.spec, f, g, ctx.fspec.N, (t.chi, t.beta))
+    sol = solve_system(blocks, t.b, ctx.a_mu)
+    return _algebraic_mse(blocks, sol, ctx.fspec.a), blocks, sol
+
+
+def _delta_or_inf(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
+    """The error of the pair, or -inf where its system cannot be solved."""
+    try:
+        return _delta_core(ctx, f_vals, g_vals)[0]
+    except (NumericalError, np.linalg.LinAlgError):
+        return -np.inf
 
 
 def _blend(x: np.ndarray, v: np.ndarray, eta: float) -> np.ndarray:
     return (1.0 - eta) * x + eta * v
 
 
-def _line_search(spec, fspec, f_vals, g_vals, fv_vals, gv_vals, grid, evals: int):
-    """Concave 1-D maximization along the segment toward the vertex pair."""
+def _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta: float, evals: int):
+    """Concave 1-D maximization toward the vertex pair; delta is the value at eta = 0."""
 
     def value(eta: float) -> float:
-        f = DensityGrid(grid, _blend(f_vals, fv_vals, eta), validate=False)
-        g = DensityGrid(grid, _blend(g_vals, gv_vals, eta), validate=False)
-        try:
-            return _delta_core(spec, f, g, fspec)[0]
-        except (NumericalError, np.linalg.LinAlgError):
-            return -np.inf
+        return _delta_or_inf(ctx, _blend(f_vals, fv_vals, eta), _blend(g_vals, gv_vals, eta))
 
     lo, hi = 0.0, 1.0
-    best_eta, best_val = 0.0, value(0.0)
-    end_val = value(1.0)
-    if end_val > best_val:
-        best_eta, best_val = 1.0, end_val
+    best = max([(delta, 0.0), (value(1.0), 1.0)], key=lambda p: p[0])  # ties keep eta = 0
     for _ in range(max(evals - 2, 0)):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
         v1, v2 = value(m1), value(m2)
-        if v1 > best_val:
-            best_eta, best_val = m1, v1
-        if v2 > best_val:
-            best_eta, best_val = m2, v2
-        if v1 < v2:
-            lo = m1
-        else:
-            hi = m2
-    return best_eta, best_val
+        best = max([best, (v1, m1), (v2, m2)], key=lambda p: p[0])
+        lo, hi = (m1, hi) if v1 < v2 else (lo, m2)
+    return best[1], best[0]
 
 
-def _ee_shapes(spec, fspec, grid, f, g, c):
+def _extremal_functions(ctx: _Problem, f_vals, g_vals, c):
+    """Rows C^{f0} = conj(chi) A^T g + C^T and C^{g0} = chi C^T - w A^T f."""
+    t = ctx.target
+    C_row = _row_polynomial(np.asarray(c), ctx.grid)
+    cf0 = np.conj(t.chi)[:, None] * np.einsum("nt,nts->ns", t.A, g_vals) + C_row
+    cg0 = t.chi[:, None] * C_row - ctx.w[:, None] * np.einsum("nt,nts->ns", t.A, f_vals)
+    return cf0, cg0
+
+
+def _ee_shapes(ctx: _Problem, f_vals, g_vals, c):
     """|C^{f0}| and |C^{g0}| shapes entering the scalar extremal equations."""
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-    w = np.abs(chi) ** 2 / np.abs(beta) ** 2
-    A_row = _row_polynomial(fspec.a, grid)
-    C_row = _row_polynomial(np.asarray(c), grid)
-    cf0 = np.conj(chi)[:, None] * np.einsum("nt,nts->ns", A_row, g.values) + C_row
-    cg0 = chi[:, None] * C_row - w[:, None] * np.einsum("nt,nts->ns", A_row, f.values)
-    sf = np.abs(cf0[:, 0])
-    sg = np.abs(cg0[:, 0])
-    return 0.5 * (sf + sf[::-1]), 0.5 * (sg + sg[::-1]), w, np.abs(beta) ** 2
+    cf0, cg0 = _extremal_functions(ctx, f_vals, g_vals, c)
+    sf, sg = np.abs(cf0[:, 0]), np.abs(cg0[:, 0])
+    return 0.5 * (sf + sf[::-1]), 0.5 * (sg + sg[::-1])
 
 
 def _bisect_decreasing(fun, target, lo, hi, iters=200):
-    """Solve fun(x) = target for decreasing fun on a log-bracketed interval."""
+    """Solve fun(x) = target for decreasing fun; stops once the bracket collapses to rounding."""
     for _ in range(iters):
         mid = np.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return mid
         if fun(mid) > target:
             lo = mid
         else:
@@ -735,95 +666,42 @@ def _bisect_decreasing(fun, target, lo, hi, iters=200):
     return np.sqrt(lo * hi)
 
 
-def _ee_candidate_f(class_spec, spec, fspec, grid, f, g, c):
-    """Extremal-equation fixed-point candidate for scalar f-classes.
-
-    Lifts the combined weighted density toward |C^{f0}| / multiplier above a
-    floor (zero for budget classes, f1 for perturbation-ball classes), with
-    the multiplier bisected to spend the class budget exactly.
-    """
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    if f.dim != 1 or kf == "fixed":
-        return None
-    shape, _, w, beta2 = _ee_shapes(spec, fspec, grid, f, g, c)
-    g_part = w * beta2 * g.values[:, 0, 0].real
-
-    if kf.startswith("D0"):
-        floor = np.zeros(grid.n_grid)
-        budget = {"D0_2": lambda: float(pf["p"]),
-                  "D0_4": lambda: float(pf["p"]) /
-                  float(np.atleast_2d(np.asarray(pf["B1"]))[0, 0].real),
-                  "D0_1": lambda: float(np.atleast_2d(np.asarray(pf["P"]))[0, 0].real),
-                  "D0_3": lambda: float(np.asarray(pf["p_k"]).reshape(-1)[0])}[kf]()
-    else:
-        floor = pf["f1"].values[:, 0, 0].real
-        budget = {"D1delta_1": lambda: float(pf["delta"]),
-                  "D1delta_2": lambda: float(np.asarray(pf["delta_k"]).reshape(-1)[0]),
-                  "D1delta_3": lambda: float(pf["delta"]) /
-                  float(np.atleast_2d(np.asarray(pf["B1"]))[0, 0].real),
-                  "D1delta_4": lambda: float(np.atleast_2d(np.asarray(pf["delta_ij"]))[0, 0])}[kf]()
-    if budget <= 0:
-        return None
-    base = w * floor + g_part  # weighted combined density at the floor
-
-    def used(alpha):
-        return float(np.mean(np.maximum(shape / alpha - base, 0.0)))
-
+def _ee_fill(fill, shape, target: float, lo: float, hi: float) -> np.ndarray:
+    """fill(m) at the multiplier m whose mean fill is target, bisected in
+    max(shape) * [lo, hi / target]."""
     scale = max(float(np.max(shape)), 1e-300)
-    alpha = _bisect_decreasing(used, budget, scale * 1e-12, scale * 1e12 / max(budget, 1e-300))
-    lift = np.maximum(shape / alpha - base, 0.0)
+    return fill(_bisect_decreasing(lambda m: float(np.mean(fill(m))), target,
+                                   scale * lo, scale * hi / max(target, 1e-300)))
+
+
+def _ee_candidate_f(ctx: _Problem, g_vals, shape):
+    """Scalar f-class: lift w (f + |beta|^2 g) toward |C^{f0}| / multiplier above the floor."""
+    F, w = ctx.f, ctx.w
+    if F.bounds is None or F.scalar_budget <= 0:
+        return None
+    budget, floor = F.scalar_budget, F.bounds[0][:, 0, 0].real
+    base = w * floor + w * ctx.beta2 * g_vals[:, 0, 0].real
+
+    lift = _ee_fill(lambda alpha: np.maximum(shape / alpha - base, 0.0), shape, budget,
+                    1e-12, 1e12)
     use = float(np.mean(lift))
     if use <= 0:
         return None
-    lift *= budget / use
-    f_vals = (floor + lift / w).reshape(-1, 1, 1).astype(complex)
-    return f_vals
+    return (floor + lift * (budget / use) / w).reshape(-1, 1, 1).astype(complex)
 
 
-def _ee_candidate_g(class_spec, spec, fspec, grid, f, g, c):
-    """Extremal-equation waterfill candidate for scalar g-classes.
-
-    Sets g so the combined weighted density tracks |C^{g0}| / multiplier,
-    clipped to the class box or floor, multiplier bisected onto the trace
-    budget.  Bang-bang clipping emerges when the box binds.
-    """
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    if g.dim != 1 or kg in ("zero", "fixed"):
+def _ee_candidate_g(ctx: _Problem, f_vals, shape):
+    """Scalar g-class: w (f + |beta|^2 g) tracks |C^{g0}| / multiplier within the bounds."""
+    G, w = ctx.g, ctx.w
+    if G.bounds is None:
         return None
-    _, shape, w, beta2 = _ee_shapes(spec, fspec, grid, f, g, c)
-    f_part = f.values[:, 0, 0].real
-    denom = w * beta2
+    lo, q = G.bounds[0][:, 0, 0].real, G.scalar_budget
+    hi = np.full(len(lo), np.inf) if G.bounds[1] is None else G.bounds[1][:, 0, 0].real
+    base = w * f_vals[:, 0, 0].real
 
-    if kg.startswith("DVU"):
-        lo = pg["V"].values[:, 0, 0].real
-        hi = pg["U"].values[:, 0, 0].real
-        q = {"DVU_1": lambda: float(np.atleast_2d(np.asarray(pg["Q"]))[0, 0].real),
-             "DVU_2": lambda: float(pg["q"]),
-             "DVU_3": lambda: float(np.asarray(pg["q_k"]).reshape(-1)[0]),
-             "DVU_4": lambda: float(pg["q"]) /
-             float(np.atleast_2d(np.asarray(pg["B2"]))[0, 0].real)}[kg]()
-    else:
-        eps = float(pg["eps"])
-        lo = (1.0 - eps) * pg["g1"].values[:, 0, 0].real
-        hi = np.full(grid.n_grid, np.inf)
-        q = {"Deps_1": lambda: float(pg["q"]),
-             "Deps_2": lambda: float(np.asarray(pg["q_k"]).reshape(-1)[0]),
-             "Deps_3": lambda: float(pg["q"]) /
-             float(np.atleast_2d(np.asarray(pg["B2"]))[0, 0].real),
-             "Deps_4": lambda: float(np.atleast_2d(np.asarray(pg["Q"]))[0, 0].real)}[kg]()
-
-    def g_of(mult):
-        return np.clip((shape / mult - w * f_part) / denom, lo, hi)
-
-    def used(mult):
-        return float(np.mean(g_of(mult)))
-
-    scale = max(float(np.max(shape)), 1e-300)
-    mult = _bisect_decreasing(used, q, scale * 1e-14, scale * 1e14 / max(q, 1e-300))
-    g_new = g_of(mult)
-    if not np.all(np.isfinite(g_new)):
-        return None
-    return g_new.reshape(-1, 1, 1).astype(complex)
+    g_new = _ee_fill(lambda mult: np.clip((shape / mult - base) / (w * ctx.beta2), lo, hi),
+                     shape, q, 1e-14, 1e14)
+    return g_new.reshape(-1, 1, 1).astype(complex) if np.all(np.isfinite(g_new)) else None
 
 
 def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
@@ -831,85 +709,60 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
                   options: MinimaxOptions | None = None) -> MinimaxResult:
     """Ascend the optimal-estimate error over the admissible class.
 
-    Alternates exact interpolation solves with exact inner linear programs
-    over the discretized class, accepting the best line-searched candidate;
-    stops when the relative error change drops below options.tol.
+    A stop (no improving candidate, or a relative change below options.tol)
+    is converged only if the final certificate gap is below GAP_RTOL * delta0
+    and the class's vertices are exact at this dimension.
     """
     options = options or MinimaxOptions()
-    dim = fspec.dim
-    f, g = feasible_start(class_spec, spec, grid, dim)
-
-    trace = []
-    converged = False
-    delta, c = _delta_core(spec, f, g, fspec)
-    worst_feas = feasibility_report(class_spec, spec, f, g)["max_residual"]
+    f, g = feasible_start(class_spec, spec, grid, fspec.dim)
+    ctx = _Problem(class_spec, spec, fspec, grid)
+    f_vals, g_vals = f.values, g.values
+    trace, stopped = [], False
+    scalar = fspec.dim == 1 and (ctx.f.bounds is not None or ctx.g.bounds is not None)
+    delta, blocks, sol = _delta_core(ctx, f_vals, g_vals)
+    worst_feas = _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for it in range(options.max_iter):
-            sol_h, _, _ = spectral_characteristic(spec, f, g, c, fspec)
-            M_f, M_g = _gradient_kernels(spec, fspec, f, g, sol_h)
-
-            fv = _lp_f(class_spec, spec, grid, dim, M_f)
-            gv = _lp_g(class_spec, spec, grid, dim, M_g)
-            fv_vals = f.values if fv is None else fv
-            gv_vals = g.values if gv is None else gv
-
-            gap = float(np.mean(np.einsum("nts,nst->n", fv_vals, M_f).real)
-                        + np.mean(np.einsum("nts,nst->n", gv_vals, M_g).real)) - delta
-
-            eta, val = _line_search(spec, fspec, f.values, g.values, fv_vals, gv_vals,
-                                    grid, options.line_search_evals)
-            candidates = [("line", _blend(f.values, fv_vals, eta),
-                           _blend(g.values, gv_vals, eta), val)]
-
-            fe = _ee_candidate_f(class_spec, spec, fspec, grid, f, g, c)
-            ge = _ee_candidate_g(class_spec, spec, fspec, grid, f, g, c)
-            for kind, fc, gc in (("ee_f", fe, g.values), ("ee_g", f.values, ge),
-                                 ("ee_fg", fe, ge)):
-                if fc is None or gc is None:
-                    continue
-                try:
-                    d_ee, _ = _delta_core(spec, DensityGrid(grid, fc, validate=False),
-                                          DensityGrid(grid, gc, validate=False), fspec)
-                except (NumericalError, np.linalg.LinAlgError):
-                    continue
-                candidates.append((kind, fc, gc, d_ee))
+            rows = _gradient_kernels(ctx, g_vals, blocks, sol)
+            fv_vals, gv_vals, gap = _vertex_pair(ctx, f_vals, g_vals, rows, delta)
+            eta, val = _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta,
+                                    options.line_search_evals)
+            candidates = [("line", _blend(f_vals, fv_vals, eta), _blend(g_vals, gv_vals, eta), val)]
+            if scalar:  # extremal-equation candidates
+                sf, sg = _ee_shapes(ctx, f_vals, g_vals, sol.c)
+                fe, ge = _ee_candidate_f(ctx, g_vals, sf), _ee_candidate_g(ctx, f_vals, sg)
+                for kind, fc, gc in (("ee_f", fe, g_vals), ("ee_g", f_vals, ge),
+                                     ("ee_fg", fe, ge)):
+                    if fc is not None and gc is not None:
+                        candidates.append((kind, fc, gc, _delta_or_inf(ctx, fc, gc)))
 
             kind, f_new, g_new, val = max(candidates, key=lambda t: t[3])
             if val <= delta * (1.0 + 1e-15):
-                converged = True
-                trace.append({"iter": it, "delta": delta, "step": "stall",
-                              "eta": 0.0, "gap": gap})
+                stopped = True
+                trace.append({"iter": it, "delta": delta, "step": "stall", "eta": 0.0, "gap": gap})
                 break
 
-            f = DensityGrid(grid, _sym_value(np.ascontiguousarray(f_new)), validate=False)
-            g = DensityGrid(grid, _sym_value(np.ascontiguousarray(g_new)), validate=False)
-            new_delta, c = _delta_core(spec, f, g, fspec)
-            worst_feas = max(worst_feas,
-                             feasibility_report(class_spec, spec, f, g)["max_residual"])
+            f_vals, g_vals = _sym_value(f_new), _sym_value(g_new)
+            new_delta, blocks, sol = _delta_core(ctx, f_vals, g_vals)
+            worst_feas = max(worst_feas, _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"])
             trace.append({"iter": it, "delta": new_delta, "step": kind,
                           "eta": eta if kind == "line" else 1.0, "gap": gap})
-            change = abs(new_delta - delta)
-            delta = new_delta
+            change, delta = abs(new_delta - delta), new_delta
             if change <= options.tol * max(1.0, abs(delta)):
-                converged = True
+                stopped = True
                 break
 
+    f, g = DensityGrid(grid, f_vals, validate=False), DensityGrid(grid, g_vals, validate=False)
     solution = solve_interpolation(spec, f, g, fspec)
     # certificate: by concavity, max over the class <= delta0 + final gap
-    M_f, M_g = _gradient_kernels(spec, fspec, f, g, solution.h)
-    fv = _lp_f(class_spec, spec, grid, dim, M_f)
-    gv = _lp_g(class_spec, spec, grid, dim, M_g)
-    fv_vals = f.values if fv is None else fv
-    gv_vals = g.values if gv is None else gv
-    final_gap = float(np.mean(np.einsum("nts,nst->n", fv_vals, M_f).real)
-                      + np.mean(np.einsum("nts,nst->n", gv_vals, M_g).real)) - solution.delta
-    result = MinimaxResult(
-        f0=f, g0=g, h0=solution.h, delta0=solution.delta,
-        multipliers={}, residual_report={}, saddle_report={},
-        trace=trace, converged=converged, solution=solution,
-    )
+    final_gap = _vertex_pair(ctx, f_vals, g_vals, _error_rows(ctx.target, solution.h),
+                             solution.delta)[2]
+    exact = not (ctx.f.approximate or ctx.g.approximate)
+    result = MinimaxResult(f0=f, g0=g, h0=solution.h, delta0=solution.delta, multipliers={},
+                           residual_report={}, saddle_report={}, trace=trace, solution=solution,
+                           converged=stopped and exact and final_gap <= GAP_RTOL * solution.delta)
     result.residual_report = extremal_residuals(result, class_spec, fspec, spec)
     result.residual_report["worst_iterate_feasibility"] = worst_feas
     result.residual_report["ascent_gap"] = final_gap
@@ -922,238 +775,33 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
 # ---------------------------------------------------------------------------
 # extremal equations and saddle verification
 
-def _extremal_functions(spec, fspec, f0, g0, c):
-    grid = f0.grid
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-    w = np.abs(chi) ** 2 / np.abs(beta) ** 2
-    A_row = _row_polynomial(fspec.a, grid)
-    C_row = _row_polynomial(np.asarray(c), grid)
-    cf0 = np.conj(chi)[:, None] * np.einsum("nt,nts->ns", A_row, g0.values) + C_row
-    cg0 = chi[:, None] * C_row - w[:, None] * np.einsum("nt,nts->ns", A_row, f0.values)
-    p_vals = f0.values + (np.abs(beta) ** 2)[:, None, None] * g0.values
-    p_chi = w[:, None, None] * p_vals
-    e_f = np.einsum("nt,ns->nst", cf0, np.conj(cf0))
-    e_g = np.einsum("nt,ns->nst", cg0, np.conj(cg0))
-    return e_f, e_g, p_chi, w
-
-
-def _fit_scale(lhs: np.ndarray, rhs_shape: np.ndarray, mask: np.ndarray) -> float:
-    num = float(np.sum(lhs[mask] * rhs_shape[mask]))
-    den = float(np.sum(rhs_shape[mask] ** 2))
-    return num / den if den > 0 else 0.0
-
-
 def extremal_residuals(result: MinimaxResult, class_spec: DensityClassSpec,
                        fspec: FunctionalSpec, spec: GMIncrementSpec) -> dict:
-    """Residuals of the class's extremal equation pair at the solved point.
+    """Residuals of the class's extremal equations at the solved point.
 
-    Multipliers are least-squares fitted on the active sets, slack
-    functions are zero there by complementary slackness, and the report
-    carries sup-norm relative residuals plus budget residuals.
+    Multipliers are least-squares fits on the active sets; the report also
+    lists the kinds whose vertex is approximate at this dimension.
     """
     f0, g0 = result.f0, result.g0
-    e_f, e_g, p_chi, w = _extremal_functions(spec, fspec, f0, g0, result.solution.c)
+    ctx = _Problem(class_spec, spec, fspec, f0.grid)
+    rows = _extremal_functions(ctx, f0.values, g0.values, result.solution.c)
+    shape = _traces(ctx.w[:, None, None] * (f0.values + ctx.beta2[:, None, None] * g0.values)) ** 2
     report: dict = {"multipliers": {}}
-    scalar = f0.dim == 1
-
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    if kf != "fixed":
-        lhs = np.einsum("ntt->n", e_f).real if not scalar else e_f[:, 0, 0].real
-        pc = p_chi[:, 0, 0].real if scalar else np.einsum("ntt->n", p_chi).real
-        shape = pc ** 2
-        if kf.startswith("D0"):
-            fdiag = np.trace(f0.values, axis1=1, axis2=2).real
-            active = fdiag > 1e-6 * max(float(np.max(fdiag)), 1e-300)
-            alpha2 = _fit_scale(lhs, shape, active)
-            resid = np.abs(lhs - alpha2 * shape)
-            denom = max(float(np.max(np.abs(lhs[active]))), 1e-300)
-            report["f"] = {
-                "kind": kf,
-                "relative_residual": float(np.max(resid[active])) / denom,
-                "active_fraction": float(np.mean(active)),
-            }
-            report["multipliers"]["alpha2"] = alpha2
-            used = _f_budget_used(kf if kf != "D0_1" or not scalar else "D0_2",
-                                  pf if kf != "D0_1" or not scalar else
-                                  {"p": float(np.atleast_2d(np.asarray(pf["P"]))[0, 0].real)},
-                                  w, f0)
-            target = {"D0_1": lambda: float(np.atleast_2d(np.asarray(pf["P"]))[0, 0].real)
-                      if scalar else np.atleast_2d(np.asarray(pf["P"])),
-                      "D0_2": lambda: pf["p"],
-                      "D0_3": lambda: np.asarray(pf["p_k"], dtype=float),
-                      "D0_4": lambda: pf["p"]}[kf]()
-            report["f"]["budget_residual"] = float(
-                np.max(np.abs(np.asarray(used) - np.asarray(target))))
-        else:
-            moved = np.abs(np.trace(f0.values - pf["f1"].values, axis1=1, axis2=2)) > \
-                1e-9 * max(float(np.max(np.abs(f0.values))), 1e-300)
-            if np.any(moved):
-                beta2 = _fit_scale(lhs, shape, moved)
-                denom = max(float(np.max(np.abs(lhs[moved]))), 1e-300)
-                rel = float(np.max(np.abs(lhs[moved] - beta2 * shape[moved]))) / denom
-            else:
-                beta2, rel = 0.0, 0.0
-            inactive = ~moved
-            viol = float(np.max(np.maximum(lhs[inactive] - beta2 * shape[inactive], 0.0))) \
-                if np.any(inactive) and beta2 > 0 else 0.0
-            used = _l1_budget_used(kf, pf, w, f0)
-            bound = {"D1delta_1": lambda: pf["delta"],
-                     "D1delta_2": lambda: np.asarray(pf["delta_k"], dtype=float),
-                     "D1delta_3": lambda: pf["delta"],
-                     "D1delta_4": lambda: np.asarray(pf["delta_ij"], dtype=float)}[kf]()
-            report["f"] = {
-                "kind": kf,
-                "relative_residual": rel,
-                "moved_fraction": float(np.mean(moved)),
-                "inactive_overshoot": viol / max(float(np.max(lhs)), 1e-300),
-                "budget_residual": float(np.max(np.abs(np.asarray(used) - np.asarray(bound)))),
-            }
-            report["multipliers"]["beta2"] = beta2
-
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    if kg not in ("zero", "fixed"):
-        lhs = e_g[:, 0, 0].real if scalar else np.einsum("ntt->n", e_g).real
-        pc = p_chi[:, 0, 0].real if scalar else np.einsum("ntt->n", p_chi).real
-        shape = pc ** 2
-        if kg.startswith("Deps"):
-            eps = float(pg["eps"])
-            g1v = pg["g1"].values
-            floor = (1.0 - eps) * np.trace(g1v, axis1=1, axis2=2).real
-            tr = np.trace(g0.values, axis1=1, axis2=2).real
-            free = tr > floor + 1e-8 * max(float(np.max(tr)), 1e-300)
-            alpha2 = _fit_scale(lhs, shape, free) if np.any(free) else 0.0
-            rel = (float(np.max(np.abs(lhs[free] - alpha2 * shape[free])))
-                   / max(float(np.max(np.abs(lhs[free]))), 1e-300)) if np.any(free) else 0.0
-            clamped = ~free
-            viol = float(np.max(np.maximum(lhs[clamped] - alpha2 * shape[clamped], 0.0))) \
-                if np.any(clamped) else 0.0
-            report["g"] = {
-                "kind": kg,
-                "relative_residual": rel,
-                "free_fraction": float(np.mean(free)),
-                "clamped_overshoot": viol / max(float(np.max(lhs)), 1e-300),
-            }
-            report["multipliers"]["g_alpha2"] = alpha2
-        else:
-            tv = np.trace(pg["V"].values, axis1=1, axis2=2).real
-            tu = np.trace(pg["U"].values, axis1=1, axis2=2).real
-            tr = np.trace(g0.values, axis1=1, axis2=2).real
-            span = max(float(np.max(tu - tv)), 1e-300)
-            interior = (tr > tv + 1e-6 * span) & (tr < tu - 1e-6 * span)
-            beta2 = _fit_scale(lhs, shape, interior) if np.any(interior) else 0.0
-            rel = (float(np.max(np.abs(lhs[interior] - beta2 * shape[interior])))
-                   / max(float(np.max(np.abs(lhs[interior]))), 1e-300)) if np.any(interior) else 0.0
-            at_lo = tr <= tv + 1e-6 * span
-            at_hi = tr >= tu - 1e-6 * span
-            viol_lo = float(np.max(np.maximum(lhs[at_lo] - beta2 * shape[at_lo], 0.0))) \
-                if np.any(at_lo) and np.any(interior) else 0.0
-            viol_hi = float(np.max(np.maximum(beta2 * shape[at_hi] - lhs[at_hi], 0.0))) \
-                if np.any(at_hi) and np.any(interior) else 0.0
-            report["g"] = {
-                "kind": kg,
-                "relative_residual": rel,
-                "interior_fraction": float(np.mean(interior)),
-                "lower_overshoot": viol_lo / max(float(np.max(lhs)), 1e-300),
-                "upper_overshoot": viol_hi / max(float(np.max(lhs)), 1e-300),
-            }
-            report["multipliers"]["g_beta2"] = beta2
-        feas = feasibility_report(class_spec, spec, f0, g0)
-        report["g"]["budget_residual"] = feas["g"]["residual"]
-    if kf == "D0_1" and not scalar:
-        report.setdefault("notes", []).append("D0_1 matrix budget enforced entrywise")
+    for side, fam, row, vals in zip("fg", (ctx.f, ctx.g), rows, (f0.values, g0.values)):
+        if fam.bounds is not None:
+            rep, multipliers = fam.extremal(_norm2(row), shape, vals)
+            report[side] = {"kind": fam.kind, **rep}
+            report["multipliers"].update(multipliers)
+    report["approximate"] = [fam.kind for fam in (ctx.f, ctx.g) if fam.approximate]
     return report
 
 
-def _project_f(class_spec, spec, grid, f_vals):
-    kf, pf = class_spec.f.kind, class_spec.f.params
-    w = budget_weight(spec, grid)
-    vals = _sym_value(np.ascontiguousarray(f_vals))
-    if vals.shape[1] == 1:
-        vals = np.maximum(vals.real, 0.0).astype(complex)
-    if kf == "fixed":
-        return pf["f1"].values.copy()
-    f = DensityGrid(grid, vals, validate=False)
-    if kf.startswith("D0"):
-        used = _f_budget_used(kf, pf, w, f)
-        if kf == "D0_2":
-            scale = float(pf["p"]) / max(float(used), 1e-300)
-        elif kf == "D0_4":
-            scale = float(pf["p"]) / max(float(used), 1e-300)
-        elif kf == "D0_3":
-            target = np.asarray(pf["p_k"], dtype=float)
-            scale = np.min(target / np.maximum(np.asarray(used), 1e-300))
-        else:
-            target = np.atleast_2d(np.asarray(pf["P"]))
-            scale = float(np.real(np.trace(target)) /
-                          max(np.real(np.trace(np.atleast_2d(used))), 1e-300))
-        return vals * scale
-    used = _l1_budget_used(kf, pf, w, f)
-    bound = {"D1delta_1": lambda: pf["delta"],
-             "D1delta_2": lambda: np.max(np.asarray(pf["delta_k"], dtype=float)),
-             "D1delta_3": lambda: pf["delta"],
-             "D1delta_4": lambda: np.max(np.asarray(pf["delta_ij"], dtype=float))}[kf]()
-    used_max = float(np.max(np.asarray(used)))
-    if used_max <= bound:
-        return vals
-    shrink = bound / used_max
-    return pf["f1"].values + shrink * (vals - pf["f1"].values)
+def _project_f(ctx: _Problem, f_vals: np.ndarray) -> np.ndarray:
+    return ctx.f.project(_sym_value(f_vals, clip=True))
 
 
-def _project_g(class_spec, spec, grid, g_vals):
-    kg, pg = class_spec.g.kind, class_spec.g.params
-    vals = _sym_value(np.ascontiguousarray(g_vals))
-    if vals.shape[1] == 1:
-        vals = np.maximum(vals.real, 0.0).astype(complex)
-    if kg == "zero":
-        return np.zeros_like(vals)
-    if kg == "fixed":
-        return pg["g1"].values.copy()
-    if kg.startswith("Deps"):
-        eps = float(pg["eps"])
-        floor = (1.0 - eps) * pg["g1"].values
-        free = vals - floor
-        if free.shape[1] == 1:
-            free = np.maximum(free.real, 0.0).astype(complex)
-        if kg == "Deps_2":
-            qk = np.asarray(pg["q_k"], dtype=float).reshape(-1)
-            target = qk - (1.0 - eps) * np.mean(
-                np.diagonal(pg["g1"].values, axis1=1, axis2=2).real, axis=0)
-            have = np.mean(np.diagonal(free, axis1=1, axis2=2).real, axis=0)
-            scale = target / np.maximum(have, 1e-300)
-            free = free * scale[None, None, :] ** 0.5 * scale[None, :, None] ** 0.5
-        else:
-            q = float(pg["q"]) if "q" in pg else float(
-                np.real(np.trace(np.atleast_2d(np.asarray(pg["Q"])))))
-            have_floor = float(np.mean(np.trace(floor, axis1=1, axis2=2).real))
-            have_free = float(np.mean(np.trace(free, axis1=1, axis2=2).real))
-            free = free * (q - have_floor) / max(have_free, 1e-300)
-        return floor + free
-    V, U = pg["V"].values, pg["U"].values
-    if kg == "DVU_2" and vals.shape[1] == 1:
-        tv, tu = V[:, 0, 0].real, U[:, 0, 0].real
-        x = np.clip(vals[:, 0, 0].real, tv, tu)
-        q = float(pg["q"])
-        lo_s, hi_s = float(np.min(tv - x)), float(np.max(tu - x))
-        for _ in range(200):
-            mid = 0.5 * (lo_s + hi_s)
-            if float(np.mean(np.clip(x + mid, tv, tu))) < q:
-                lo_s = mid
-            else:
-                hi_s = mid
-        x = np.clip(x + 0.5 * (lo_s + hi_s), tv, tu)
-        return x.reshape(-1, 1, 1).astype(complex)
-    # generic box: blend toward the feasible interpolation point
-    theta_vals = V + 0.5 * (U - V)
-    best = vals
-    for t in np.linspace(0.0, 1.0, 21):
-        cand = (1.0 - t) * vals + t * theta_vals
-        g = DensityGrid(grid, cand, validate=False)
-        class_only = DensityClassSpec(FClassSpec("fixed", {"f1": g}), class_spec.g)
-        rep = feasibility_report(class_only, spec, g, g)["g"]["residual"]
-        if rep <= FEASIBILITY_TOL:
-            best = cand
-            break
-    return best
+def _project_g(ctx: _Problem, g_vals: np.ndarray) -> np.ndarray:
+    return ctx.g.project(_sym_value(g_vals, clip=True))
 
 
 def saddle_check(result: MinimaxResult, class_spec: DensityClassSpec,
@@ -1165,159 +813,40 @@ def saddle_check(result: MinimaxResult, class_spec: DensityClassSpec,
     (random 10% node jitter projected back onto the class) must not beat
     delta0.  Left side: alternative valid characteristics (observation-band
     perturbations of h0) must not do better at the least favorable pair.
+    A pass needs an admissible sample whenever samples were asked for.
     """
     if n_samples <= 0:
-        return {"n_samples": 0, "max_violation": 0.0, "pass": True,
-                "left_min_margin": 0.0}
+        return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
     rng = np.random.default_rng(seed)
-    grid = result.f0.grid
-    f0, g0, h0 = result.f0, result.g0, result.h0
-    delta0 = result.delta0
-    n = grid.n_grid
-    dim = f0.dim
+    grid, f0, g0, h0, delta0 = result.f0.grid, result.f0, result.g0, result.h0, result.delta0
+    ctx = _Problem(class_spec, spec, fspec, grid)
+    t, n = ctx.target, grid.n_grid
 
-    max_violation = -np.inf
-    skipped = 0
+    max_violation, skipped = -np.inf, 0
     for _ in range(n_samples):
-        jitter_f = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n)
-        jitter_g = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n)
-        jitter_f = 0.5 * (jitter_f + jitter_f[::-1])
-        jitter_g = 0.5 * (jitter_g + jitter_g[::-1])
-        f_vals = _project_f(class_spec, spec, grid, jitter_f[:, None, None] * f0.values)
-        g_vals = _project_g(class_spec, spec, grid, jitter_g[:, None, None] * g0.values)
-        f_s = DensityGrid(grid, f_vals, validate=False)
-        g_s = DensityGrid(grid, g_vals, validate=False)
+        jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
+        f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
+        g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
         # matrix-class projections are approximate; only admissible samples count
-        if feasibility_report(class_spec, spec, f_s, g_s)["max_residual"] > 1e-6:
+        if _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"] > 1e-6:
             skipped += 1
             continue
-        val = mse_of_characteristic(spec, f_s, g_s, fspec, h0)
+        val = _error_energy(t, DensityGrid(grid, f_vals, validate=False),
+                            DensityGrid(grid, g_vals, validate=False), h0)
         max_violation = max(max_violation, val - delta0)
     if not np.isfinite(max_violation):
         max_violation = 0.0
 
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
     ng = spec.n_gamma()
     band = list(range(-4 - ng, 0)) + list(range(fspec.N + ng + 1, fspec.N + ng + 5))
     left_min = np.inf
     scale = float(np.max(np.abs(h0))) or 1.0
     for _ in range(10):
-        theta = 0.1 * scale * rng.standard_normal((len(band), dim))
-        poly = np.zeros((n, dim), dtype=complex)
-        for i, k in enumerate(band):
-            poly += np.exp(1j * k * grid.nodes)[:, None] * theta[i]
-        h_alt = h0 + poly * (chi / beta)[:, None]
-        val = mse_of_characteristic(spec, f0, g0, fspec, h_alt)
-        left_min = min(left_min, val - delta0)
-    return {
-        "n_samples": n_samples,
-        "skipped_samples": skipped,
-        "max_violation": float(max_violation),
-        "left_min_margin": float(left_min),
-        "pass": bool(max_violation <= 1e-6 * max(delta0, 1e-300) and left_min >= -1e-10),
-    }
-
-
-# ---------------------------------------------------------------------------
-# brute-force references for tests
-
-def two_atom_search(class_spec: DensityClassSpec, fspec: FunctionalSpec,
-                    spec: GMIncrementSpec, grid: FrequencyGrid,
-                    n_positions: int = 96, rounds: int = 3) -> dict:
-    """Independent coordinate grid search over symmetric-pair densities.
-
-    f-side: enumerate one- and two-pair placements of the perturbation /
-    budget mass over a subgrid of node pairs, solving the exact problem for
-    each candidate.  g-side (box classes): golden-section over a one-degree
-    waterfill family per round.  Returns the best pair found.
-    """
-    dim = fspec.dim
-    if dim != 1:
-        raise ValidationError("two_atom_search supports scalar problems only")
-    n = grid.n_grid
-    half = n // 2
-    positions = np.unique(np.linspace(0, half - 1, n_positions).astype(int))
-    f, g = feasible_start(class_spec, spec, grid, dim)
-    w = budget_weight(spec, grid)
-    kf, pf = class_spec.f.kind, class_spec.f.params
-
-    def delta_at(f_vals, g_vals):
-        try:
-            return _delta_core(spec, DensityGrid(grid, f_vals, validate=False),
-                               DensityGrid(grid, g_vals, validate=False), fspec)[0]
-        except (NumericalError, np.linalg.LinAlgError):
-            return -np.inf
-
-    def f_candidates():
-        if kf == "fixed":
-            yield pf["f1"].values, "fixed"
-            return
-        if kf.startswith("D0"):
-            budget = float(pf["p"]) if kf in ("D0_2", "D0_4") else (
-                float(np.atleast_2d(np.asarray(pf["P"]))[0, 0].real) if kf == "D0_1"
-                else float(np.asarray(pf["p_k"]).reshape(-1)[0]))
-            base = np.zeros((n, 1, 1), dtype=complex)
-            for j in positions:
-                vals = base.copy()
-                _pair_atom(vals, int(j), np.array([[budget * n / (2.0 * w[j])]], complex))
-                yield vals, f"pair@{j}"
-            # smooth family around the flat-in-weighted-trace density
-            flat = (budget / w).reshape(-1, 1, 1).astype(complex)
-            lam = grid.nodes
-            for t1 in np.linspace(-0.6, 0.6, 7):
-                for t2 in np.linspace(-0.6, 0.6, 7):
-                    shape = 1.0 + t1 * np.cos(lam) + t2 * np.cos(2 * lam)
-                    if np.min(shape) <= 1e-3:
-                        continue
-                    vals = flat * shape.reshape(-1, 1, 1)
-                    vals *= budget / float(np.mean(w * vals[:, 0, 0].real))
-                    yield vals, f"smooth({t1:.2f},{t2:.2f})"
-            return
-        # D1delta: one and two symmetric pairs on top of f1
-        f1 = pf["f1"].values
-        bound = float(pf["delta"]) if kf in ("D1delta_1", "D1delta_3") else (
-            float(np.asarray(pf["delta_k"]).reshape(-1)[0]) if kf == "D1delta_2"
-            else float(np.atleast_2d(np.asarray(pf["delta_ij"]))[0, 0]))
-        for j in positions:
-            vals = f1.copy()
-            _pair_atom(vals, int(j), np.array([[bound * n / (2.0 * w[j])]], complex))
-            yield vals, f"one@{j}"
-        coarse = positions[:: max(len(positions) // 24, 1)]
-        for i, j1 in enumerate(coarse):
-            for j2 in coarse[i + 1:]:
-                for share in (0.25, 0.5, 0.75):
-                    vals = f1.copy()
-                    _pair_atom(vals, int(j1),
-                               np.array([[share * bound * n / (2.0 * w[j1])]], complex))
-                    _pair_atom(vals, int(j2),
-                               np.array([[(1 - share) * bound * n / (2.0 * w[j2])]], complex))
-                    yield vals, f"two@{j1},{j2},{share}"
-
-    best = {"delta": -np.inf, "f": f.values, "g": g.values, "label": "start"}
-    g_vals = g.values
-    for _ in range(rounds):
-        for cand, label in f_candidates():
-            val = delta_at(cand, g_vals)
-            if val > best["delta"]:
-                best = {"delta": val, "f": cand, "g": g_vals, "label": label}
-        kg, pg = class_spec.g.kind, class_spec.g.params
-        if kg in ("zero", "fixed"):
-            break
-        # refine g by the waterfill family at the current best f
-        f_best = DensityGrid(grid, best["f"], validate=False)
-        _, c = _delta_core(spec, f_best, DensityGrid(grid, g_vals, validate=False), fspec)
-        h, _, _ = spectral_characteristic(spec, f_best,
-                                          DensityGrid(grid, g_vals, validate=False), c, fspec)
-        _, M_g = _gradient_kernels(spec, fspec, f_best,
-                                   DensityGrid(grid, g_vals, validate=False), h)
-        gv = _lp_g(class_spec, spec, grid, dim, M_g)
-        if gv is None:
-            break
-        for eta in np.linspace(0.0, 1.0, 21):
-            cand_g = _blend(g_vals, gv, eta)
-            val = delta_at(best["f"], cand_g)
-            if val > best["delta"]:
-                best = {"delta": val, "f": best["f"], "g": cand_g,
-                        "label": best["label"] + f"+g(eta={eta:.2f})"}
-        g_vals = best["g"]
-    return best
+        theta = 0.1 * scale * rng.standard_normal((len(band), f0.dim))
+        poly = sum(np.exp(1j * k * grid.nodes)[:, None] * theta[i] for i, k in enumerate(band))
+        h_alt = h0 + poly * (t.chi / t.beta)[:, None]
+        left_min = min(left_min, _error_energy(t, f0, g0, h_alt) - delta0)
+    passed = skipped < n_samples and max_violation <= 1e-6 * max(delta0, 1e-300) \
+        and left_min >= -1e-10
+    return {"n_samples": n_samples, "skipped_samples": skipped, "pass": bool(passed),
+            "max_violation": float(max_violation), "left_min_margin": float(left_min)}

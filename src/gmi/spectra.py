@@ -314,9 +314,13 @@ class ObservedSpectrum:
     p_inv: np.ndarray
 
 
-def observed_spectrum(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> ObservedSpectrum:
-    """Symbols, observed density and its inverse; raises if p is singular."""
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+def observed_spectrum(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid,
+                      symbols: tuple[np.ndarray, np.ndarray] | None = None) -> ObservedSpectrum:
+    """Symbols, observed density and its inverse; raises if p is singular.
+
+    ``symbols`` passes (chi, beta) already sampled on the grid of f.
+    """
+    chi, beta = symbols or _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
     p = _combine(f, g, beta)
     return ObservedSpectrum(chi=chi, beta=beta, p=p, p_inv=inverse_density(p))
 

@@ -1,0 +1,100 @@
+"""Brute-force least favorable search, an independent reference for the tests."""
+
+import numpy as np
+
+from gmi.errors import NumericalError, ValidationError
+from gmi.minimax import (
+    _blend,
+    _delta_core,
+    _gradient_kernels,
+    _lp_g,
+    _Problem,
+    feasible_start,
+)
+
+
+def _pair_atom(values: np.ndarray, j: int, mass: float) -> None:
+    """Add a scalar atom at node j and at its mirror node."""
+    values[j] += mass
+    values[values.shape[0] - 1 - j] += mass
+
+
+def two_atom_search(class_spec, fspec, spec, grid, n_positions: int = 96, rounds: int = 3) -> dict:
+    """Independent coordinate grid search over symmetric-pair densities.
+
+    f-side: enumerate one- and two-pair placements of the perturbation /
+    budget mass over a subgrid of node pairs, solving the exact problem for
+    each candidate.  g-side (box classes): grid search over the blend toward
+    the inner LP vertex, once per round.  Returns the best pair found.
+    """
+    if fspec.dim != 1:
+        raise ValidationError("two_atom_search supports scalar problems only")
+    n = grid.n_grid
+    positions = np.unique(np.linspace(0, n // 2 - 1, n_positions).astype(int))
+    f, g = feasible_start(class_spec, spec, grid, 1)
+    ctx = _Problem(class_spec, spec, fspec, grid)
+    w = ctx.w
+    kf = class_spec.f.kind
+
+    def delta_at(f_vals, g_vals):
+        try:
+            return _delta_core(ctx, f_vals, g_vals)[0]
+        except (NumericalError, np.linalg.LinAlgError):
+            return -np.inf
+
+    def f_candidates():
+        if kf == "fixed":
+            yield f.values, "fixed"
+            return
+        budget = ctx.f.scalar_budget
+        if kf.startswith("D0"):
+            for j in positions:
+                vals = np.zeros((n, 1, 1), dtype=complex)
+                _pair_atom(vals, int(j), budget * n / (2.0 * w[j]))
+                yield vals, f"pair@{j}"
+            # smooth family around the flat-in-weighted-trace density
+            flat = (budget / w).reshape(-1, 1, 1).astype(complex)
+            lam = grid.nodes
+            for t1 in np.linspace(-0.6, 0.6, 7):
+                for t2 in np.linspace(-0.6, 0.6, 7):
+                    shape = 1.0 + t1 * np.cos(lam) + t2 * np.cos(2 * lam)
+                    if np.min(shape) <= 1e-3:
+                        continue
+                    vals = flat * shape.reshape(-1, 1, 1)
+                    vals *= budget / float(np.mean(w * vals[:, 0, 0].real))
+                    yield vals, f"smooth({t1:.2f},{t2:.2f})"
+            return
+        # D1delta: one and two symmetric pairs on top of f1
+        for j in positions:
+            vals = f.values.copy()
+            _pair_atom(vals, int(j), budget * n / (2.0 * w[j]))
+            yield vals, f"one@{j}"
+        coarse = positions[:: max(len(positions) // 24, 1)]
+        for i, j1 in enumerate(coarse):
+            for j2 in coarse[i + 1:]:
+                for share in (0.25, 0.5, 0.75):
+                    vals = f.values.copy()
+                    _pair_atom(vals, int(j1), share * budget * n / (2.0 * w[j1]))
+                    _pair_atom(vals, int(j2), (1 - share) * budget * n / (2.0 * w[j2]))
+                    yield vals, f"two@{j1},{j2},{share}"
+
+    best = {"delta": -np.inf, "f": f.values, "g": g.values, "label": "start"}
+    g_vals = g.values
+    for _ in range(rounds):
+        for cand, label in f_candidates():
+            val = delta_at(cand, g_vals)
+            if val > best["delta"]:
+                best = {"delta": val, "f": cand, "g": g_vals, "label": label}
+        if class_spec.g.kind in ("zero", "fixed"):
+            break
+        # refine g by the blend toward the inner LP vertex at the current best f
+        _, blocks, sol = _delta_core(ctx, best["f"], g_vals)
+        gv = _lp_g(ctx, _gradient_kernels(ctx, g_vals, blocks, sol)[1])
+        for eta in np.linspace(0.0, 1.0, 21):
+            cand_g = _blend(g_vals, gv, eta)
+            val = delta_at(best["f"], cand_g)
+            if val > best["delta"]:
+                best = {"delta": val, "f": best["f"], "g": cand_g,
+                        "label": best["label"] + f"+g(eta={eta:.2f})"}
+        g_vals = best["g"]
+    return best

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from brute import two_atom_search
 from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
 from gmi.classical import (
     FunctionalSpec,
@@ -38,7 +39,6 @@ from gmi.minimax import (
     GClassSpec,
     MinimaxOptions,
     solve_minimax,
-    two_atom_search,
 )
 from gmi.oracle import convergence_table
 from gmi.spectra import DensityGrid, DensityModel, FrequencyGrid

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import constant_density, rational_density
+from brute import two_atom_search
+from conftest import constant_density, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, solve_interpolation
 from gmi.errors import ValidationError
 from gmi.increments import GMIncrementSpec
@@ -13,10 +14,12 @@ from gmi.minimax import (
     budget_weight,
     feasibility_report,
     feasible_start,
+    _bisect_decreasing,
+    _shift_clip,
+    _waterfill_traces,
     mse_functional,
     saddle_check,
     solve_minimax,
-    two_atom_search,
 )
 from gmi.spectra import DensityGrid
 
@@ -228,6 +231,30 @@ class TestSolveMinimax:
                                 n_positions=48, rounds=2)
         assert brute["delta"] <= res.delta0 + 1e-3
 
+    def test_symbols_are_sampled_once_per_run(self, grid2k, ball_box_class, monkeypatch):
+        import gmi.classical
+        import gmi.minimax
+        import gmi.spectra
+
+        calls = []
+        original = gmi.spectra._chi_beta
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (gmi.spectra, gmi.classical, gmi.minimax):
+            monkeypatch.setattr(module, "_chi_beta", counted)
+        fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
+        counts = []
+        for max_iter in (2, 6):
+            calls.clear()
+            res = solve_minimax(ball_box_class, fs, SPEC11, grid2k,
+                                MinimaxOptions(max_iter=max_iter, saddle_samples=2))
+            assert len(res.trace) == max_iter
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_all_class_pairs_evaluable_scalar(self, grid2k):
         f1 = rational_density(grid2k, [1.0], [1.0, -0.4])
         g1 = constant_density(grid2k, 0.4)
@@ -306,3 +333,119 @@ class TestBruteForce:
     def test_budget_weight_positive(self, grid2k):
         w = budget_weight(SPEC11, grid2k)
         assert np.all(w > 0)
+
+
+class TestHonestReports:
+    """T = 2 runs whose flags used to claim more than was checked."""
+
+    A_T2 = FunctionalSpec(N=0, a=np.array([[1.0, 0.5]]))
+
+    def test_stall_with_a_large_gap_is_not_converged(self, grid2k):
+        # the exact trace-budget vertex leaves a gap of 3.3 at delta0 = 0.906
+        cls = DensityClassSpec(FClassSpec("D0_2", {"p": 1.5}), GClassSpec("zero"))
+        res = solve_minimax(cls, self.A_T2, SPEC11, grid2k, FAST)
+        assert len(res.trace) == 1 and res.trace[0]["step"] == "stall"
+        assert res.delta0 == pytest.approx(0.9055915242667547, rel=1e-9)
+        assert res.residual_report["ascent_gap"] == pytest.approx(3.3049, rel=1e-4)
+        assert res.residual_report["approximate"] == []
+        assert not res.converged
+
+    def test_matrix_budget_and_box_vertices_are_approximate(self, grid2k):
+        V = constant_density(grid2k, [[0.2, 0.05], [0.05, 0.15]])
+        U = constant_density(grid2k, [[0.6, 0.1], [0.1, 0.5]])
+        cls = DensityClassSpec(
+            FClassSpec("D0_1", {"P": [[1.2, 0.3], [0.3, 0.8]]}),
+            GClassSpec("DVU_1", {"V": V, "U": U, "Q": [[0.4, 0.075], [0.075, 0.325]]}),
+        )
+        res = solve_minimax(cls, self.A_T2, SPEC11, grid2k, FAST)
+        assert res.residual_report["approximate"] == ["D0_1", "DVU_1"]
+        assert not res.converged
+
+    def test_saddle_without_an_admissible_sample_fails(self, grid1k):
+        f1 = matrix_ma_density(grid1k, [[[1.0, 0.2], [0.0, 0.8]], [[0.3, 0.0], [0.1, 0.2]]])
+        cls = DensityClassSpec(
+            FClassSpec("D1delta_4", {"f1": f1, "delta_ij": [[0.1, 0.03], [0.03, 0.05]]}),
+            GClassSpec("Deps_4", {"g1": constant_density(grid1k, [[0.4, 0.1], [0.1, 0.3]]),
+                                  "eps": 0.5, "Q": [[0.5, 0.12], [0.12, 0.4]]}),
+        )
+        fs = FunctionalSpec(N=1, a=np.array([[1.0, 0.5], [0.3, -0.2]]))
+        res = solve_minimax(cls, fs, SPEC11, grid1k,
+                            MinimaxOptions(max_iter=3, saddle_samples=20, seed=1))
+        rep = res.saddle_report
+        assert rep["n_samples"] == 20 and rep["skipped_samples"] == 20
+        assert rep["pass"] is False
+
+    def test_trace_box_samples_are_admissible_at_t2(self, grid1k):
+        # the trace budget sits off the box middle, where a blend never meets it
+        V = constant_density(grid1k, [[0.2, 0.05], [0.05, 0.15]])
+        U = DensityGrid(grid1k, V.values + 0.4 * np.eye(2), validate=False)
+        cls = DensityClassSpec(FClassSpec("D0_2", {"p": 2.0}),
+                               GClassSpec("DVU_2", {"V": V, "U": U, "q": 0.65}))
+        fs = FunctionalSpec(N=1, a=np.array([[1.0, 0.5], [0.3, -0.2]]))
+        res = solve_minimax(cls, fs, SPEC11, grid1k,
+                            MinimaxOptions(max_iter=3, saddle_samples=5, seed=2))
+        assert res.saddle_report["skipped_samples"] == 0
+
+    def test_weighted_noise_floor_starts_feasibly_at_t2(self, grid1k):
+        g1 = constant_density(grid1k, [[0.4, 0.1], [0.1, 0.3]])
+        B = np.array([[2.0, 0.3], [0.3, 1.0]])
+        q = 0.5 * float(np.trace(B @ g1.values[0]).real) + 0.3
+        cls = DensityClassSpec(FClassSpec("fixed", {"f1": constant_density(grid1k, np.eye(2))}),
+                               GClassSpec("Deps_3", {"g1": g1, "eps": 0.5, "B2": B, "q": q}))
+        f, g = feasible_start(cls, SPEC11, grid1k, 2)
+        assert feasibility_report(cls, SPEC11, f, g)["max_residual"] <= 1e-8
+
+
+class TestScalarSolvers:
+    """The sort-based waterfill and shift, and the early-stopping bisection,
+    against the loops they replaced."""
+
+    @staticmethod
+    def _box(rng, n=64):
+        lo = rng.uniform(0.0, 1.0, n)
+        hi = lo + rng.uniform(0.0, 1.0, n)
+        return lo, hi, float(rng.uniform(lo.mean(), hi.mean()))
+
+    def test_waterfill_matches_the_greedy_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            lo, hi, budget = self._box(rng)
+            rate = rng.standard_normal(len(lo))
+            ref, remaining = lo.copy(), budget * len(lo) - float(np.sum(lo))
+            for j in np.argsort(-rate):
+                take = min(hi[j] - lo[j], remaining)
+                ref[j] += take
+                remaining -= take
+                if remaining <= 0:
+                    break
+            assert np.allclose(_waterfill_traces(rate, lo, hi, budget), ref, rtol=0, atol=1e-12)
+
+    def test_shift_clip_matches_bisection(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            lo, hi, mean = self._box(rng)
+            x = rng.uniform(-0.5, 2.0, len(lo))
+            xc = np.clip(x, lo, hi)
+            a, b = float(np.min(lo - xc)), float(np.max(hi - xc))
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if float(np.mean(np.clip(xc + mid, lo, hi))) < mean:
+                    a = mid
+                else:
+                    b = mid
+            got = _shift_clip(x, lo, hi, mean)
+            assert np.allclose(got, np.clip(xc + 0.5 * (a + b), lo, hi), rtol=0, atol=1e-12)
+            assert float(np.mean(got)) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("target", [1e-3, 0.7, 5.0, 1e4])
+    def test_bisection_stops_where_the_full_loop_ends(self, target):
+        shape = np.linspace(0.1, 3.0, 257)
+        for fun in (lambda x: 1.0 / x, lambda x: float(np.mean(np.maximum(shape / x - 0.2, 0.0)))):
+            lo, hi = 1e-12, 1e12
+            for _ in range(200):
+                mid = np.sqrt(lo * hi)
+                if fun(mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            assert _bisect_decreasing(fun, target, 1e-12, 1e12) == np.sqrt(lo * hi)
