@@ -81,11 +81,21 @@ def lift_periodic(p: PeriodicFunctionalSpec) -> FunctionalSpec:
 def transform_b(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
     """Differenced-target weights b(k) = sum_{m>=k} d_mu(m-k) a(m)."""
     d_mu = inverse_series(spec, fspec.N).astype(float)
-    N = fspec.N
-    b = np.zeros_like(fspec.a)
-    for k in range(N + 1):
-        b[k] = d_mu[: N - k + 1] @ fspec.a[k:]
-    return b
+    k = np.arange(fspec.N + 1)
+    return np.triu(d_mu[np.abs(k[None, :] - k[:, None])]) @ fspec.a
+
+
+def _operator_correlation(spec: GMIncrementSpec, x: np.ndarray) -> np.ndarray:
+    """Correlation sum_{0 <= l-m <= n_gamma} e(l-m) x(l) of the operator e with x.
+
+    x(l), l = 0 .. N, are the rows of ``x``; row m + n_gamma of the result
+    holds m = -n_gamma .. N.
+    """
+    e = expand_operator(spec).astype(float)
+    ng = spec.n_gamma()
+    lag = np.arange(x.shape[0])[None, :] - np.arange(-ng, x.shape[0])[:, None]
+    inside = (lag >= 0) & (lag <= ng)
+    return np.where(inside, e[np.clip(lag, 0, ng)], 0.0) @ x
 
 
 def coeffs_a_mu(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
@@ -94,15 +104,7 @@ def coeffs_a_mu(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
     a_minus(m) = sum_{l=max(m,0)}^{min(m+n_gamma, N)} e(l-m) a(l) for
     m = -n_gamma .. N, returned shifted to indices 0 .. N+n_gamma.
     """
-    e = expand_operator(spec).astype(float)
-    ng = spec.n_gamma()
-    N = fspec.N
-    out = np.zeros((N + ng + 1, fspec.dim))
-    for m in range(-ng, N + 1):
-        lo, hi = max(m, 0), min(m + ng, N)
-        for l in range(lo, hi + 1):
-            out[m + ng] += e[l - m] * fspec.a[l]
-    return out
+    return _operator_correlation(spec, fspec.a)
 
 
 def v_coeffs(spec: GMIncrementSpec, b: np.ndarray) -> np.ndarray:
@@ -110,16 +112,7 @@ def v_coeffs(spec: GMIncrementSpec, b: np.ndarray) -> np.ndarray:
 
     Row i of the result is v(-(i+1)), i.e. ordered k = -1, -2, ..., -n_gamma.
     """
-    e = expand_operator(spec).astype(float)
-    ng = spec.n_gamma()
-    N = b.shape[0] - 1
-    v = np.zeros((ng, b.shape[1]))
-    for i in range(ng):
-        k = -(i + 1)
-        hi = min(N, k + ng)
-        for l in range(0, hi + 1):
-            v[i] += e[l - k] * b[l]
-    return v
+    return _operator_correlation(spec, b)[spec.n_gamma() - 1::-1]
 
 
 @dataclass

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -24,34 +25,6 @@ def _apply_thread_cap():
     if cap:
         for var in _THREAD_VARS:
             os.environ.setdefault(var, cap)
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "problem"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "problem": {
-            "type": "object",
-            "required": ["increment"],
-            "properties": {
-                "increment": {
-                    "type": "object",
-                    "required": ["type"],
-                    "properties": {"type": {"enum": ["gm", "fm"]}},
-                },
-                "signal_density": {"type": "object"},
-                "noise_density": {"type": "object"},
-                "functional": {"type": "object"},
-                "grid": {"type": "integer"},
-                "seed": {"type": "integer"},
-            },
-        },
-        "oracle": {"type": "object"},
-        "minimax": {"type": "object"},
-        "coeffs": {"type": "object"},
-    },
-}
 
 
 def main(argv=None) -> int:
@@ -90,8 +63,6 @@ def _say(args, text: str):
 
 
 def _load_config(args) -> dict:
-    import jsonschema
-
     from .errors import ValidationError
 
     try:
@@ -100,11 +71,8 @@ def _load_config(args) -> dict:
         raise ValidationError(f"config file not found: {args.config}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"config schema violation: {exc.message}") from exc
-    problem = config.get("problem", {})
+    _check_config(config)
+    problem = config["problem"]
     if args.grid is not None:
         problem["grid"] = args.grid
     if args.seed is not None:
@@ -113,6 +81,44 @@ def _load_config(args) -> dict:
     if grid_n < 2 ** 10 or grid_n > 2 ** 20 or grid_n & (grid_n - 1):
         raise ValidationError("grid size must be a power of two in [2^10, 2^20]")
     return config
+
+
+def _check_config(config) -> None:
+    """Top-level shape: schema_version 1, the increment type, section and integer types."""
+    from .errors import ValidationError
+
+    def require(ok: bool, what: str):
+        if not ok:
+            raise ValidationError(f"config schema violation: {what}")
+
+    require(isinstance(config, dict), "the config must be an object")
+    version = config.get("schema_version")
+    require(version == 1 and not isinstance(version, bool), "schema_version must be 1")
+    problem = config.get("problem")
+    require(isinstance(problem, dict), "problem must be an object")
+    increment = problem.get("increment")
+    require(isinstance(increment, dict), "problem.increment must be an object")
+    require(increment.get("type") in ("gm", "fm"), "problem.increment.type must be 'gm' or 'fm'")
+    sections = [(problem, "problem.", key)
+                for key in ("signal_density", "noise_density", "functional")]
+    sections += [(config, "", key) for key in ("oracle", "minimax", "coeffs")]
+    for owner, prefix, key in sections:
+        require(key not in owner or isinstance(owner[key], dict),
+                f"{prefix}{key} must be an object")
+    for key in ("grid", "seed"):
+        require(key not in problem or type(problem[key]) is int,
+                f"problem.{key} must be an integer")
+
+
+@contextmanager
+def _config_keys():
+    """Report a key missing from the config as a validation error."""
+    from .errors import ValidationError
+
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"config is missing key {exc.args[0]!r}") from exc
 
 
 def _build_grid(config):
@@ -204,6 +210,15 @@ def _densities(config, grid, dim_hint=None):
     return f, g
 
 
+def _problem(config):
+    """Increment, functional and densities (on the config's grid) of a problem."""
+    with _config_keys():
+        grid = _build_grid(config)
+        spec = _gm_spec(config)
+        fspec = _functional(config)
+        return spec, fspec, *_densities(config, grid)
+
+
 def _dispatch(args) -> int:
     config = _load_config(args)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -223,14 +238,11 @@ def _cmd_interpolate(args, config) -> int:
     from .classical import solve_interpolation
     from .io import solution_to_dict, write_characteristic_csv, write_json
 
-    grid = _build_grid(config)
-    spec = _gm_spec(config)
-    fspec = _functional(config)
-    f, g = _densities(config, grid)
+    spec, fspec, f, g = _problem(config)
     sol = solve_interpolation(spec, f, g, fspec)
     write_json(args.output_dir / "solution.json", solution_to_dict(sol))
     write_characteristic_csv(args.output_dir / "spectral_characteristic.csv",
-                             grid.nodes, sol.h)
+                             f.grid.nodes, sol.h)
     _say(args, f"interpolate: delta={sol.delta:.12g} "
                f"(routes differ by {abs(sol.delta - sol.delta_spectral):.3g}), "
                f"cond={sol.condition_number:.3g}")
@@ -243,10 +255,7 @@ def _cmd_oracle(args, config) -> int:
     from .io import write_convergence_csv, write_json
     from .oracle import DEFAULT_SCHEDULE, convergence_table
 
-    grid = _build_grid(config)
-    spec = _gm_spec(config)
-    fspec = _functional(config)
-    f, g = _densities(config, grid)
+    spec, fspec, f, g = _problem(config)
     opts = config.get("oracle", {})
     schedule = tuple(int(x) for x in opts.get("schedule", DEFAULT_SCHEDULE))
     tolerance = float(opts.get("tolerance", 0.02))
@@ -297,17 +306,18 @@ def _cmd_minimax(args, config) -> int:
     from .io import complex_array, write_density_csv, write_json
     from .minimax import MinimaxOptions, solve_minimax
 
-    grid = _build_grid(config)
-    spec = _gm_spec(config)
-    fspec = _functional(config)
-    opts_data = config.get("minimax", {})
-    options = MinimaxOptions(
-        tol=float(opts_data.get("tol", 1e-7)),
-        max_iter=int(opts_data.get("max_iter", 500)),
-        saddle_samples=int(opts_data.get("saddle_samples", 50)),
-        seed=int(config["problem"].get("seed", 0)),
-    )
-    class_spec = _class_spec(config, grid)
+    with _config_keys():
+        grid = _build_grid(config)
+        spec = _gm_spec(config)
+        fspec = _functional(config)
+        opts_data = config.get("minimax", {})
+        options = MinimaxOptions(
+            tol=float(opts_data.get("tol", 1e-7)),
+            max_iter=int(opts_data.get("max_iter", 500)),
+            saddle_samples=int(opts_data.get("saddle_samples", 50)),
+            seed=int(config["problem"].get("seed", 0)),
+        )
+        class_spec = _class_spec(config, grid)
     result = solve_minimax(class_spec, fspec, spec, grid, options)
     payload = {
         "schema_version": 1,
@@ -354,7 +364,8 @@ def _cmd_classify(args, config) -> int:
     from .increments import FMIncrementSpec, classify_stationarity
     from .io import increment_from_dict, write_json
 
-    spec = increment_from_dict(config["problem"]["increment"])
+    with _config_keys():
+        spec = increment_from_dict(config["problem"]["increment"])
     if not isinstance(spec, FMIncrementSpec):
         raise ValidationError("classify requires a fractional ('fm') increment")
     report = classify_stationarity(spec)
@@ -392,8 +403,9 @@ def _cmd_coeffs(args, config) -> int:
                              frequency_set, gm_series, inverse_series)
     from .io import increment_from_dict, write_json
 
-    spec = increment_from_dict(config["problem"]["increment"])
-    length = int(config.get("coeffs", {}).get("length", 32))
+    with _config_keys():
+        spec = increment_from_dict(config["problem"]["increment"])
+        length = int(config.get("coeffs", {}).get("length", 32))
     payload = {"schema_version": 1, "kind": "coefficient_dump", "length": length}
     if isinstance(spec, GMIncrementSpec):
         payload["expansion"] = [int(x) for x in expand_operator(spec)]

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FunctionalSpec, _target, mse_of_characteristic
+from .classical import FunctionalSpec, _block_toeplitz, _error_energy, _target
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
-from .spectra import DensityGrid, _chi_beta, combine, structural_function
+from .spectra import DensityGrid, _chi_beta, _combine, combine, structural_function
 
 PINV_RCOND = 1e-10
 DEFAULT_SCHEDULE = (1, 5, 10, 50, 100, 200)
@@ -60,55 +60,46 @@ def gram_covariances(
     target's differenced and noise parts against each observation.
     """
     grid = f.grid
-    ng = spec.n_gamma()
-    idx = window.indices(fspec.N, ng)
-    dim = f.dim
-    p = combine(f, g, spec)
+    idx = window.indices(fspec.N, spec.n_gamma())
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+    weight = np.abs(chi) ** 2 / np.abs(beta) ** 2
+    t = _target(spec, fspec, grid, chi, beta)
 
-    # R(m) for all occurring differences, one FFT pass
-    if len(idx) > 0:
-        span = int(idx.max() - idx.min())
-        ms = np.arange(-span, span + 1)
-        chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-        weight = (np.abs(chi) ** 2 / np.abs(beta) ** 2)[:, None, None]
-        r_coeffs = grid.fourier(weight * p.values, ms)
+    # R(m) for every difference m = idx[j] - idx[k], one FFT pass
+    span = int(idx[-1] - idx[0]) if len(idx) else 0
+    r_coeffs = grid.fourier(weight[:, None, None] * _combine(f, g, beta).values,
+                            np.arange(-span, span + 1))
+    shift = span - (len(idx) - 1)
+    gram = _block_toeplitz(r_coeffs, len(idx), f.dim, lambda j, k: idx[j] - idx[k] + shift)
+    gram = 0.5 * (gram + gram.conj().T)
 
-        def R(m: int) -> np.ndarray:
-            return r_coeffs[m + span]
-
-        gram = np.empty((len(idx) * dim, len(idx) * dim), dtype=complex)
-        for i, ki in enumerate(idx):
-            for j, kj in enumerate(idx):
-                gram[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = R(ki - kj)
-        gram = 0.5 * (gram + gram.conj().T)
-        scale = max(1.0, float(np.max(np.abs(gram))))
-        min_eig = float(np.min(np.linalg.eigvalsh(gram)))
-        if min_eig < -1e-8 * scale:
-            raise NumericalError(
-                f"observation covariance not PSD (min eigenvalue {min_eig:.3e}); "
-                "quadrature too coarse"
-            )
-
-        # cross_j = E[target conj(obs_j)] as rows, stacked conjugated for columns
-        t = _target(spec, fspec, grid, chi, beta)
-        u1 = np.einsum("nt,nts->ns", t.B, f.values) * (np.abs(chi) ** 2 / np.abs(beta) ** 2)[:, None]
-        u2 = np.einsum("nt,nts->ns", t.B * chi[:, None] - t.A, g.values) * np.conj(chi)[:, None]
-        kappa = grid.fourier(u1 + u2, -idx)   # (|J|, T) rows E[H w(j)^H]
-        cross = np.conj(kappa).reshape(-1)
-    else:
-        gram = np.zeros((0, 0), dtype=complex)
-        cross = np.zeros((0,), dtype=complex)
-
-    target_var = mse_of_characteristic(spec, f, g, fspec, np.zeros((grid.n_grid, dim)))
-    return GramSystem(gram=gram, cross=cross, target_var=target_var, indices=idx)
+    # cross_j = E[target conj(obs_j)] as rows, stacked conjugated for columns
+    u1 = np.einsum("nt,nts->ns", t.B, f.values) * weight[:, None]
+    u2 = np.einsum("nt,nts->ns", t.B * chi[:, None] - t.A, g.values) * np.conj(chi)[:, None]
+    cross = np.conj(grid.fourier(u1 + u2, -idx)).reshape(-1)
+    return GramSystem(gram=gram, cross=cross, target_var=_error_energy(t, f, g, 0),
+                      indices=idx)
 
 
 def projection_mse(gs: GramSystem) -> float:
-    """Truncated projection error target_var - cross^H gram^+ cross."""
+    """Truncated projection error target_var - cross^H gram^+ cross.
+
+    One eigendecomposition gram = U diag(s) U^H checks that the Gram is PSD
+    and gives the reduction sum_k |u_k^H cross|^2 / s_k over the eigenvalues
+    with |s_k| > PINV_RCOND * max|s|, the cutoff of pinv(hermitian=True).
+    """
     if gs.gram.shape[0] == 0:
         return gs.target_var
-    pinv = np.linalg.pinv(gs.gram, rcond=PINV_RCOND, hermitian=True)
-    reduction = np.vdot(gs.cross, pinv @ gs.cross).real
+    s, u = np.linalg.eigh(gs.gram)
+    scale = max(1.0, float(np.max(np.abs(gs.gram))))
+    if s[0] < -1e-8 * scale:
+        raise NumericalError(
+            f"observation covariance not PSD (min eigenvalue {s[0]:.3e}); "
+            "quadrature too coarse"
+        )
+    keep = np.abs(s) > PINV_RCOND * np.max(np.abs(s))
+    coef = np.conj(gs.cross) @ u  # conj(u_k^H cross), same modulus
+    reduction = np.sum(np.abs(coef[keep]) ** 2 / s[keep])
     return float(gs.target_var - reduction)
 
 
@@ -125,22 +116,15 @@ def convergence_table(
     """
     if len(schedule) == 0:
         return []
-    l_max = max(schedule)
-    gs = gram_covariances(spec, f, g, fspec, ObservationWindow(l_max))
-    dim = f.dim
+    gs = gram_covariances(spec, f, g, fspec, ObservationWindow(max(schedule)))
+    idx = gs.indices
     right_start = fspec.N + spec.n_gamma() + 1
     rows = []
     for L in schedule:
-        keep_pos = [i for i, k in enumerate(gs.indices)
-                    if (-L <= k <= -1) or (right_start <= k < right_start + L)]
-        sel = np.concatenate([np.arange(i * dim, (i + 1) * dim) for i in keep_pos]) \
-            if keep_pos else np.zeros((0,), dtype=int)
-        sub = GramSystem(
-            gram=gs.gram[np.ix_(sel, sel)],
-            cross=gs.cross[sel],
-            target_var=gs.target_var,
-            indices=gs.indices[keep_pos],
-        )
+        keep = ((-L <= idx) & (idx <= -1)) | ((right_start <= idx) & (idx < right_start + L))
+        sel = np.repeat(keep, f.dim)
+        sub = GramSystem(gram=gs.gram[np.ix_(sel, sel)], cross=gs.cross[sel],
+                         target_var=gs.target_var, indices=idx[keep])
         rows.append((L, projection_mse(sub)))
     return rows
 

@@ -1,8 +1,10 @@
-"""Brute-force least favorable search, an independent reference for the tests."""
+"""Brute-force references for the tests: loop forms of vectorized code and a
+least favorable search."""
 
 import numpy as np
 
 from gmi.errors import NumericalError, ValidationError
+from gmi.increments import expand_operator, inverse_series
 from gmi.minimax import (
     _blend,
     _delta_core,
@@ -11,6 +13,61 @@ from gmi.minimax import (
     _Problem,
     feasible_start,
 )
+from gmi.spectra import _chi_beta, combine
+
+
+def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
+    """The oracle Gram matrix assembled block by block in a double loop."""
+    grid = f.grid
+    idx = window.indices(fspec.N, spec.n_gamma())
+    dim = f.dim
+    if len(idx) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    p = combine(f, g, spec)
+    span = int(idx.max() - idx.min())
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+    weight = (np.abs(chi) ** 2 / np.abs(beta) ** 2)[:, None, None]
+    r_coeffs = grid.fourier(weight * p.values, np.arange(-span, span + 1))
+    gram = np.empty((len(idx) * dim, len(idx) * dim), dtype=complex)
+    for i, ki in enumerate(idx):
+        for j, kj in enumerate(idx):
+            gram[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = r_coeffs[ki - kj + span]
+    return 0.5 * (gram + gram.conj().T)
+
+
+def transform_b_loop(spec, fspec) -> np.ndarray:
+    """b(k) = sum_{m>=k} d_mu(m-k) a(m), one dot product per k."""
+    d_mu = inverse_series(spec, fspec.N).astype(float)
+    N = fspec.N
+    b = np.zeros_like(fspec.a)
+    for k in range(N + 1):
+        b[k] = d_mu[: N - k + 1] @ fspec.a[k:]
+    return b
+
+
+def coeffs_a_mu_loop(spec, fspec) -> np.ndarray:
+    """a_mu(m) = sum_{l=max(m,0)}^{min(m+n_gamma, N)} e(l-m) a(l), term by term."""
+    e = expand_operator(spec).astype(float)
+    ng = spec.n_gamma()
+    N = fspec.N
+    out = np.zeros((N + ng + 1, fspec.dim))
+    for m in range(-ng, N + 1):
+        for l in range(max(m, 0), min(m + ng, N) + 1):
+            out[m + ng] += e[l - m] * fspec.a[l]
+    return out
+
+
+def v_coeffs_loop(spec, b) -> np.ndarray:
+    """v(k) = sum_{l=0}^{min(N, k+n_gamma)} e(l-k) b(l) for k = -1 .. -n_gamma, term by term."""
+    e = expand_operator(spec).astype(float)
+    ng = spec.n_gamma()
+    N = b.shape[0] - 1
+    v = np.zeros((ng, b.shape[1]))
+    for i in range(ng):
+        k = -(i + 1)
+        for l in range(0, min(N, k + ng) + 1):
+            v[i] += e[l - k] * b[l]
+    return v
 
 
 def _pair_atom(values: np.ndarray, j: int, mass: float) -> None:

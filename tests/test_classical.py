@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import coeffs_a_mu_loop, transform_b_loop, v_coeffs_loop
 from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
 from gmi.classical import (
     FunctionalSpec,
@@ -108,6 +109,20 @@ class TestWeightTransforms:
         fs = FunctionalSpec(N=2, a=np.zeros((3, 1)))
         v = v_coeffs(SPEC11, transform_b(SPEC11, fs))
         assert np.all(v == 0)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    @pytest.mark.parametrize("N", [0, 1, 5, 100])
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_matches_loops(self, mu, N, T):
+        spec = GMIncrementSpec((1, 12), (mu, mu), (2, 2))
+        fs = FunctionalSpec(N=N, a=np.random.default_rng(N + 10 * T).standard_normal((N + 1, T)))
+        b = transform_b_loop(spec, fs)
+        pairs = [(transform_b(spec, fs), b),
+                 (coeffs_a_mu(spec, fs), coeffs_a_mu_loop(spec, fs)),
+                 (v_coeffs(spec, b), v_coeffs_loop(spec, b))]
+        for new, ref in pairs:
+            assert new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (3, 2, 2)]),

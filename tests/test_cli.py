@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from gmi.io import (
     solution_from_dict,
 )
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -134,6 +138,62 @@ class TestExitCodes:
         table = json.loads((tmp_path / "convergence.json").read_text())
         assert table["pass"] is True
         assert [row["L"] for row in table["rows"]] == [1, 5, 10, 50]
+
+
+def _fm_signal_without_spec(config):
+    config["problem"]["signal_density"] = {"kind": "fm",
+                                           "base": {"kind": "constant", "matrix": [[1.0]]}}
+
+
+def _float_grid(config):
+    config["problem"]["grid"] = 1024.0
+
+
+# (command, shipped config, edit, name the message must contain)
+BAD_CONFIGS = {
+    "matrix_ma_without_coefficients": (
+        "interpolate", "periodic",
+        lambda c: c["problem"]["signal_density"].pop("coefficients"), "coefficients"),
+    "periodic_functional_without_M": (
+        "interpolate", "periodic", lambda c: c["problem"]["functional"].pop("M"), "'M'"),
+    "gm_increment_without_d": (
+        "coeffs", "coeffs", lambda c: c["problem"]["increment"].pop("d"), "'d'"),
+    "vector_functional_without_a": (
+        "interpolate", "interpolate", lambda c: c["problem"]["functional"].pop("a"), "'a'"),
+    "fm_density_without_spec": ("interpolate", "interpolate", _fm_signal_without_spec, "spec"),
+    "float_grid": ("interpolate", "interpolate", _float_grid, "grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_validation_error(case, tmp_path, capsys):
+    command, name, edit, key = BAD_CONFIGS[case]
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    edit(config)
+    cfg = write_config(tmp_path, config)
+    code = main([command, "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert code == 2
+    envelope = json.loads(capsys.readouterr().err.strip())
+    assert envelope["code"] == "validation_error"
+    assert key in envelope["message"]
+
+
+def test_commands_do_not_import_jsonschema(tmp_path):
+    script = (
+        "import sys\n"
+        "from gmi.cli import main\n"
+        "for command, name in (('interpolate', 'interpolate'), ('coeffs', 'coeffs')):\n"
+        f"    code = main([command, '--config', {str(CONFIGS)!r} + '/' + name + '.json',\n"
+        f"                 '--output-dir', {str(tmp_path)!r}, '--quiet'])\n"
+        "    assert code == 0, command\n"
+        "assert 'jsonschema' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestClassify:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import constant_density, rational_density
+from brute import gram_loop
+from conftest import constant_density, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, solve_interpolation
+from gmi.errors import NumericalError
 from gmi.increments import GMIncrementSpec
 from gmi.oracle import (
     ObservationWindow,
@@ -15,6 +17,19 @@ from gmi.oracle import (
 from gmi.spectra import DensityGrid, _chi_beta, combine, structural_function
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
+SPEC21 = GMIncrementSpec((2,), (1,), (1,))
+
+
+def problem_of_dim(grid, T):
+    """(f, g, fspec) with a T x T signal density and a block of N = 1."""
+    if T == 1:
+        f = rational_density(grid, [1.0, 0.4], [1.0, -0.5])
+        g = constant_density(grid, 0.5)
+    else:
+        f = matrix_ma_density(grid, [[[2.0, 0.3], [0.1, 1.8]], [[0.4, 0.0], [0.2, 0.3]]])
+        g = constant_density(grid, [[0.4, 0.1], [0.1, 0.5]])
+    a = np.random.default_rng(T).standard_normal((2, T))
+    return f, g, FunctionalSpec(N=1, a=a)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +72,31 @@ class TestGram:
             direct = np.mean(weight * np.exp(-1j * j * lam))
             assert gs.cross[pos] == pytest.approx(np.conj(direct), abs=1e-12)
 
+    @pytest.mark.parametrize("L", [0, 1, 7])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_matches_loop(self, grid1k, T, L):
+        f, g, fs = problem_of_dim(grid1k, T)
+        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(L))
+        assert np.array_equal(gs.gram, gram_loop(SPEC21, f, g, fs, ObservationWindow(L)))
+
+    def test_symbols_are_sampled_once(self, grid1k, monkeypatch):
+        import gmi.classical
+        import gmi.oracle
+        import gmi.spectra
+
+        calls = []
+        original = gmi.spectra._chi_beta
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (gmi.spectra, gmi.classical, gmi.oracle):
+            monkeypatch.setattr(module, "_chi_beta", counted)
+        f, g, fs = problem_of_dim(grid1k, 2)
+        gram_covariances(SPEC21, f, g, fs, ObservationWindow(5))
+        assert len(calls) == 1
+
     def test_ma_one_gram_is_tridiagonal(self, grid2k):
         c = 0.8
         _, beta = _chi_beta((1,), (1,), (1,), grid2k.nodes)
@@ -76,6 +116,22 @@ class TestProjection:
         f, g, fs = scalar_fixture
         gs = gram_covariances(SPEC11, f, g, fs, ObservationWindow(0))
         assert projection_mse(gs) == pytest.approx(gs.target_var)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_matches_pinv(self, grid1k, T):
+        f, g, fs = problem_of_dim(grid1k, T)
+        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(30))
+        pinv = np.linalg.pinv(gs.gram, 1e-10, hermitian=True)
+        expected = gs.target_var - np.vdot(gs.cross, pinv @ gs.cross).real
+        assert projection_mse(gs) == pytest.approx(expected, rel=1e-12)
+
+    def test_negative_density_node_is_not_psd(self, grid2k, scalar_fixture):
+        f, g, fs = scalar_fixture
+        values = f.values.copy()
+        values[700] = -200.0
+        bad = DensityGrid(grid2k, values, validate=False)
+        with pytest.raises(NumericalError, match="not PSD"):
+            convergence_table(SPEC11, bad, g, fs, schedule=(1, 50))
 
     def test_monotone_in_window(self, grid2k, scalar_fixture):
         f, g, fs = scalar_fixture
