@@ -212,7 +212,10 @@ def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> Syst
     parts = np.stack([padded_b(b, blocks.n_gamma),
                       blocks.T @ a_mu.reshape(-1).astype(complex)], axis=1)
     rhs = parts[:, 0] - parts[:, 1]
-    cond = float(np.linalg.cond(blocks.P))
+    # P is Hermitian: its singular values are the moduli of its eigenvalues
+    moduli = np.abs(np.linalg.eigvalsh(blocks.P))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = float(moduli.max() / moduli.min())
     if not np.isfinite(cond):
         raise NumericalError("singular projection matrix P")
     if cond > CONDITION_WARN_THRESHOLD:

@@ -5,6 +5,17 @@ covariance matrix of finitely many observed differenced values, project the
 target on their span with a pseudo-inverse, and watch the truncated error
 converge from above as the window grows.  A seeded spectral sampler provides
 Monte-Carlo sanity checks of the covariances themselves.
+
+The Gram matrix is the grid quadrature (1/n) sum_j u_j u_j^H (x) phi_j of the
+observed density samples phi_j = (|chi|^2/|beta|^2) p at the n nodes, with
+u_j = (e^{i k lambda_j})_k over the observed indices k.  When the indices
+span less than the grid, no two of them alias, the matrix with columns
+u_j / sqrt(n) has orthonormal rows, and by interlacing the eigenvalues of
+every window lie in [min_j eigmin(phi_j), max_j eigmax(phi_j)].  If that
+floor is above the pseudo-inverse cutoff times the ceiling, every window is
+positive definite and the cutoff drops nothing, so the whole error table
+comes from one Cholesky factor of the largest window.  Any other input is
+projected window by window through an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -44,6 +55,25 @@ class GramSystem:
     cross: np.ndarray       # (|J| T,) covariance of observations with the target
     target_var: float
     indices: np.ndarray
+    # lower bound on the eigenvalues of the Gram and of every window inside it,
+    # certified above PINV_RCOND times their upper bound; None when not certified
+    eig_floor: float | None = None
+
+
+def _certified_floor(phi: np.ndarray, span: int, n_grid: int) -> float | None:
+    """min_j eigmin(phi_j) when it bounds every window away from the cutoff.
+
+    Needs span < n_grid (no aliasing, so interlacing applies) and
+    min_j eigmin(phi_j) > PINV_RCOND * max_j eigmax(phi_j); otherwise None.
+    """
+    if span >= n_grid:
+        return None
+    if phi.shape[1] == 1:
+        vals = phi[:, 0, 0].real
+    else:
+        vals = np.linalg.eigvalsh(0.5 * (phi + phi.conj().transpose(0, 2, 1)))
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    return lo if lo > PINV_RCOND * hi else None
 
 
 def gram_covariances(
@@ -67,8 +97,8 @@ def gram_covariances(
 
     # R(m) for every difference m = idx[j] - idx[k], one FFT pass
     span = int(idx[-1] - idx[0]) if len(idx) else 0
-    r_coeffs = grid.fourier(weight[:, None, None] * _combine(f, g, beta).values,
-                            np.arange(-span, span + 1))
+    phi = weight[:, None, None] * _combine(f, g, beta).values
+    r_coeffs = grid.fourier(phi, np.arange(-span, span + 1))
     shift = span - (len(idx) - 1)
     gram = _block_toeplitz(r_coeffs, len(idx), f.dim, lambda j, k: idx[j] - idx[k] + shift)
     gram = 0.5 * (gram + gram.conj().T)
@@ -78,7 +108,7 @@ def gram_covariances(
     u2 = np.einsum("nt,nts->ns", t.B * chi[:, None] - t.A, g.values) * np.conj(chi)[:, None]
     cross = np.conj(grid.fourier(u1 + u2, -idx)).reshape(-1)
     return GramSystem(gram=gram, cross=cross, target_var=_error_energy(t, f, g, 0),
-                      indices=idx)
+                      indices=idx, eig_floor=_certified_floor(phi, span, grid.n_grid))
 
 
 def projection_mse(gs: GramSystem) -> float:
@@ -112,11 +142,21 @@ def convergence_table(
 ) -> list[tuple[int, float]]:
     """Projection error per window size, reusing one max-window Gram.
 
-    The windows are nested, so sub-Grams are extracted by index selection.
+    The windows are nested.  When the Gram carries a certified eigenvalue
+    floor (see the module docstring), the observations are ordered by
+    distance from the gap, so that window L is the leading 2 L T rows.  The
+    Cholesky factor of the Gram bordered by the cross vector,
+    [[G, c], [c^H, t]] with t > |c|^2 / floor, has y^H in its last row,
+    where C y = c and C is the factor of G; the factor of a leading block is
+    the leading block of C, so the error of window L is target_var minus the
+    sum of |y|^2 over the first 2 L T entries.  Otherwise each window's
+    sub-Gram is selected by index and projected with ``projection_mse``.
     """
     if len(schedule) == 0:
         return []
     gs = gram_covariances(spec, f, g, fspec, ObservationWindow(max(schedule)))
+    if gs.eig_floor is not None:
+        return _nested_rows(gs, schedule, f.dim)
     idx = gs.indices
     right_start = fspec.N + spec.n_gamma() + 1
     rows = []
@@ -127,6 +167,26 @@ def convergence_table(
                          target_var=gs.target_var, indices=idx[keep])
         rows.append((L, projection_mse(sub)))
     return rows
+
+
+def _nested_rows(gs: GramSystem, schedule: tuple[int, ...], dim: int) -> list[tuple[int, float]]:
+    """Every window's error from one Cholesky factor of the bordered Gram."""
+    L_max = len(gs.indices) // 2
+    k = np.arange(1, L_max + 1)
+    # positions of -k and of N+ng+k in [-L..-1, N+ng+1..N+ng+L], nearest first
+    pos = np.stack([L_max - k, L_max + k - 1], axis=1).reshape(-1)
+    perm = (pos[:, None] * dim + np.arange(dim)).reshape(-1)
+    c = gs.cross[perm]
+    c_norm2 = float(np.vdot(c, c).real)
+    size = len(perm)
+    bordered = np.empty((size + 1, size + 1), dtype=complex)
+    bordered[:size, :size] = gs.gram[np.ix_(perm, perm)]
+    bordered[:size, size] = c
+    bordered[size, :size] = np.conj(c)
+    bordered[size, size] = 2.0 * c_norm2 / gs.eig_floor + 1.0
+    y_conj = np.linalg.cholesky(bordered)[size, :size]
+    reduction = np.concatenate([[0.0], np.cumsum(np.abs(y_conj) ** 2)])
+    return [(L, float(gs.target_var - reduction[2 * L * dim])) for L in schedule]
 
 
 @dataclass

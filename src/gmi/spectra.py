@@ -78,10 +78,15 @@ def _chi_beta(
     for sj, mj, dj in zip(s, mu, d):
         if dj == 0:
             continue
-        chi = chi * (1.0 - np.exp(-1j * lam * mj * sj)) ** dj
+        chi = chi * _power(1.0 - np.exp(-1j * lam * mj * sj), dj)
         for k in range(-(sj // 2), sj // 2 + 1):
-            beta = beta * (1j * lam - 2j * np.pi * k / sj) ** dj
+            beta = beta * _power(1j * lam - 2j * np.pi * k / sj, dj)
     return chi, beta
+
+
+def _power(z: np.ndarray, d) -> np.ndarray:
+    """z ** d, skipping the complex power (bitwise z anyway) when d == 1."""
+    return z if d == 1 else z ** d
 
 
 def symbols(spec: GMIncrementSpec, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from gmi.minimax import (
     _Problem,
     feasible_start,
 )
+from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
 from gmi.spectra import _chi_beta, combine
 
 
@@ -33,6 +34,34 @@ def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
         for j, kj in enumerate(idx):
             gram[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = r_coeffs[ki - kj + span]
     return 0.5 * (gram + gram.conj().T)
+
+
+def convergence_loop(spec, f, g, fspec, schedule) -> list:
+    """Projection error per window: each sub-Gram of the largest window
+    selected by index and projected on its own with ``projection_mse``."""
+    gs = gram_covariances(spec, f, g, fspec, ObservationWindow(max(schedule)))
+    rows = []
+    for L in schedule:
+        idx = ObservationWindow(L).indices(fspec.N, spec.n_gamma())
+        sel = np.repeat(np.isin(gs.indices, idx), f.dim)
+        sub = GramSystem(gram=gs.gram[np.ix_(sel, sel)], cross=gs.cross[sel],
+                         target_var=gs.target_var, indices=idx)
+        rows.append((L, projection_mse(sub)))
+    return rows
+
+
+def chi_beta_power(s, mu, d, lam):
+    """chi and beta with every factor raised to ** d_j, d_j = 1 included."""
+    lam = np.asarray(lam, dtype=float)
+    chi = np.ones_like(lam, dtype=complex)
+    beta = np.ones_like(lam, dtype=complex)
+    for sj, mj, dj in zip(s, mu, d):
+        if dj == 0:
+            continue
+        chi = chi * (1.0 - np.exp(-1j * lam * mj * sj)) ** dj
+        for k in range(-(sj // 2), sj // 2 + 1):
+            beta = beta * (1j * lam - 2j * np.pi * k / sj) ** dj
+    return chi, beta
 
 
 def transform_b_loop(spec, fspec) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from gmi.classical import (
     transform_b,
     v_coeffs,
 )
+from gmi.errors import NumericalError
 from gmi.increments import GMIncrementSpec
 from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta
 
@@ -207,6 +210,27 @@ class TestSolveSystem:
         sol = solve_system(blocks, b, coeffs_a_mu(SPEC11, fs))
         rhs = padded_b(b, 1)
         assert np.linalg.norm(blocks.P @ sol.c.reshape(-1) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_condition_number_matches_cond(self, grid1k, T):
+        if T == 1:
+            f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
+            g = constant_density(grid1k, 0.3)
+        else:
+            f = matrix_ma_density(grid1k, [[[2.0, 0.3], [0.1, 1.8]], [[0.4, 0.0], [0.2, 0.3]]])
+            g = constant_density(grid1k, [[0.4, 0.1], [0.1, 0.5]])
+        fs = FunctionalSpec(N=3, a=np.random.default_rng(T).standard_normal((4, T)))
+        blocks = fourier_blocks(SPEC11, f, g, N=3)
+        sol = solve_system(blocks, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
+        assert sol.condition_number == pytest.approx(np.linalg.cond(blocks.P), rel=1e-9)
+
+    def test_singular_p_raises(self, grid1k):
+        fs = FunctionalSpec(N=1, a=np.array([[1.0], [1.0]]))
+        blocks = fourier_blocks(SPEC11, constant_density(grid1k, 1.0),
+                                DensityGrid.zero(grid1k, 1), N=1)
+        singular = dataclasses.replace(blocks, P=np.zeros_like(blocks.P))
+        with pytest.raises(NumericalError, match="singular"):
+            solve_system(singular, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
 
 
 class TestSpectralCharacteristic:

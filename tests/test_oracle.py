@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brute import gram_loop
+from brute import convergence_loop, gram_loop
 from conftest import constant_density, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, solve_interpolation
 from gmi.errors import NumericalError
@@ -148,6 +148,70 @@ class TestProjection:
             assert dL >= sol.delta - 1e-6
         final = rows[-1][1]
         assert abs(final - sol.delta) / sol.delta <= 0.02
+
+
+def counted_projections(monkeypatch) -> list:
+    """Patch gmi.oracle.projection_mse to record one entry per call."""
+    import gmi.oracle
+
+    calls = []
+    original = gmi.oracle.projection_mse
+
+    def counted(gs):
+        calls.append(1)
+        return original(gs)
+
+    monkeypatch.setattr(gmi.oracle, "projection_mse", counted)
+    return calls
+
+
+def rank_one_problem(grid):
+    """T = 2 constant signal density [[1, 1], [1, 1]] with zero noise."""
+    f = constant_density(grid, [[1.0, 1.0], [1.0, 1.0]])
+    a = np.random.default_rng(5).standard_normal((2, 2))
+    return f, DensityGrid.zero(grid, 2), FunctionalSpec(N=1, a=a)
+
+
+class TestNestedRoute:
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_matches_window_loop(self, grid1k, T):
+        f, g, fs = problem_of_dim(grid1k, T)
+        schedule = (0, 1, 3, 10, 40)
+        assert gram_covariances(SPEC21, f, g, fs, ObservationWindow(40)).eig_floor is not None
+        rows = convergence_table(SPEC21, f, g, fs, schedule)
+        expected = convergence_loop(SPEC21, f, g, fs, schedule)
+        assert [L for L, _ in rows] == list(schedule)
+        for (_, got), (_, want) in zip(rows, expected):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_floor_bounds_gram_spectrum(self, grid1k, T):
+        f, g, fs = problem_of_dim(grid1k, T)
+        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(40))
+        assert np.linalg.eigvalsh(gs.gram)[0] >= gs.eig_floor * (1 - 1e-10)
+
+    def test_certified_problem_skips_projection(self, grid1k, monkeypatch):
+        f, g, fs = problem_of_dim(grid1k, 2)
+        calls = counted_projections(monkeypatch)
+        convergence_table(SPEC21, f, g, fs, schedule=(1, 5, 20))
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("case", ["rank_one", "aliased"])
+    def test_uncertified_problem_projects_each_window(self, grid1k, monkeypatch, case):
+        if case == "rank_one":
+            (f, g, fs), schedule = rank_one_problem(grid1k), (0, 1, 5, 20)
+        else:
+            # the largest window spans more than the 1024 grid nodes
+            (f, g, fs), schedule = problem_of_dim(grid1k, 1), (1, 600)
+        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(max(schedule)))
+        assert gs.eig_floor is None
+        expected = convergence_loop(SPEC21, f, g, fs, schedule)
+        calls = counted_projections(monkeypatch)
+        rows = convergence_table(SPEC21, f, g, fs, schedule)
+        assert len(calls) == len(schedule)
+        for (L, got), (L_ref, want) in zip(rows, expected):
+            assert L == L_ref
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSimulate:

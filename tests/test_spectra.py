@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brute import chi_beta_power
 from conftest import constant_density, pchi_one_density, rational_density
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
@@ -66,6 +67,14 @@ class TestSymbols:
         direct = abs(lam * (lam - np.pi) * (lam + np.pi)) ** 2 / abs(1 - np.exp(-2j * lam)) ** 2
         assert ratio == pytest.approx(direct, rel=1e-12)
         assert ratio == pytest.approx(np.pi ** 4 / 4.0, rel=1e-6)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 0.3])
+    def test_matches_power_form_bitwise(self, grid4k, d):
+        chi, beta = _chi_beta((1, 12), (1, 1), (d, d), grid4k.nodes)
+        chi_ref, beta_ref = chi_beta_power((1, 12), (1, 1), (d, d), grid4k.nodes)
+        assert np.array_equal(chi, chi_ref)
+        assert np.array_equal(beta, beta_ref)
 
 
 class TestDensityGrid:
