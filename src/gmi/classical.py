@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,35 @@ def v_coeffs(spec: GMIncrementSpec, b: np.ndarray) -> np.ndarray:
     return _operator_correlation(spec, b)[spec.n_gamma() - 1::-1]
 
 
+class Problem:
+    """What the densities of an interpolation problem (spec, fspec) never change.
+
+    chi and beta are the operator symbol and its weight on the grid, b the
+    differenced-target weights, A and B the row polynomials of a and b, and
+    a_mu the noise-side weights.  Each is built once here and read by every
+    solve, oracle table and minimax step of the problem.
+    """
+
+    def __init__(self, spec: GMIncrementSpec, fspec: FunctionalSpec, grid: FrequencyGrid):
+        self.spec, self.fspec, self.grid = spec, fspec, grid
+        self.chi, self.beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+        self.b = transform_b(spec, fspec)
+        self.A, self.B = _row_polynomial(fspec.a, grid), _row_polynomial(self.b, grid)
+        self.a_mu = coeffs_a_mu(spec, fspec)
+
+    # each weight ratio is formed as written: the reciprocal of the other rounds differently
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """|chi|^2 / |beta|^2: weighs the observed density and every f-side budget."""
+        return np.abs(self.chi) ** 2 / np.abs(self.beta) ** 2
+
+    @cached_property
+    def w_inv(self) -> np.ndarray:
+        """|beta|^2 / |chi|^2: weighs the P and T kernels and the minimality integral."""
+        return np.abs(self.beta) ** 2 / np.abs(self.chi) ** 2
+
+
 @dataclass
 class FourierBlocks:
     """Stacked block matrices of the projection equations."""
@@ -140,10 +170,7 @@ def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index) -> np.ndarra
     return blocks.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
 
 
-def fourier_blocks(
-    spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, N: int,
-    symbols: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FourierBlocks:
+def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBlocks:
     """Fourier-coefficient block matrices P, T, Q of the linear system.
 
     Kernels (before the row-to-column transpose):
@@ -151,16 +178,15 @@ def fourier_blocks(
         T: (-1)^{sum d} (|beta|^2 / |chi|^2) g p^{-1}
         Q: f p^{-1} g
     Each is sampled nodewise and transformed once; blocks depend on the
-    index offset only.  The symbols and p^{-1} are kept on the result for
-    the later stages of the same problem; ``symbols`` passes (chi, beta)
-    when the caller has sampled them already.
+    index offset only.  The symbols come from the problem; the observed
+    density p and p^{-1} are kept on the result for the later stages.
     """
-    grid = f.grid
+    grid, spec, N = f.grid, prob.spec, prob.fspec.N
     ng = spec.n_gamma()
     dim = f.dim
     size = N + ng + 1
-    obs = observed_spectrum(spec, f, g, symbols)
-    w = np.abs(obs.beta) ** 2 / np.abs(obs.chi) ** 2
+    obs = observed_spectrum(f, g, prob.beta)
+    w = prob.w_inv
 
     k_p = w[:, None, None] * obs.p_inv
     sign = -1.0 if spec.total_order() % 2 else 1.0
@@ -261,47 +287,19 @@ def _row_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return n * np.fft.ifft(twiddled, n=n, axis=0)
 
 
-@dataclass(frozen=True)
-class _Target:
-    """Symbols and target row polynomials of (spec, fspec) on one grid.
-
-    A and B evaluate the weights a and the differenced-target weights b.
-    """
-
-    chi: np.ndarray
-    beta: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
+def _solve(prob: Problem, f: DensityGrid, g: DensityGrid) -> tuple[FourierBlocks, SystemSolution]:
+    """The blocks of the densities (f, g) and the solved system."""
+    blocks = fourier_blocks(prob, f, g)
+    return blocks, solve_system(blocks, prob.b, prob.a_mu)
 
 
-def _target(spec: GMIncrementSpec, fspec: FunctionalSpec, grid: FrequencyGrid,
-            chi: np.ndarray, beta: np.ndarray) -> _Target:
-    b = transform_b(spec, fspec)
-    return _Target(chi=chi, beta=beta, b=b,
-                   A=_row_polynomial(fspec.a, grid), B=_row_polynomial(b, grid))
-
-
-def _solve(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, fspec: FunctionalSpec):
-    """Build each per-problem quantity once and solve the system.
-
-    Returns (blocks, target, a_mu, solution); the blocks carry the symbols
-    and p^{-1}.
-    """
-    blocks = fourier_blocks(spec, f, g, fspec.N)
-    obs = blocks.spectrum
-    target = _target(spec, fspec, f.grid, obs.chi, obs.beta)
-    a_mu = coeffs_a_mu(spec, fspec)
-    return blocks, target, a_mu, solve_system(blocks, target.b, a_mu)
-
-
-def _characteristic(t: _Target, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
+def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
                     c: np.ndarray | None = None):
     """(h, h1, h2) from the split c = c1 - c2; h is rebuilt from c if given."""
     grid = g.grid
-    target_term = t.B * (t.chi / t.beta)[:, None]
-    noise_term = np.einsum("nt,nts->ns", t.A, g.values @ p_inv) * np.conj(t.beta)[:, None]
-    c_weight = (np.conj(t.beta) / np.conj(t.chi))[:, None]
+    target_term = prob.B * (prob.chi / prob.beta)[:, None]
+    noise_term = np.einsum("nt,nts->ns", prob.A, g.values @ p_inv) * np.conj(prob.beta)[:, None]
+    c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
 
     def c_term(cc: np.ndarray) -> np.ndarray:
         return np.einsum("nt,nts->ns", _row_polynomial(cc, grid), p_inv) * c_weight
@@ -313,11 +311,7 @@ def _characteristic(t: _Target, g: DensityGrid, p_inv: np.ndarray, sol: SystemSo
 
 
 def spectral_characteristic(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    g: DensityGrid,
-    c: np.ndarray,
-    fspec: FunctionalSpec,
+    prob: Problem, f: DensityGrid, g: DensityGrid, c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequency response h of the optimal estimate, with its two-part split.
 
@@ -328,43 +322,32 @@ def spectral_characteristic(
     differenced-target part, h2 the noise part, each with its share of the
     C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).
     """
-    blocks, target, _, sol = _solve(spec, f, g, fspec)
-    return _characteristic(target, g, blocks.spectrum.p_inv, sol, c)
+    blocks, sol = _solve(prob, f, g)
+    return _characteristic(prob, g, blocks.spectrum.p_inv, sol, c)
 
 
-def _error_rows(t: _Target, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _error_rows(prob: Problem, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Error responses r_f = B^T chi/beta - h^T and r_g = B^T chi - A^T - beta h^T."""
     h = np.asarray(h, dtype=complex)
-    r_f = t.B * (t.chi / t.beta)[:, None] - h
-    r_g = t.B * t.chi[:, None] - t.A - t.beta[:, None] * h
+    r_f = prob.B * (prob.chi / prob.beta)[:, None] - h
+    r_g = prob.B * prob.chi[:, None] - prob.A - prob.beta[:, None] * h
     return r_f, r_g
 
 
-def _error_energy(t: _Target, f: DensityGrid, g: DensityGrid, h: np.ndarray) -> float:
-    r_f, r_g = _error_rows(t, h)
-    term_f = np.einsum("nt,nts,ns->n", r_f, f.values, np.conj(r_f))
-    term_g = np.einsum("nt,nts,ns->n", r_g, g.values, np.conj(r_g))
-    total = np.mean(term_f + term_g)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
-        raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")
-    return float(total.real)
-
-
-def mse_of_characteristic(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    g: DensityGrid,
-    fspec: FunctionalSpec,
-    h: np.ndarray,
-) -> float:
+def mse_of_characteristic(prob: Problem, f: DensityGrid, g: DensityGrid, h: np.ndarray) -> float:
     """Error energy of an arbitrary frequency response h against (f, g).
 
     (1/2pi) int r_f f r_f^H + (1/2pi) int r_g g r_g^H with
     r_f = B^T chi/beta - h^T and r_g = B^T chi - A^T - beta h^T.
     Linear in (f, g); h = 0 gives the raw variance of the target.
     """
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
-    return _error_energy(_target(spec, fspec, f.grid, chi, beta), f, g, h)
+    r_f, r_g = _error_rows(prob, h)
+    term_f = np.einsum("nt,nts,ns->n", r_f, f.values, np.conj(r_f))
+    term_g = np.einsum("nt,nts,ns->n", r_g, g.values, np.conj(r_g))
+    total = np.mean(term_f + term_g)
+    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
+        raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")
+    return float(total.real)
 
 
 @dataclass
@@ -425,12 +408,18 @@ def solve_interpolation(
     fspec: FunctionalSpec,
 ) -> InterpolationSolution:
     """Run the full pipeline for known densities (f, g)."""
+    return _interpolate(Problem(spec, fspec, f.grid), f, g)
+
+
+def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> InterpolationSolution:
+    """``solve_interpolation`` on a problem whose quantities are built already."""
+    spec, fspec = prob.spec, prob.fspec
     if f.dim != fspec.dim:
         raise ValidationError("functional dimension does not match the densities")
-    blocks, target, a_mu, sol = _solve(spec, f, g, fspec)
-    minimality = _minimality(spec, blocks.spectrum)
-    h, h1, h2 = _characteristic(target, g, blocks.spectrum.p_inv, sol)
-    routes = _mse_routes(blocks, sol, fspec.a, _error_energy(target, f, g, h))
+    blocks, sol = _solve(prob, f, g)
+    minimality = _minimality(spec, prob.w_inv, blocks.spectrum)
+    h, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)
+    routes = _mse_routes(blocks, sol, fspec.a, mse_of_characteristic(prob, f, g, h))
     delta_alg = routes.algebraic
     if delta_alg < -1e-10 * max(abs(delta_alg), abs(routes.spectral), 1e-300):
         raise NumericalError(f"negative interpolation error {delta_alg!r}")
@@ -438,14 +427,14 @@ def solve_interpolation(
         spec=spec,
         fspec=fspec,
         c=sol.c,
-        v=v_coeffs(spec, target.b),
+        v=v_coeffs(spec, prob.b),
         h=h,
         h1=h1,
         h2=h2,
         delta=max(delta_alg, 0.0),
         delta_spectral=routes.spectral,
-        b=target.b,
-        a_mu=a_mu,
+        b=prob.b,
+        a_mu=prob.a_mu,
         condition_number=sol.condition_number,
         residual=sol.residual,
         minimality=minimality,

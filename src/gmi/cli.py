@@ -154,6 +154,17 @@ def _density_model(data: dict):
     raise ValidationError(f"unknown density kind {kind!r}")
 
 
+def _integer_part(spec):
+    """GM operator of the positive integer orders of a fractional increment, or None."""
+    from .increments import GMIncrementSpec
+
+    keep = [(s, r) for s, r in zip(*spec.integer_orders()) if r > 0]
+    if not keep:
+        return None
+    s, d = zip(*keep)
+    return GMIncrementSpec(s=s, mu=(1,) * len(keep), d=d)
+
+
 def _gm_spec(config):
     from .errors import ValidationError
     from .increments import GMIncrementSpec
@@ -162,13 +173,11 @@ def _gm_spec(config):
     spec = increment_from_dict(config["problem"]["increment"])
     if isinstance(spec, GMIncrementSpec):
         return spec
-    s, R = spec.integer_orders()
-    keep = [(si, ri) for si, ri in zip(s, R) if ri > 0]
-    if not keep:
+    gm = _integer_part(spec)
+    if gm is None:
         raise ValidationError(
             "fractional increment has no integer-order part; interpolation needs one")
-    return GMIncrementSpec(s=tuple(k[0] for k in keep), mu=(1,) * len(keep),
-                           d=tuple(k[1] for k in keep))
+    return gm
 
 
 def _functional(config):
@@ -250,17 +259,18 @@ def _cmd_interpolate(args, config) -> int:
 
 
 def _cmd_oracle(args, config) -> int:
-    from .classical import solve_interpolation
+    from .classical import Problem, _interpolate
     from .errors import VerificationError
     from .io import write_convergence_csv, write_json
-    from .oracle import DEFAULT_SCHEDULE, convergence_table
+    from .oracle import DEFAULT_SCHEDULE, _table
 
     spec, fspec, f, g = _problem(config)
     opts = config.get("oracle", {})
     schedule = tuple(int(x) for x in opts.get("schedule", DEFAULT_SCHEDULE))
     tolerance = float(opts.get("tolerance", 0.02))
-    sol = solve_interpolation(spec, f, g, fspec)
-    rows = convergence_table(spec, f, g, fspec, schedule)
+    prob = Problem(spec, fspec, f.grid)
+    sol = _interpolate(prob, f, g)
+    rows = _table(prob, f, g, schedule)
     gap = abs(rows[-1][1] - sol.delta) / sol.delta if sol.delta else float("inf")
     payload = {
         "schema_version": 1,
@@ -399,8 +409,8 @@ def _cmd_classify(args, config) -> int:
 
 
 def _cmd_coeffs(args, config) -> int:
-    from .increments import (FMIncrementSpec, GMIncrementSpec, expand_operator,
-                             frequency_set, gm_series, inverse_series)
+    from .increments import (GMIncrementSpec, expand_operator, frequency_set, gm_series,
+                             inverse_series)
     from .io import increment_from_dict, write_json
 
     with _config_keys():
@@ -416,11 +426,8 @@ def _cmd_coeffs(args, config) -> int:
             {"nu": e.nu, "D_nu": e.d_nu, "D_tilde": e.d_tilde} for e in fset.entries]
         payload["series_plus"] = [float(x) for x in gm_series(fset, "plus", length)]
         payload["series_minus"] = [float(x) for x in gm_series(fset, "minus", length)]
-        s_int, r_int = spec.integer_orders()
-        keep = [(si, ri) for si, ri in zip(s_int, r_int) if ri > 0]
-        if keep:
-            gm = GMIncrementSpec(s=tuple(k[0] for k in keep), mu=(1,) * len(keep),
-                                 d=tuple(k[1] for k in keep))
+        gm = _integer_part(spec)
+        if gm is not None:
             payload["expansion"] = [int(x) for x in expand_operator(gm)]
             payload["inverse_series"] = [int(x) for x in inverse_series(gm, length)]
     write_json(args.output_dir / "coefficients.json", payload)

@@ -1,4 +1,4 @@
-"""Canonical JSON / CSV output and round-trip parsing.
+"""Canonical JSON / CSV output and increment specs to and from dicts.
 
 Floats are always emitted with 17 significant digits, which round-trips
 doubles exactly and keeps repeated runs byte-identical.  Complex values are
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import FunctionalSpec, InterpolationSolution
+from .classical import InterpolationSolution
 from .errors import ValidationError
 from .increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
 from .spectra import DensityGrid
@@ -82,11 +82,6 @@ def complex_array(values: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def parse_complex_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def increment_to_dict(spec) -> dict:
     if isinstance(spec, GMIncrementSpec):
         return {"type": "gm", "s": list(spec.s), "mu": list(spec.mu), "d": list(spec.d)}
@@ -137,41 +132,6 @@ def solution_to_dict(sol: InterpolationSolution) -> dict:
             "refined_value": sol.minimality.refined_value,
             "is_minimal": sol.minimality.is_minimal,
         },
-    }
-
-
-def solution_from_dict(data: dict) -> dict:
-    """Re-parse an emitted solution into its value objects."""
-    if data.get("kind") != "interpolation_solution":
-        raise ValidationError("not an interpolation solution document")
-    return {
-        "increment": increment_from_dict(data["increment"]),
-        "functional": FunctionalSpec(
-            N=int(data["functional"]["N"]), a=np.asarray(data["functional"]["a"])),
-        "c": parse_complex_array(data["c"]),
-        "v": np.asarray(data["v"], dtype=float),
-        "b": np.asarray(data["b"], dtype=float),
-        "a_mu": np.asarray(data["a_mu"], dtype=float),
-        "delta": float(data["delta"]),
-        "delta_spectral": float(data["mse_routes"]["spectral"]),
-        "condition_number": float(data["condition_number"]),
-    }
-
-
-def minimax_result_from_dict(data: dict) -> dict:
-    """Re-parse an emitted minimax document into arrays and reports."""
-    if data.get("kind") != "minimax_result":
-        raise ValidationError("not a minimax result document")
-    return {
-        "delta0": float(data["delta0"]),
-        "converged": bool(data["converged"]),
-        "f0": parse_complex_array(data["f0"]),
-        "g0": parse_complex_array(data["g0"]),
-        "h0": parse_complex_array(data["h0"]),
-        "multipliers": data["multipliers"],
-        "residual_report": data["residual_report"],
-        "saddle_report": data["saddle_report"],
-        "trace": data["trace"],
     }
 
 

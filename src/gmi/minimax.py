@@ -19,21 +19,18 @@ import numpy as np
 from .classical import (
     FunctionalSpec,
     InterpolationSolution,
+    Problem,
     _algebraic_mse,
     _characteristic,
-    _error_energy,
     _error_rows,
+    _interpolate,
     _row_polynomial,
-    _target,
-    coeffs_a_mu,
-    fourier_blocks,
+    _solve,
     mse_of_characteristic,
-    solve_interpolation,
-    solve_system,
 )
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
-from .spectra import DensityGrid, FrequencyGrid, _chi_beta
+from .spectra import DensityGrid, FrequencyGrid
 
 FEASIBILITY_TOL = 1e-8
 #: a stopped ascent is converged only if its certificate gap is below this share of delta0
@@ -453,6 +450,7 @@ class MinimaxResult:
     trace: list
     converged: bool
     solution: InterpolationSolution
+    problem: _Problem = field(repr=False)  # the run's problem and class families
 
 
 def _family(side: _ClassSpec, w: np.ndarray, dim: int):
@@ -465,23 +463,15 @@ def _family(side: _ClassSpec, w: np.ndarray, dim: int):
     return family(side.kind, _MEASURES[measure](measure, dim, metric), side.params, w)
 
 
-class _Problem:
-    """What one run never changes: symbols, weights, target rows, a_mu and the two families."""
+class _Problem(Problem):
+    """A problem with the two families of a validated class: what one run never changes."""
 
-    def __init__(self, class_spec, spec, fspec, grid):
-        chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-        self.spec, self.fspec, self.grid = spec, fspec, grid
-        self.w = np.abs(chi) ** 2 / np.abs(beta) ** 2   # the weight of every f-side budget
-        self.beta2 = np.abs(beta) ** 2
-        self.target = _target(spec, fspec, grid, chi, beta)
-        self.a_mu = coeffs_a_mu(spec, fspec)
+    def __init__(self, class_spec: DensityClassSpec, spec: GMIncrementSpec,
+                 fspec: FunctionalSpec, grid: FrequencyGrid):
+        validate_class_spec(class_spec)
+        super().__init__(spec, fspec, grid)
+        self.beta2 = np.abs(self.beta) ** 2
         self.f, self.g = (_family(side, self.w, fspec.dim) for side in (class_spec.f, class_spec.g))
-
-
-def budget_weight(spec: GMIncrementSpec, grid: FrequencyGrid) -> np.ndarray:
-    """|chi|^2 / |beta|^2; every f-side budget integrates against it."""
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-    return np.abs(chi) ** 2 / np.abs(beta) ** 2
 
 
 def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
@@ -490,18 +480,12 @@ def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
     return np.maximum(x.real, 0.0).astype(complex) if clip and x.shape[1] == 1 else x
 
 
-def _feasibility(F, G, f_vals: np.ndarray, g_vals: np.ndarray) -> dict:
+def feasibility_report(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) -> dict:
+    """Signed constraint residuals of the pair (f, g) in the run's class; 0 means feasible."""
+    F, G = ctx.f, ctx.g
     rf, rg = F.residual(f_vals), G.residual(g_vals)
     return {"f": {"kind": F.kind, "residual": rf}, "g": {"kind": G.kind, "residual": rg},
             "max_residual": max(rf, rg)}
-
-
-def feasibility_report(class_spec: DensityClassSpec, spec: GMIncrementSpec,
-                       f: DensityGrid, g: DensityGrid) -> dict:
-    """Signed constraint residuals for the pair (f, g); 0 means feasible."""
-    w = budget_weight(spec, f.grid)
-    return _feasibility(_family(class_spec.f, w, f.dim), _family(class_spec.g, w, f.dim),
-                        f.values, g.values)
 
 
 def validate_class_spec(class_spec: DensityClassSpec) -> None:
@@ -525,30 +509,20 @@ def validate_class_spec(class_spec: DensityClassSpec) -> None:
         raise ValidationError("box bounds require V <= U in the PSD order pointwise")
 
 
-def feasible_start(class_spec: DensityClassSpec, spec: GMIncrementSpec,
-                   grid: FrequencyGrid, dim: int) -> tuple[DensityGrid, DensityGrid]:
-    validate_class_spec(class_spec)
-    w = budget_weight(spec, grid)
-    F, G = _family(class_spec.f, w, dim), _family(class_spec.g, w, dim)
-    f_vals, g_vals = F.start(), G.start()
-    rep = _feasibility(F, G, f_vals, g_vals)
+def feasible_start(ctx: _Problem) -> tuple[DensityGrid, DensityGrid]:
+    """The starting pair of the run's class; raises if it is not feasible."""
+    f_vals, g_vals = ctx.f.start(), ctx.g.start()
+    rep = feasibility_report(ctx, f_vals, g_vals)
     if rep["max_residual"] > 1e-6:
         raise ValidationError(f"could not construct a feasible starting pair: {rep}")
-    return DensityGrid(grid, f_vals, validate=False), DensityGrid(grid, g_vals, validate=False)
-
-
-def mse_functional(f0: DensityGrid, g0: DensityGrid, f: DensityGrid, g: DensityGrid,
-                   fspec: FunctionalSpec, spec: GMIncrementSpec) -> float:
-    """Error of the characteristic solved at (f0, g0) when (f, g) are true (linear in f, g)."""
-    sol = solve_interpolation(spec, f0, g0, fspec)
-    return mse_of_characteristic(spec, f, g, fspec, sol.h)
+    return (DensityGrid(ctx.grid, f_vals, validate=False),
+            DensityGrid(ctx.grid, g_vals, validate=False))
 
 
 def _gradient_kernels(ctx: _Problem, g_vals, blocks, sol) -> tuple[np.ndarray, np.ndarray]:
     """Error rows r_f, r_g; the gradient kernels conj(r) r^T of the error are rank one."""
     g = DensityGrid(ctx.grid, g_vals, validate=False)
-    return _error_rows(ctx.target, _characteristic(ctx.target, g, blocks.spectrum.p_inv,
-                                                   sol, sol.c)[0])
+    return _error_rows(ctx, _characteristic(ctx, g, blocks.spectrum.p_inv, sol, sol.c)[0])
 
 
 def _lp_f(ctx: _Problem, r_f: np.ndarray) -> np.ndarray | None:
@@ -603,9 +577,7 @@ def _delta_core(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray):
     """Interpolation error of the pair with its blocks and solved system."""
     f = DensityGrid(ctx.grid, f_vals, validate=False)
     g = DensityGrid(ctx.grid, g_vals, validate=False)
-    t = ctx.target
-    blocks = fourier_blocks(ctx.spec, f, g, ctx.fspec.N, (t.chi, t.beta))
-    sol = solve_system(blocks, t.b, ctx.a_mu)
+    blocks, sol = _solve(ctx, f, g)
     return _algebraic_mse(blocks, sol, ctx.fspec.a), blocks, sol
 
 
@@ -639,10 +611,9 @@ def _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta: float, evals: int
 
 def _extremal_functions(ctx: _Problem, f_vals, g_vals, c):
     """Rows C^{f0} = conj(chi) A^T g + C^T and C^{g0} = chi C^T - w A^T f."""
-    t = ctx.target
     C_row = _row_polynomial(np.asarray(c), ctx.grid)
-    cf0 = np.conj(t.chi)[:, None] * np.einsum("nt,nts->ns", t.A, g_vals) + C_row
-    cg0 = t.chi[:, None] * C_row - ctx.w[:, None] * np.einsum("nt,nts->ns", t.A, f_vals)
+    cf0 = np.conj(ctx.chi)[:, None] * np.einsum("nt,nts->ns", ctx.A, g_vals) + C_row
+    cg0 = ctx.chi[:, None] * C_row - ctx.w[:, None] * np.einsum("nt,nts->ns", ctx.A, f_vals)
     return cf0, cg0
 
 
@@ -714,13 +685,13 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
     and the class's vertices are exact at this dimension.
     """
     options = options or MinimaxOptions()
-    f, g = feasible_start(class_spec, spec, grid, fspec.dim)
     ctx = _Problem(class_spec, spec, fspec, grid)
+    f, g = feasible_start(ctx)
     f_vals, g_vals = f.values, g.values
     trace, stopped = [], False
     scalar = fspec.dim == 1 and (ctx.f.bounds is not None or ctx.g.bounds is not None)
     delta, blocks, sol = _delta_core(ctx, f_vals, g_vals)
-    worst_feas = _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"]
+    worst_feas = feasibility_report(ctx, f_vals, g_vals)["max_residual"]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -746,7 +717,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
 
             f_vals, g_vals = _sym_value(f_new), _sym_value(g_new)
             new_delta, blocks, sol = _delta_core(ctx, f_vals, g_vals)
-            worst_feas = max(worst_feas, _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"])
+            worst_feas = max(worst_feas, feasibility_report(ctx, f_vals, g_vals)["max_residual"])
             trace.append({"iter": it, "delta": new_delta, "step": kind,
                           "eta": eta if kind == "line" else 1.0, "gap": gap})
             change, delta = abs(new_delta - delta), new_delta
@@ -755,35 +726,33 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
                 break
 
     f, g = DensityGrid(grid, f_vals, validate=False), DensityGrid(grid, g_vals, validate=False)
-    solution = solve_interpolation(spec, f, g, fspec)
+    solution = _interpolate(ctx, f, g)
     # certificate: by concavity, max over the class <= delta0 + final gap
-    final_gap = _vertex_pair(ctx, f_vals, g_vals, _error_rows(ctx.target, solution.h),
+    final_gap = _vertex_pair(ctx, f_vals, g_vals, _error_rows(ctx, solution.h),
                              solution.delta)[2]
     exact = not (ctx.f.approximate or ctx.g.approximate)
     result = MinimaxResult(f0=f, g0=g, h0=solution.h, delta0=solution.delta, multipliers={},
                            residual_report={}, saddle_report={}, trace=trace, solution=solution,
-                           converged=stopped and exact and final_gap <= GAP_RTOL * solution.delta)
-    result.residual_report = extremal_residuals(result, class_spec, fspec, spec)
+                           converged=stopped and exact and final_gap <= GAP_RTOL * solution.delta,
+                           problem=ctx)
+    result.residual_report = extremal_residuals(result)
     result.residual_report["worst_iterate_feasibility"] = worst_feas
     result.residual_report["ascent_gap"] = final_gap
     result.multipliers = result.residual_report.get("multipliers", {})
-    result.saddle_report = saddle_check(result, class_spec, fspec, spec,
-                                        options.saddle_samples, options.seed)
+    result.saddle_report = saddle_check(result, options.saddle_samples, options.seed)
     return result
 
 
 # ---------------------------------------------------------------------------
 # extremal equations and saddle verification
 
-def extremal_residuals(result: MinimaxResult, class_spec: DensityClassSpec,
-                       fspec: FunctionalSpec, spec: GMIncrementSpec) -> dict:
+def extremal_residuals(result: MinimaxResult) -> dict:
     """Residuals of the class's extremal equations at the solved point.
 
     Multipliers are least-squares fits on the active sets; the report also
     lists the kinds whose vertex is approximate at this dimension.
     """
-    f0, g0 = result.f0, result.g0
-    ctx = _Problem(class_spec, spec, fspec, f0.grid)
+    ctx, f0, g0 = result.problem, result.f0, result.g0
     rows = _extremal_functions(ctx, f0.values, g0.values, result.solution.c)
     shape = _traces(ctx.w[:, None, None] * (f0.values + ctx.beta2[:, None, None] * g0.values)) ** 2
     report: dict = {"multipliers": {}}
@@ -804,9 +773,7 @@ def _project_g(ctx: _Problem, g_vals: np.ndarray) -> np.ndarray:
     return ctx.g.project(_sym_value(g_vals, clip=True))
 
 
-def saddle_check(result: MinimaxResult, class_spec: DensityClassSpec,
-                 fspec: FunctionalSpec, spec: GMIncrementSpec,
-                 n_samples: int, seed: int = 0) -> dict:
+def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     """Verify both saddle inequalities at the solved pair.
 
     Right side: the fixed characteristic against sampled admissible pairs
@@ -818,9 +785,8 @@ def saddle_check(result: MinimaxResult, class_spec: DensityClassSpec,
     if n_samples <= 0:
         return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
     rng = np.random.default_rng(seed)
-    grid, f0, g0, h0, delta0 = result.f0.grid, result.f0, result.g0, result.h0, result.delta0
-    ctx = _Problem(class_spec, spec, fspec, grid)
-    t, n = ctx.target, grid.n_grid
+    ctx, f0, g0, h0, delta0 = result.problem, result.f0, result.g0, result.h0, result.delta0
+    grid, n = ctx.grid, ctx.grid.n_grid
 
     max_violation, skipped = -np.inf, 0
     for _ in range(n_samples):
@@ -828,24 +794,24 @@ def saddle_check(result: MinimaxResult, class_spec: DensityClassSpec,
         f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
         g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
         # matrix-class projections are approximate; only admissible samples count
-        if _feasibility(ctx.f, ctx.g, f_vals, g_vals)["max_residual"] > 1e-6:
+        if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
             skipped += 1
             continue
-        val = _error_energy(t, DensityGrid(grid, f_vals, validate=False),
-                            DensityGrid(grid, g_vals, validate=False), h0)
+        val = mse_of_characteristic(ctx, DensityGrid(grid, f_vals, validate=False),
+                                    DensityGrid(grid, g_vals, validate=False), h0)
         max_violation = max(max_violation, val - delta0)
     if not np.isfinite(max_violation):
         max_violation = 0.0
 
-    ng = spec.n_gamma()
-    band = list(range(-4 - ng, 0)) + list(range(fspec.N + ng + 1, fspec.N + ng + 5))
+    ng = ctx.spec.n_gamma()
+    band = list(range(-4 - ng, 0)) + list(range(ctx.fspec.N + ng + 1, ctx.fspec.N + ng + 5))
     left_min = np.inf
     scale = float(np.max(np.abs(h0))) or 1.0
     for _ in range(10):
         theta = 0.1 * scale * rng.standard_normal((len(band), f0.dim))
         poly = sum(np.exp(1j * k * grid.nodes)[:, None] * theta[i] for i, k in enumerate(band))
-        h_alt = h0 + poly * (t.chi / t.beta)[:, None]
-        left_min = min(left_min, _error_energy(t, f0, g0, h_alt) - delta0)
+        h_alt = h0 + poly * (ctx.chi / ctx.beta)[:, None]
+        left_min = min(left_min, mse_of_characteristic(ctx, f0, g0, h_alt) - delta0)
     passed = skipped < n_samples and max_violation <= 1e-6 * max(delta0, 1e-300) \
         and left_min >= -1e-10
     return {"n_samples": n_samples, "skipped_samples": skipped, "pass": bool(passed),

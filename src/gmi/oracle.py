@@ -3,8 +3,7 @@
 The closed-form error is checked against an independent route: build the
 covariance matrix of finitely many observed differenced values, project the
 target on their span with a pseudo-inverse, and watch the truncated error
-converge from above as the window grows.  A seeded spectral sampler provides
-Monte-Carlo sanity checks of the covariances themselves.
+converge from above as the window grows.
 
 The Gram matrix is the grid quadrature (1/n) sum_j u_j u_j^H (x) phi_j of the
 observed density samples phi_j = (|chi|^2/|beta|^2) p at the n nodes, with
@@ -24,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FunctionalSpec, _block_toeplitz, _error_energy, _target
+from .classical import FunctionalSpec, Problem, _block_toeplitz, mse_of_characteristic
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
-from .spectra import DensityGrid, _chi_beta, _combine, combine, structural_function
+from .spectra import DensityGrid, _combine
 
 PINV_RCOND = 1e-10
 DEFAULT_SCHEDULE = (1, 5, 10, 50, 100, 200)
@@ -76,38 +75,30 @@ def _certified_floor(phi: np.ndarray, span: int, n_grid: int) -> float | None:
     return lo if lo > PINV_RCOND * hi else None
 
 
-def gram_covariances(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    g: DensityGrid,
-    fspec: FunctionalSpec,
-    window: ObservationWindow,
-) -> GramSystem:
+def gram_covariances(prob: Problem, f: DensityGrid, g: DensityGrid,
+                     window: ObservationWindow) -> GramSystem:
     """Second moments among windowed observations and against the target.
 
     Observation blocks are the structural function of the combined density
     p = f + |beta|^2 g at the index differences; cross terms integrate the
     target's differenced and noise parts against each observation.
     """
-    grid = f.grid
-    idx = window.indices(fspec.N, spec.n_gamma())
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
-    weight = np.abs(chi) ** 2 / np.abs(beta) ** 2
-    t = _target(spec, fspec, grid, chi, beta)
+    grid, chi, w = f.grid, prob.chi, prob.w
+    idx = window.indices(prob.fspec.N, prob.spec.n_gamma())
 
     # R(m) for every difference m = idx[j] - idx[k], one FFT pass
     span = int(idx[-1] - idx[0]) if len(idx) else 0
-    phi = weight[:, None, None] * _combine(f, g, beta).values
+    phi = w[:, None, None] * _combine(f, g, prob.beta).values
     r_coeffs = grid.fourier(phi, np.arange(-span, span + 1))
     shift = span - (len(idx) - 1)
     gram = _block_toeplitz(r_coeffs, len(idx), f.dim, lambda j, k: idx[j] - idx[k] + shift)
     gram = 0.5 * (gram + gram.conj().T)
 
     # cross_j = E[target conj(obs_j)] as rows, stacked conjugated for columns
-    u1 = np.einsum("nt,nts->ns", t.B, f.values) * weight[:, None]
-    u2 = np.einsum("nt,nts->ns", t.B * chi[:, None] - t.A, g.values) * np.conj(chi)[:, None]
+    u1 = np.einsum("nt,nts->ns", prob.B, f.values) * w[:, None]
+    u2 = np.einsum("nt,nts->ns", prob.B * chi[:, None] - prob.A, g.values) * np.conj(chi)[:, None]
     cross = np.conj(grid.fourier(u1 + u2, -idx)).reshape(-1)
-    return GramSystem(gram=gram, cross=cross, target_var=_error_energy(t, f, g, 0),
+    return GramSystem(gram=gram, cross=cross, target_var=mse_of_characteristic(prob, f, g, 0),
                       indices=idx, eig_floor=_certified_floor(phi, span, grid.n_grid))
 
 
@@ -152,13 +143,19 @@ def convergence_table(
     sum of |y|^2 over the first 2 L T entries.  Otherwise each window's
     sub-Gram is selected by index and projected with ``projection_mse``.
     """
+    return _table(Problem(spec, fspec, f.grid), f, g, schedule)
+
+
+def _table(prob: Problem, f: DensityGrid, g: DensityGrid,
+           schedule: tuple[int, ...]) -> list[tuple[int, float]]:
+    """``convergence_table`` on a problem whose quantities are built already."""
     if len(schedule) == 0:
         return []
-    gs = gram_covariances(spec, f, g, fspec, ObservationWindow(max(schedule)))
+    gs = gram_covariances(prob, f, g, ObservationWindow(max(schedule)))
     if gs.eig_floor is not None:
         return _nested_rows(gs, schedule, f.dim)
     idx = gs.indices
-    right_start = fspec.N + spec.n_gamma() + 1
+    right_start = prob.fspec.N + prob.spec.n_gamma() + 1
     rows = []
     for L in schedule:
         keep = ((-L <= idx) & (idx <= -1)) | ((right_start <= idx) & (idx < right_start + L))
@@ -187,68 +184,3 @@ def _nested_rows(gs: GramSystem, schedule: tuple[int, ...], dim: int) -> list[tu
     y_conj = np.linalg.cholesky(bordered)[size, :size]
     reduction = np.concatenate([[0.0], np.cumsum(np.abs(y_conj) ** 2)])
     return [(L, float(gs.target_var - reduction[2 * L * dim])) for L in schedule]
-
-
-@dataclass
-class SimulatedPath:
-    increments: np.ndarray  # (length, T) observed differenced values chi zeta(k)
-    noise: np.ndarray       # (length, T) noise values eta(k)
-
-
-def _matrix_sqrt_psd(mats: np.ndarray) -> np.ndarray:
-    """Hermitian square roots with eigenvalue clipping at zero."""
-    vals, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().transpose(0, 2, 1)))
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ (np.sqrt(vals)[..., None] * vecs.conj().transpose(0, 2, 1))
-
-
-def simulate_path(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    g: DensityGrid,
-    length: int,
-    seed: int,
-    n_samples: int = 1,
-) -> SimulatedPath:
-    """Sample the observed differenced sequence and the noise jointly.
-
-    Independent circular complex Gaussians on the half grid (conjugate
-    pairing keeps time samples real) reproduce the grid-quadrature
-    covariances exactly in expectation.  Deterministic per seed.
-
-    With ``n_samples > 1`` the arrays gain a trailing sample axis.
-    """
-    grid = f.grid
-    n = grid.n_grid
-    if length > n // 4:
-        raise ValidationError("path length must be at most n_grid / 4")
-    rng = np.random.default_rng(seed)
-    dim = f.dim
-    half = n // 2
-    nodes = grid.nodes[:half]
-    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
-
-    sqrt_f = _matrix_sqrt_psd(f.values[:half] / n)
-    sqrt_g = _matrix_sqrt_psd(g.values[:half] / n)
-
-    shape = (half, dim, n_samples)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    z_f = sqrt_f @ z
-    z_g = sqrt_g @ w
-
-    ks = np.arange(length)
-    phases = np.exp(1j * np.outer(ks, nodes))                    # (length, half)
-    v_obs = (chi / beta)[:, None, None] * z_f + chi[:, None, None] * z_g
-    increments = 2.0 * np.real(np.einsum("kn,nts->kts", phases, v_obs))
-    noise = 2.0 * np.real(np.einsum("kn,nts->kts", phases, z_g))
-    if n_samples == 1:
-        return SimulatedPath(increments=increments[..., 0], noise=noise[..., 0])
-    return SimulatedPath(increments=increments, noise=noise)
-
-
-def quadrature_covariance(
-    spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, m: int
-) -> np.ndarray:
-    """Covariance of the observed differenced sequence at lag m."""
-    return structural_function(spec, combine(f, g, spec), m)

@@ -182,19 +182,6 @@ class DensityModel:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def dim(self) -> int:
-        if self.kind == "constant":
-            return np.atleast_2d(np.asarray(self.params["matrix"])).shape[0]
-        if self.kind == "rational":
-            return 1
-        if self.kind == "fm":
-            return self.params["base"].dim()
-        if self.kind == "matrix_ma":
-            return np.atleast_2d(np.asarray(self.params["coefficients"][0])).shape[0]
-        if self.kind == "zero":
-            return int(self.params.get("dim", 1))
-        raise ValidationError(f"unknown density model kind {self.kind!r}")
-
     def evaluate(self, grid: FrequencyGrid) -> DensityGrid:
         if self.kind == "constant":
             return DensityGrid.constant(grid, self.params["matrix"])
@@ -307,27 +294,20 @@ def _combine(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> DensityGrid:
 
 @dataclass(frozen=True)
 class ObservedSpectrum:
-    """Per-node quantities of one problem (spec, f, g), sampled once.
+    """Density p = f + |beta|^2 g of the observed sequence and its nodewise inverse."""
 
-    chi and beta are the operator symbol and its weight, p = f + |beta|^2 g
-    is the density of the observed sequence and p_inv its nodewise inverse.
-    """
-
-    chi: np.ndarray
-    beta: np.ndarray
     p: DensityGrid
     p_inv: np.ndarray
 
 
-def observed_spectrum(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid,
-                      symbols: tuple[np.ndarray, np.ndarray] | None = None) -> ObservedSpectrum:
-    """Symbols, observed density and its inverse; raises if p is singular.
+def observed_spectrum(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> ObservedSpectrum:
+    """Observed density p = f + |beta|^2 g and its inverse; raises if p is singular.
 
-    ``symbols`` passes (chi, beta) already sampled on the grid of f.
+    beta is the symbol weight on the grid of f, sampled once per problem
+    (``classical.Problem``).
     """
-    chi, beta = symbols or _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
     p = _combine(f, g, beta)
-    return ObservedSpectrum(chi=chi, beta=beta, p=p, p_inv=inverse_density(p))
+    return ObservedSpectrum(p=p, p_inv=inverse_density(p))
 
 
 def structural_function(
@@ -385,13 +365,15 @@ def minimality_value(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> M
     interpolation (the weight owns the poles, p is smooth at that scale).
     A > 5% gap between the two values flags a non-minimal configuration.
     """
-    return _minimality(spec, observed_spectrum(spec, f, g))
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    return _minimality(spec, np.abs(beta) ** 2 / np.abs(chi) ** 2, observed_spectrum(f, g, beta))
 
 
-def _minimality(spec: GMIncrementSpec, obs: ObservedSpectrum) -> MinimalityReport:
+def _minimality(spec: GMIncrementSpec, weight: np.ndarray,
+                obs: ObservedSpectrum) -> MinimalityReport:
+    """The minimality report for the weight |beta|^2 / |chi|^2 sampled on the grid of p."""
     p = obs.p
     lam = p.grid.nodes
-    weight = np.abs(obs.beta) ** 2 / np.abs(obs.chi) ** 2
     integrand = weight * np.trace(obs.p_inv, axis1=1, axis2=2).real
     value = float(np.mean(integrand))
 

@@ -1,10 +1,14 @@
-"""Brute-force references for the tests: loop forms of vectorized code and a
-least favorable search."""
+"""Brute-force references for the tests: loop forms of vectorized code, a
+seeded spectral sampler, the error functional of a fixed characteristic and
+a least favorable search."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from gmi.classical import FunctionalSpec, Problem, mse_of_characteristic, solve_interpolation
 from gmi.errors import NumericalError, ValidationError
-from gmi.increments import expand_operator, inverse_series
+from gmi.increments import GMIncrementSpec, expand_operator, inverse_series
 from gmi.minimax import (
     _blend,
     _delta_core,
@@ -14,7 +18,7 @@ from gmi.minimax import (
     feasible_start,
 )
 from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
-from gmi.spectra import _chi_beta, combine
+from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, combine, structural_function
 
 
 def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
@@ -39,7 +43,7 @@ def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
 def convergence_loop(spec, f, g, fspec, schedule) -> list:
     """Projection error per window: each sub-Gram of the largest window
     selected by index and projected on its own with ``projection_mse``."""
-    gs = gram_covariances(spec, f, g, fspec, ObservationWindow(max(schedule)))
+    gs = gram_covariances(Problem(spec, fspec, f.grid), f, g, ObservationWindow(max(schedule)))
     rows = []
     for L in schedule:
         idx = ObservationWindow(L).indices(fspec.N, spec.n_gamma())
@@ -99,6 +103,84 @@ def v_coeffs_loop(spec, b) -> np.ndarray:
     return v
 
 
+@dataclass
+class SimulatedPath:
+    increments: np.ndarray  # (length, T) observed differenced values chi zeta(k)
+    noise: np.ndarray       # (length, T) noise values eta(k)
+
+
+def _matrix_sqrt_psd(mats: np.ndarray) -> np.ndarray:
+    """Hermitian square roots with eigenvalue clipping at zero."""
+    vals, vecs = np.linalg.eigh(0.5 * (mats + mats.conj().transpose(0, 2, 1)))
+    vals = np.clip(vals, 0.0, None)
+    return vecs @ (np.sqrt(vals)[..., None] * vecs.conj().transpose(0, 2, 1))
+
+
+def simulate_path(
+    spec: GMIncrementSpec,
+    f: DensityGrid,
+    g: DensityGrid,
+    length: int,
+    seed: int,
+    n_samples: int = 1,
+) -> SimulatedPath:
+    """Sample the observed differenced sequence and the noise jointly.
+
+    Independent circular complex Gaussians on the half grid (conjugate
+    pairing keeps time samples real) reproduce the grid-quadrature
+    covariances exactly in expectation.  Deterministic per seed.
+
+    With ``n_samples > 1`` the arrays gain a trailing sample axis.
+    """
+    grid = f.grid
+    n = grid.n_grid
+    if length > n // 4:
+        raise ValidationError("path length must be at most n_grid / 4")
+    rng = np.random.default_rng(seed)
+    dim = f.dim
+    half = n // 2
+    nodes = grid.nodes[:half]
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, nodes)
+
+    sqrt_f = _matrix_sqrt_psd(f.values[:half] / n)
+    sqrt_g = _matrix_sqrt_psd(g.values[:half] / n)
+
+    shape = (half, dim, n_samples)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    z_f = sqrt_f @ z
+    z_g = sqrt_g @ w
+
+    ks = np.arange(length)
+    phases = np.exp(1j * np.outer(ks, nodes))                    # (length, half)
+    v_obs = (chi / beta)[:, None, None] * z_f + chi[:, None, None] * z_g
+    increments = 2.0 * np.real(np.einsum("kn,nts->kts", phases, v_obs))
+    noise = 2.0 * np.real(np.einsum("kn,nts->kts", phases, z_g))
+    if n_samples == 1:
+        return SimulatedPath(increments=increments[..., 0], noise=noise[..., 0])
+    return SimulatedPath(increments=increments, noise=noise)
+
+
+def quadrature_covariance(
+    spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid, m: int
+) -> np.ndarray:
+    """Covariance of the observed differenced sequence at lag m."""
+    return structural_function(spec, combine(f, g, spec), m)
+
+
+def budget_weight(spec: GMIncrementSpec, grid: FrequencyGrid) -> np.ndarray:
+    """|chi|^2 / |beta|^2; every f-side budget integrates against it."""
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+    return np.abs(chi) ** 2 / np.abs(beta) ** 2
+
+
+def mse_functional(f0: DensityGrid, g0: DensityGrid, f: DensityGrid, g: DensityGrid,
+                   fspec: FunctionalSpec, spec: GMIncrementSpec) -> float:
+    """Error of the characteristic solved at (f0, g0) when (f, g) are true (linear in f, g)."""
+    sol = solve_interpolation(spec, f0, g0, fspec)
+    return mse_of_characteristic(Problem(spec, fspec, f.grid), f, g, sol.h)
+
+
 def _pair_atom(values: np.ndarray, j: int, mass: float) -> None:
     """Add a scalar atom at node j and at its mirror node."""
     values[j] += mass
@@ -117,8 +199,8 @@ def two_atom_search(class_spec, fspec, spec, grid, n_positions: int = 96, rounds
         raise ValidationError("two_atom_search supports scalar problems only")
     n = grid.n_grid
     positions = np.unique(np.linspace(0, n // 2 - 1, n_positions).astype(int))
-    f, g = feasible_start(class_spec, spec, grid, 1)
     ctx = _Problem(class_spec, spec, fspec, grid)
+    f, g = feasible_start(ctx)
     w = ctx.w
     kf = class_spec.f.kind
 

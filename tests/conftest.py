@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,18 @@ def pchi_one_density(spec: GMIncrementSpec, grid) -> DensityGrid:
 
 def matrix_ma_density(grid, coefficients):
     return DensityModel("matrix_ma", {"coefficients": coefficients}).evaluate(grid)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record each call of owner.name, patched in every loaded gmi module that holds it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "gmi" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

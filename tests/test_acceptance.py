@@ -14,6 +14,7 @@ from conftest import constant_density, matrix_ma_density, pchi_one_density, rati
 from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
+    Problem,
     fourier_blocks,
     lift_periodic,
     padded_b,
@@ -137,7 +138,7 @@ def test_criterion_4_closed_form_collapse():
         ng = spec.n_gamma()
         for N in (0, 1, 3):
             fspec = FunctionalSpec(N=N, a=rng.standard_normal((N + 1, 1)))
-            blocks = fourier_blocks(spec, f, g, N)
+            blocks = fourier_blocks(Problem(spec, fspec, grid), f, g)
             size = N + ng + 1
             assert np.max(np.abs(blocks.P - np.eye(size))) <= 1e-8
             b = transform_b(spec, fspec)

@@ -10,6 +10,7 @@ from conftest import constant_density, matrix_ma_density, pchi_one_density, rati
 from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
+    Problem,
     _block_toeplitz,
     _row_polynomial,
     coeffs_a_mu,
@@ -28,6 +29,12 @@ from gmi.increments import GMIncrementSpec
 from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
+
+
+def blocks_of(spec, f, g, N):
+    """The blocks of a problem with an N + 1 block of zero weights (weights do not enter)."""
+    fs = FunctionalSpec(N=N, a=np.zeros((N + 1, f.dim)))
+    return fourier_blocks(Problem(spec, fs, f.grid), f, g)
 
 
 class TestLiftPeriodic:
@@ -159,13 +166,13 @@ class TestFourierBlocks:
     def test_zero_noise_kills_t_and_q(self, grid1k):
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = DensityGrid.zero(grid1k, 1)
-        blocks = fourier_blocks(SPEC11, f, g, N=1)
+        blocks = blocks_of(SPEC11, f, g, N=1)
         assert np.all(blocks.T == 0)
         assert np.all(blocks.Q == 0)
 
     def test_whitened_gives_identity(self, grid1k):
         f = pchi_one_density(SPEC11, grid1k)
-        blocks = fourier_blocks(SPEC11, f, DensityGrid.zero(grid1k, 1), N=1)
+        blocks = blocks_of(SPEC11, f, DensityGrid.zero(grid1k, 1), N=1)
         assert np.allclose(blocks.P, np.eye(3), atol=1e-10)
 
     def test_grid_self_convergence(self):
@@ -174,13 +181,13 @@ class TestFourierBlocks:
         for grid in (coarse, fine):
             f = constant_density(grid, 1.0)
             g = constant_density(grid, 0.5)
-            vals.append(fourier_blocks(SPEC11, f, g, N=1).P)
+            vals.append(blocks_of(SPEC11, f, g, N=1).P)
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-6
 
     def test_hermitian_p(self, grid1k):
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = constant_density(grid1k, 0.3)
-        blocks = fourier_blocks(SPEC11, f, g, N=2)
+        blocks = blocks_of(SPEC11, f, g, N=2)
         assert np.allclose(blocks.P, blocks.P.conj().T, atol=1e-12)
         assert np.allclose(blocks.Q, blocks.Q.conj().T, atol=1e-12)
 
@@ -189,7 +196,7 @@ class TestSolveSystem:
     def test_identity_system(self, grid1k):
         f = pchi_one_density(SPEC11, grid1k)
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [1.0]]))
-        blocks = fourier_blocks(SPEC11, f, DensityGrid.zero(grid1k, 1), N=1)
+        blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), f, DensityGrid.zero(grid1k, 1))
         b = transform_b(SPEC11, fs)
         sol = solve_system(blocks, b, coeffs_a_mu(SPEC11, fs))
         assert np.allclose(sol.c.reshape(-1), padded_b(b, 1), atol=1e-10)
@@ -198,14 +205,14 @@ class TestSolveSystem:
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = constant_density(grid1k, 0.5)
         fs = FunctionalSpec(N=1, a=np.zeros((2, 1)))
-        blocks = fourier_blocks(SPEC11, f, g, N=1)
+        blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), f, g)
         sol = solve_system(blocks, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
         assert np.allclose(sol.c, 0.0)
 
     def test_residual_small(self, grid1k):
         f = constant_density(grid1k, 1.0)
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [1.0]]))
-        blocks = fourier_blocks(SPEC11, f, DensityGrid.zero(grid1k, 1), N=1)
+        blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), f, DensityGrid.zero(grid1k, 1))
         b = transform_b(SPEC11, fs)
         sol = solve_system(blocks, b, coeffs_a_mu(SPEC11, fs))
         rhs = padded_b(b, 1)
@@ -220,14 +227,14 @@ class TestSolveSystem:
             f = matrix_ma_density(grid1k, [[[2.0, 0.3], [0.1, 1.8]], [[0.4, 0.0], [0.2, 0.3]]])
             g = constant_density(grid1k, [[0.4, 0.1], [0.1, 0.5]])
         fs = FunctionalSpec(N=3, a=np.random.default_rng(T).standard_normal((4, T)))
-        blocks = fourier_blocks(SPEC11, f, g, N=3)
+        blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), f, g)
         sol = solve_system(blocks, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
         assert sol.condition_number == pytest.approx(np.linalg.cond(blocks.P), rel=1e-9)
 
     def test_singular_p_raises(self, grid1k):
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [1.0]]))
-        blocks = fourier_blocks(SPEC11, constant_density(grid1k, 1.0),
-                                DensityGrid.zero(grid1k, 1), N=1)
+        blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), constant_density(grid1k, 1.0),
+                                DensityGrid.zero(grid1k, 1))
         singular = dataclasses.replace(blocks, P=np.zeros_like(blocks.P))
         with pytest.raises(NumericalError, match="singular"):
             solve_system(singular, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
@@ -238,7 +245,7 @@ class TestSpectralCharacteristic:
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = constant_density(grid1k, 0.5)
         fs = FunctionalSpec(N=1, a=np.zeros((2, 1)))
-        h, h1, h2 = spectral_characteristic(SPEC11, f, g, np.zeros((3, 1)), fs)
+        h, h1, h2 = spectral_characteristic(Problem(SPEC11, fs, grid1k), f, g, np.zeros((3, 1)))
         assert np.max(np.abs(h)) < 1e-14
 
     def test_split_identity(self, grid1k):
@@ -318,7 +325,7 @@ class TestMse:
         g = constant_density(grid1k, 0.5)
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [0.7]]))
         sol = solve_interpolation(SPEC11, f, g, fs)
-        target_var = mse_of_characteristic(SPEC11, f, g, fs, np.zeros((1024, 1)))
+        target_var = mse_of_characteristic(Problem(SPEC11, fs, grid1k), f, g, np.zeros((1024, 1)))
         assert 0.0 <= sol.delta <= target_var + 1e-12
 
     def test_matrix_case_dual_route(self, grid2k):

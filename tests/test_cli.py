@@ -7,13 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from gmi.cli import main
-from gmi.io import (
-    canonical_json,
-    complex_array,
-    parse_complex_array,
-    solution_from_dict,
-)
+from gmi.io import canonical_json, complex_array
+from readback import parse_complex_array, solution_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -139,6 +136,33 @@ class TestExitCodes:
         assert table["pass"] is True
         assert [row["L"] for row in table["rows"]] == [1, 5, 10, 50]
 
+    def test_fractional_increment_without_integer_part_is_2(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["problem"]["increment"] = {"type": "fm", "R0": 0, "D0": 0.2, "factors": []}
+        cfg = write_config(tmp_path, config)
+        code = main(["interpolate", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        envelope = json.loads(capsys.readouterr().err.strip())
+        assert envelope["code"] == "validation_error"
+        assert "integer-order part" in envelope["message"]
+
+
+def test_oracle_builds_the_problem_once(tmp_path, monkeypatch):
+    import gmi.classical
+    import gmi.oracle  # noqa: F401  (loaded, so that its names are counted too)
+    import gmi.spectra
+
+    calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
+        (gmi.classical, "transform_b"), (gmi.spectra, "_chi_beta"),
+        (gmi.classical, "_row_polynomial"))}
+    code = main(["oracle-verify", "--config", str(CONFIGS / "interpolate.json"),
+                 "--output-dir", str(tmp_path), "--quiet"])
+    assert code == 0
+    # symbols: the problem and the minimality check's refined grid;
+    # row polynomials: A, B and the two parts c1, c2 of the solved c
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"transform_b": 1, "_chi_beta": 2, "_row_polynomial": 4}
+
 
 def _fm_signal_without_spec(config):
     config["problem"]["signal_density"] = {"kind": "fm",
@@ -242,6 +266,21 @@ class TestCoeffs:
         assert dump["series_minus"][1] == pytest.approx(-0.3)
         assert dump["series_plus"][1] == pytest.approx(0.3)
 
+    def test_fractional_dump_with_integer_part(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "schema_version": 1,
+            "problem": {"increment": {
+                "type": "fm", "R0": 1, "D0": 0.2, "factors": [{"s": 2, "R": 1, "D": 0.1}]}},
+            "coeffs": {"length": 4},
+        })
+        code = main(["coeffs", "--config", str(cfg),
+                     "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 0
+        dump = json.loads((tmp_path / "coefficients.json").read_text())
+        # (1 - B)(1 - B^2) and its inverse series
+        assert dump["expansion"] == [1, -1, -1, 1]
+        assert dump["inverse_series"] == [1, 1, 2, 2, 3]
+
 
 class TestCanonicalJson:
     def test_float_formatting_round_trips(self):
@@ -280,7 +319,7 @@ class TestMinimaxCommand:
         assert result["converged"] is True
         assert result["delta0"] == pytest.approx(1.5, abs=1e-3)
         assert len(result["f0"]) == 1024
-        from gmi.io import minimax_result_from_dict
+        from readback import minimax_result_from_dict
 
         parsed = minimax_result_from_dict(result)
         assert parsed["f0"].shape == (1024, 1, 1)

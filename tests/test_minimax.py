@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from brute import two_atom_search
-from conftest import constant_density, matrix_ma_density, rational_density
+from brute import budget_weight, mse_functional, two_atom_search
+from conftest import constant_density, count_calls, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, solve_interpolation
 from gmi.errors import ValidationError
 from gmi.increments import GMIncrementSpec
@@ -11,13 +11,12 @@ from gmi.minimax import (
     FClassSpec,
     GClassSpec,
     MinimaxOptions,
-    budget_weight,
     feasibility_report,
     feasible_start,
     _bisect_decreasing,
+    _Problem,
     _shift_clip,
     _waterfill_traces,
-    mse_functional,
     saddle_check,
     solve_minimax,
 )
@@ -25,6 +24,12 @@ from gmi.spectra import DensityGrid
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 FAST = MinimaxOptions(saddle_samples=0)
+
+
+def feasible_pair(cls, grid, dim=1):
+    """The run problem of cls for a one-step block of dimension dim, and its feasible start."""
+    ctx = _Problem(cls, SPEC11, FunctionalSpec(N=0, a=np.ones((1, dim))), grid)
+    return ctx, feasible_start(ctx)
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +78,10 @@ class TestMseFunctional:
         # with g == 0 the value must be reproduced by the signal integral alone
         val = mse_functional(f0, zero, f_other, zero, fs, SPEC11)
         sol = solve_interpolation(SPEC11, f0, zero, fs)
-        from gmi.classical import mse_of_characteristic
+        from gmi.classical import Problem, mse_of_characteristic
 
         assert val == pytest.approx(
-            mse_of_characteristic(SPEC11, f_other, zero, fs, sol.h), rel=1e-12)
+            mse_of_characteristic(Problem(SPEC11, fs, grid2k), f_other, zero, sol.h), rel=1e-12)
 
 
 class TestClassSpec:
@@ -124,8 +129,8 @@ class TestFeasibleStart:
     ])
     def test_budget_classes(self, grid2k, fkind, fparams):
         cls = DensityClassSpec(FClassSpec(fkind, fparams), GClassSpec("zero"))
-        f, g = feasible_start(cls, SPEC11, grid2k, 1)
-        assert feasibility_report(cls, SPEC11, f, g)["max_residual"] <= 1e-8
+        ctx, (f, g) = feasible_pair(cls, grid2k)
+        assert feasibility_report(ctx, f.values, g.values)["max_residual"] <= 1e-8
 
     @pytest.mark.parametrize("gkind", ["Deps_1", "Deps_2", "Deps_3", "Deps_4",
                                        "DVU_1", "DVU_2", "DVU_3", "DVU_4"])
@@ -145,8 +150,8 @@ class TestFeasibleStart:
             "DVU_4": {"V": V, "U": U, "B2": [[1.0]], "q": 0.35},
         }[gkind]
         cls = DensityClassSpec(FClassSpec("fixed", {"f1": f1}), GClassSpec(gkind, params))
-        f, g = feasible_start(cls, SPEC11, grid2k, 1)
-        assert feasibility_report(cls, SPEC11, f, g)["max_residual"] <= 1e-8
+        ctx, (f, g) = feasible_pair(cls, grid2k)
+        assert feasibility_report(ctx, f.values, g.values)["max_residual"] <= 1e-8
 
     def test_class_parameter_validation(self, grid2k):
         V = constant_density(grid2k, 0.6)
@@ -156,18 +161,18 @@ class TestFeasibleStart:
             GClassSpec("DVU_2", {"V": V, "U": U, "q": 0.4}),
         )
         with pytest.raises(ValidationError):
-            feasible_start(cls, SPEC11, grid2k, 1)
+            feasible_pair(cls, grid2k)
         bad_eps = DensityClassSpec(
             FClassSpec("fixed", {"f1": constant_density(grid2k, 1.0)}),
             GClassSpec("Deps_1", {"g1": constant_density(grid2k, 0.4), "eps": 1.5, "q": 0.5}),
         )
         with pytest.raises(ValidationError):
-            feasible_start(bad_eps, SPEC11, grid2k, 1)
+            feasible_pair(bad_eps, grid2k)
         with pytest.raises(ValidationError):
-            feasible_start(DensityClassSpec(
+            feasible_pair(DensityClassSpec(
                 FClassSpec("D1delta_2", {"f1": constant_density(grid2k, 1.0),
                                          "delta_k": [-0.1]}),
-                GClassSpec("zero")), SPEC11, grid2k, 1)
+                GClassSpec("zero")), grid2k)
 
     def test_infeasible_budget_below_floor(self, grid2k):
         g1 = constant_density(grid2k, 1.0)
@@ -176,7 +181,7 @@ class TestFeasibleStart:
             GClassSpec("Deps_1", {"g1": g1, "eps": 0.1, "q": 0.1}),
         )
         with pytest.raises(ValidationError):
-            feasible_start(cls, SPEC11, grid2k, 1)
+            feasible_pair(cls, grid2k)
 
 
 class TestSolveMinimax:
@@ -195,7 +200,7 @@ class TestSolveMinimax:
 
     def test_ascent_beats_feasible_start(self, grid2k, budget_class):
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [0.5]]))
-        f0, g0 = feasible_start(budget_class, SPEC11, grid2k, 1)
+        _, (f0, g0) = feasible_pair(budget_class, grid2k)
         start = solve_interpolation(SPEC11, f0, g0, fs).delta
         res = solve_minimax(budget_class, fs, SPEC11, grid2k, FAST)
         assert res.delta0 >= start - 1e-10
@@ -233,7 +238,6 @@ class TestSolveMinimax:
 
     def test_symbols_are_sampled_once_per_run(self, grid2k, ball_box_class, monkeypatch):
         import gmi.classical
-        import gmi.minimax
         import gmi.spectra
 
         calls = []
@@ -243,7 +247,7 @@ class TestSolveMinimax:
             calls.append(1)
             return original(*args)
 
-        for module in (gmi.spectra, gmi.classical, gmi.minimax):
+        for module in (gmi.spectra, gmi.classical):
             monkeypatch.setattr(module, "_chi_beta", counted)
         fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
         counts = []
@@ -254,6 +258,20 @@ class TestSolveMinimax:
             assert len(res.trace) == max_iter
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_problem_is_built_once_per_run(self, grid2k, ball_box_class, monkeypatch):
+        import gmi.classical
+        import gmi.spectra
+
+        calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
+            (gmi.classical, "transform_b"), (gmi.classical, "coeffs_a_mu"),
+            (gmi.spectra, "_chi_beta"))}
+        fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
+        solve_minimax(ball_box_class, fs, SPEC11, grid2k,
+                      MinimaxOptions(max_iter=2, saddle_samples=2))
+        # symbols: the run's problem and the minimality check of the final solve
+        assert {name: len(c) for name, c in calls.items()} == \
+            {"transform_b": 1, "coeffs_a_mu": 1, "_chi_beta": 2}
 
     def test_all_class_pairs_evaluable_scalar(self, grid2k):
         f1 = rational_density(grid2k, [1.0], [1.0, -0.4])
@@ -313,13 +331,13 @@ class TestSaddle:
     def test_empty_report_passes(self, grid2k, budget_class):
         fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
         res = solve_minimax(budget_class, fs, SPEC11, grid2k, FAST)
-        rep = saddle_check(res, budget_class, fs, SPEC11, n_samples=0)
+        rep = saddle_check(res, n_samples=0)
         assert rep["pass"] and rep["n_samples"] == 0
 
     def test_alternative_characteristics_never_beat_optimum(self, grid2k, budget_class):
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [0.5]]))
         res = solve_minimax(budget_class, fs, SPEC11, grid2k, FAST)
-        rep = saddle_check(res, budget_class, fs, SPEC11, n_samples=20, seed=9)
+        rep = saddle_check(res, n_samples=20, seed=9)
         assert rep["left_min_margin"] >= -1e-10
 
 
@@ -392,8 +410,8 @@ class TestHonestReports:
         q = 0.5 * float(np.trace(B @ g1.values[0]).real) + 0.3
         cls = DensityClassSpec(FClassSpec("fixed", {"f1": constant_density(grid1k, np.eye(2))}),
                                GClassSpec("Deps_3", {"g1": g1, "eps": 0.5, "B2": B, "q": q}))
-        f, g = feasible_start(cls, SPEC11, grid1k, 2)
-        assert feasibility_report(cls, SPEC11, f, g)["max_residual"] <= 1e-8
+        ctx, (f, g) = feasible_pair(cls, grid1k, dim=2)
+        assert feasibility_report(ctx, f.values, g.values)["max_residual"] <= 1e-8
 
 
 class TestScalarSolvers:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from brute import convergence_loop, gram_loop
+from brute import convergence_loop, gram_loop, quadrature_covariance, simulate_path
 from conftest import constant_density, matrix_ma_density, rational_density
-from gmi.classical import FunctionalSpec, solve_interpolation
+from gmi.classical import FunctionalSpec, Problem, solve_interpolation
 from gmi.errors import NumericalError
 from gmi.increments import GMIncrementSpec
 from gmi.oracle import (
@@ -11,8 +11,6 @@ from gmi.oracle import (
     convergence_table,
     gram_covariances,
     projection_mse,
-    quadrature_covariance,
-    simulate_path,
 )
 from gmi.spectra import DensityGrid, _chi_beta, combine, structural_function
 
@@ -53,7 +51,7 @@ class TestWindow:
 class TestGram:
     def test_diagonal_matches_structural_function(self, grid2k, scalar_fixture):
         f, g, fs = scalar_fixture
-        gs = gram_covariances(SPEC11, f, g, fs, ObservationWindow(4))
+        gs = gram_covariances(Problem(SPEC11, fs, f.grid), f, g, ObservationWindow(4))
         p = combine(f, g, SPEC11)
         expected = structural_function(SPEC11, p, 0)[0, 0]
         for i in range(len(gs.indices)):
@@ -63,7 +61,7 @@ class TestGram:
         f = rational_density(grid2k, [1.0, 0.4], [1.0, -0.5])
         g = DensityGrid.zero(grid2k, 1)
         fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
-        gs = gram_covariances(SPEC11, f, g, fs, ObservationWindow(3))
+        gs = gram_covariances(Problem(SPEC11, fs, f.grid), f, g, ObservationWindow(3))
         # direct: E[H conj(w(j))] with H = chi zeta(0) and only the f part alive
         lam = grid2k.nodes
         chi, beta = _chi_beta((1,), (1,), (1,), lam)
@@ -76,12 +74,11 @@ class TestGram:
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_loop(self, grid1k, T, L):
         f, g, fs = problem_of_dim(grid1k, T)
-        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(L))
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(L))
         assert np.array_equal(gs.gram, gram_loop(SPEC21, f, g, fs, ObservationWindow(L)))
 
     def test_symbols_are_sampled_once(self, grid1k, monkeypatch):
         import gmi.classical
-        import gmi.oracle
         import gmi.spectra
 
         calls = []
@@ -91,10 +88,10 @@ class TestGram:
             calls.append(1)
             return original(*args)
 
-        for module in (gmi.spectra, gmi.classical, gmi.oracle):
+        for module in (gmi.spectra, gmi.classical):
             monkeypatch.setattr(module, "_chi_beta", counted)
         f, g, fs = problem_of_dim(grid1k, 2)
-        gram_covariances(SPEC21, f, g, fs, ObservationWindow(5))
+        gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(5))
         assert len(calls) == 1
 
     def test_ma_one_gram_is_tridiagonal(self, grid2k):
@@ -102,7 +99,8 @@ class TestGram:
         _, beta = _chi_beta((1,), (1,), (1,), grid2k.nodes)
         f = DensityGrid.from_scalar_samples(grid2k, c * np.abs(beta) ** 2)
         fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
-        gs = gram_covariances(SPEC11, f, DensityGrid.zero(grid2k, 1), fs, ObservationWindow(3))
+        gs = gram_covariances(Problem(SPEC11, fs, f.grid), f, DensityGrid.zero(grid2k, 1),
+                              ObservationWindow(3))
         idx = gs.indices
         for i, ki in enumerate(idx):
             for j, kj in enumerate(idx):
@@ -114,13 +112,13 @@ class TestGram:
 class TestProjection:
     def test_empty_window_returns_target_variance(self, grid2k, scalar_fixture):
         f, g, fs = scalar_fixture
-        gs = gram_covariances(SPEC11, f, g, fs, ObservationWindow(0))
+        gs = gram_covariances(Problem(SPEC11, fs, f.grid), f, g, ObservationWindow(0))
         assert projection_mse(gs) == pytest.approx(gs.target_var)
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_pinv(self, grid1k, T):
         f, g, fs = problem_of_dim(grid1k, T)
-        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(30))
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(30))
         pinv = np.linalg.pinv(gs.gram, 1e-10, hermitian=True)
         expected = gs.target_var - np.vdot(gs.cross, pinv @ gs.cross).real
         assert projection_mse(gs) == pytest.approx(expected, rel=1e-12)
@@ -177,7 +175,8 @@ class TestNestedRoute:
     def test_matches_window_loop(self, grid1k, T):
         f, g, fs = problem_of_dim(grid1k, T)
         schedule = (0, 1, 3, 10, 40)
-        assert gram_covariances(SPEC21, f, g, fs, ObservationWindow(40)).eig_floor is not None
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(40))
+        assert gs.eig_floor is not None
         rows = convergence_table(SPEC21, f, g, fs, schedule)
         expected = convergence_loop(SPEC21, f, g, fs, schedule)
         assert [L for L, _ in rows] == list(schedule)
@@ -187,7 +186,7 @@ class TestNestedRoute:
     @pytest.mark.parametrize("T", [1, 2])
     def test_floor_bounds_gram_spectrum(self, grid1k, T):
         f, g, fs = problem_of_dim(grid1k, T)
-        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(40))
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(40))
         assert np.linalg.eigvalsh(gs.gram)[0] >= gs.eig_floor * (1 - 1e-10)
 
     def test_certified_problem_skips_projection(self, grid1k, monkeypatch):
@@ -203,7 +202,7 @@ class TestNestedRoute:
         else:
             # the largest window spans more than the 1024 grid nodes
             (f, g, fs), schedule = problem_of_dim(grid1k, 1), (1, 600)
-        gs = gram_covariances(SPEC21, f, g, fs, ObservationWindow(max(schedule)))
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(max(schedule)))
         assert gs.eig_floor is None
         expected = convergence_loop(SPEC21, f, g, fs, schedule)
         calls = counted_projections(monkeypatch)
