@@ -2,7 +2,7 @@
 
 Subpackages:
     increments  coefficient algebra for the difference operators
-    spectra     frequency grids, spectral densities, structural functions
+    spectra     frequency grids, spectral densities, operator symbols
     classical   the exact interpolation pipeline (known densities)
     oracle      brute-force covariance projection ground truth
     minimax     least favorable densities over uncertainty classes

@@ -159,14 +159,14 @@ class FourierBlocks:
 
 
 def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index) -> np.ndarray:
-    """Assemble a (size*dim)^2 matrix from per-offset T x T blocks.
+    """Assemble a (size*dim)^2 matrix of the dtype of ``coeffs`` from per-offset T x T blocks.
 
     ``coeffs`` maps offsets -(size-1)..(size-1) (offset m at position
     m + size - 1); ``index(j, k)`` gives the offset used for block (j, k)
     and is evaluated once on whole index arrays.
     """
     j, k = np.indices((size, size))
-    blocks = np.asarray(coeffs, dtype=complex)[index(j, k) + size - 1]
+    blocks = np.asarray(coeffs)[index(j, k) + size - 1]
     return blocks.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
 
 
@@ -295,7 +295,7 @@ def _solve(prob: Problem, f: DensityGrid, g: DensityGrid) -> tuple[FourierBlocks
 
 def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
                     c: np.ndarray | None = None):
-    """(h, h1, h2) from the split c = c1 - c2; h is rebuilt from c if given."""
+    """(h, h1, h2) from the split c = c1 - c2, or h alone rebuilt from c if given."""
     grid = g.grid
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
     noise_term = np.einsum("nt,nts->ns", prob.A, g.values @ p_inv) * np.conj(prob.beta)[:, None]
@@ -304,10 +304,11 @@ def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: Syste
     def c_term(cc: np.ndarray) -> np.ndarray:
         return np.einsum("nt,nts->ns", _row_polynomial(cc, grid), p_inv) * c_weight
 
+    if c is not None:
+        return target_term - noise_term - c_term(np.asarray(c))
     h1 = target_term - c_term(sol.c1)
     h2 = noise_term - c_term(sol.c2)
-    h = h1 - h2 if c is None else target_term - noise_term - c_term(np.asarray(c))
-    return h, h1, h2
+    return h1 - h2, h1, h2
 
 
 def spectral_characteristic(
@@ -323,7 +324,8 @@ def spectral_characteristic(
     C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).
     """
     blocks, sol = _solve(prob, f, g)
-    return _characteristic(prob, g, blocks.spectrum.p_inv, sol, c)
+    _, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)
+    return _characteristic(prob, g, blocks.spectrum.p_inv, sol, c), h1, h2
 
 
 def _error_rows(prob: Problem, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -279,12 +279,6 @@ def fm_density(spec: FMIncrementSpec, base: DensityGrid, grid: FrequencyGrid) ->
     return DensityGrid(grid, values)
 
 
-def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGrid:
-    """Observed-sequence density p(l) = f(l) + |beta(il)|^2 g(l)."""
-    _, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
-    return _combine(f, g, beta)
-
-
 def _combine(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> DensityGrid:
     if f.dim != g.dim or f.grid.n_grid != g.grid.n_grid:
         raise ValidationError("signal and noise densities have mismatched dimensions")
@@ -308,28 +302,6 @@ def observed_spectrum(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> Obser
     """
     p = _combine(f, g, beta)
     return ObservedSpectrum(p=p, p_inv=inverse_density(p))
-
-
-def structural_function(
-    spec: GMIncrementSpec,
-    f: DensityGrid,
-    m: int,
-    mu1: Sequence[int] | None = None,
-    mu2: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Covariance of differenced values at lag m, possibly with mixed steps.
-
-    (1/2pi) int e^{i l m} chi_{mu1}(e^{-il}) conj(chi_{mu2}(e^{-il}))
-            |beta(il)|^{-2} f(l) dl
-    """
-    lam = f.grid.nodes
-    mu1 = tuple(spec.mu) if mu1 is None else tuple(mu1)
-    mu2 = tuple(spec.mu) if mu2 is None else tuple(mu2)
-    chi1, beta = _chi_beta(spec.s, mu1, spec.d, lam)
-    chi2, _ = _chi_beta(spec.s, mu2, spec.d, lam)
-    weight = chi1 * np.conj(chi2) / np.abs(beta) ** 2
-    integrand = weight[:, None, None] * f.values
-    return f.grid.fourier(integrand, [m])[0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Brute-force references for the tests: loop forms of vectorized code, a
-seeded spectral sampler, the error functional of a fixed characteristic and
-a least favorable search."""
+"""Brute-force references for the tests: loop forms of vectorized code, the
+combined density and its lag covariances, a seeded spectral sampler, the
+error functional of a fixed characteristic and a least favorable search."""
 
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ from gmi.minimax import (
     feasible_start,
 )
 from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
-from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, combine, structural_function
+from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine
 
 
 def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
@@ -38,6 +38,35 @@ def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
         for j, kj in enumerate(idx):
             gram[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = r_coeffs[ki - kj + span]
     return 0.5 * (gram + gram.conj().T)
+
+
+def pinv_table(spec, f, g, fspec, schedule) -> list:
+    """Projection error per window in complex arithmetic and natural order.
+
+    The Gram is ``gram_loop``'s, the cross vector is integrated node by node
+    for each observed index, and each window is reduced with
+    ``np.linalg.pinv`` at the oracle's cutoff; ``gram_covariances`` is not
+    used.
+    """
+    prob = Problem(spec, fspec, f.grid)
+    window = ObservationWindow(max(schedule))
+    idx = window.indices(fspec.N, spec.n_gamma())
+    gram = gram_loop(spec, f, g, fspec, window)
+    chi, lam = prob.chi, f.grid.nodes
+    weight = np.abs(chi) ** 2 / np.abs(prob.beta) ** 2
+    row = (np.einsum("nt,nts->ns", prob.B, f.values) * weight[:, None]
+           + np.einsum("nt,nts->ns", prob.B * chi[:, None] - prob.A, g.values)
+           * np.conj(chi)[:, None])
+    cross = np.concatenate([np.conj(np.mean(row * np.exp(-1j * k * lam)[:, None], axis=0))
+                            for k in idx]) if len(idx) else np.zeros(0, dtype=complex)
+    target_var = mse_of_characteristic(prob, f, g, 0)
+    rows = []
+    for L in schedule:
+        sel = np.repeat(np.isin(idx, ObservationWindow(L).indices(fspec.N, spec.n_gamma())),
+                        f.dim)
+        pinv = np.linalg.pinv(gram[np.ix_(sel, sel)], rcond=1e-10, hermitian=True)
+        rows.append((L, target_var - np.vdot(cross[sel], pinv @ cross[sel]).real))
+    return rows
 
 
 def convergence_loop(spec, f, g, fspec, schedule) -> list:
@@ -159,6 +188,20 @@ def simulate_path(
     if n_samples == 1:
         return SimulatedPath(increments=increments[..., 0], noise=noise[..., 0])
     return SimulatedPath(increments=increments, noise=noise)
+
+
+def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGrid:
+    """Observed-sequence density p(l) = f(l) + |beta(il)|^2 g(l)."""
+    _, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    return _combine(f, g, beta)
+
+
+def structural_function(spec: GMIncrementSpec, f: DensityGrid, m: int) -> np.ndarray:
+    """Covariance of differenced values at lag m:
+    (1/2pi) int e^{i l m} |chi(e^{-il})|^2 |beta(il)|^{-2} f(l) dl."""
+    chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
+    weight = chi * np.conj(chi) / np.abs(beta) ** 2
+    return f.grid.fourier(weight[:, None, None] * f.values, [m])[0]
 
 
 def quadrature_covariance(

@@ -355,7 +355,7 @@ class TestBookkeeping:
         assert sol.delta >= 0
 
     def test_matrix_structural_toeplitz_psd(self, grid1k):
-        from gmi.spectra import structural_function
+        from brute import structural_function
 
         rng = np.random.default_rng(3)
         f = matrix_ma_density(grid1k, [rng.standard_normal((2, 2)) + 2 * np.eye(2),

@@ -164,6 +164,16 @@ def test_oracle_builds_the_problem_once(tmp_path, monkeypatch):
         {"transform_b": 1, "_chi_beta": 2, "_row_polynomial": 4}
 
 
+@pytest.mark.parametrize("config", ["interpolate.json", "periodic.json"])
+def test_oracle_verify_is_byte_identical_across_runs(tmp_path, config):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["oracle-verify", "--config", str(CONFIGS / config),
+                     "--output-dir", str(out), "--quiet"]) == 0
+    for name in ("convergence.json", "convergence.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def _fm_signal_without_spec(config):
     config["problem"]["signal_density"] = {"kind": "fm",
                                            "base": {"kind": "constant", "matrix": [[1.0]]}}

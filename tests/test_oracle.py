@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from brute import convergence_loop, gram_loop, quadrature_covariance, simulate_path
+from brute import (
+    combine,
+    convergence_loop,
+    gram_loop,
+    pinv_table,
+    quadrature_covariance,
+    simulate_path,
+    structural_function,
+)
 from conftest import constant_density, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, Problem, solve_interpolation
 from gmi.errors import NumericalError
@@ -12,7 +20,7 @@ from gmi.oracle import (
     gram_covariances,
     projection_mse,
 )
-from gmi.spectra import DensityGrid, _chi_beta, combine, structural_function
+from gmi.spectra import DensityGrid, _chi_beta
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 SPEC21 = GMIncrementSpec((2,), (1,), (1,))
@@ -47,6 +55,16 @@ class TestWindow:
         idx = ObservationWindow(5).indices(N=2, n_gamma=2)
         assert not set(idx) & set(range(0, 5))
 
+    def test_gap_order(self):
+        idx = ObservationWindow(3).gap_order(N=1, n_gamma=1)
+        assert idx.tolist() == [-1, 3, -2, 4, -3, 5]
+
+
+def gap_permutation(natural: np.ndarray, gap: np.ndarray, dim: int) -> np.ndarray:
+    """Row permutation taking a naturally ordered Gram into the order ``gap``."""
+    pos = np.array([natural.tolist().index(k) for k in gap], dtype=int)
+    return (pos[:, None] * dim + np.arange(dim)).reshape(-1)
+
 
 class TestGram:
     def test_diagonal_matches_structural_function(self, grid2k, scalar_fixture):
@@ -74,8 +92,23 @@ class TestGram:
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_loop(self, grid1k, T, L):
         f, g, fs = problem_of_dim(grid1k, T)
-        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(L))
-        assert np.array_equal(gs.gram, gram_loop(SPEC21, f, g, fs, ObservationWindow(L)))
+        window = ObservationWindow(L)
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, window)
+        loop = gram_loop(SPEC21, f, g, fs, window)
+        # the covariances of a real sequence are real: the loop's imaginary parts are rounding
+        assert np.max(np.abs(loop.imag), initial=0.0) <= \
+            1e-15 * np.max(np.abs(loop), initial=0.0)
+        perm = gap_permutation(window.indices(fs.N, SPEC21.n_gamma()), gs.indices, T)
+        assert np.array_equal(gs.gram, loop.real[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_real_symmetric_in_gap_order(self, grid1k, T):
+        f, g, fs = problem_of_dim(grid1k, T)
+        window = ObservationWindow(9)
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, window)
+        assert gs.gram.dtype == np.float64 and gs.cross.dtype == np.float64
+        assert np.array_equal(gs.gram, gs.gram.T)
+        assert np.array_equal(gs.indices, window.gap_order(fs.N, SPEC21.n_gamma()))
 
     def test_symbols_are_sampled_once(self, grid1k, monkeypatch):
         import gmi.classical
@@ -171,6 +204,23 @@ def rank_one_problem(grid):
 
 
 class TestNestedRoute:
+    @pytest.mark.parametrize("case", ["T1", "T2", "rank_one", "aliased"])
+    def test_matches_complex_pinv(self, grid1k, case):
+        if case == "rank_one":
+            (f, g, fs), schedule = rank_one_problem(grid1k), (0, 1, 5, 20)
+        elif case == "aliased":
+            (f, g, fs), schedule = problem_of_dim(grid1k, 1), (1, 600)
+        else:
+            (f, g, fs), schedule = problem_of_dim(grid1k, int(case[1])), (0, 1, 3, 10, 40)
+        certified = case in ("T1", "T2")
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(max(schedule)))
+        assert (gs.eig_floor is not None) == certified
+        rows = convergence_table(SPEC21, f, g, fs, schedule)
+        expected = pinv_table(SPEC21, f, g, fs, schedule)
+        assert [L for L, _ in rows] == list(schedule)
+        for (_, got), (_, want) in zip(rows, expected):
+            assert got == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_window_loop(self, grid1k, T):
         f, g, fs = problem_of_dim(grid1k, T)

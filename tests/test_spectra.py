@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brute import chi_beta_power
+from brute import chi_beta_power, combine, structural_function
 from conftest import constant_density, pchi_one_density, rational_density
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
@@ -9,10 +9,8 @@ from gmi.spectra import (
     DensityGrid,
     FrequencyGrid,
     _chi_beta,
-    combine,
     fm_density,
     minimality_value,
-    structural_function,
     symbols,
 )
 
