@@ -158,16 +158,27 @@ class FourierBlocks:
     spectrum: ObservedSpectrum = field(repr=False)  # the samples the blocks came from
 
 
-def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index) -> np.ndarray:
+def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Assemble a (size*dim)^2 matrix of the dtype of ``coeffs`` from per-offset T x T blocks.
 
     ``coeffs`` maps offsets -(size-1)..(size-1) (offset m at position
     m + size - 1); ``index(j, k)`` gives the offset used for block (j, k)
-    and is evaluated once on whole index arrays.
+    and is evaluated once on a column and a row of block indices.  The
+    matrix is written into ``out`` when given (any 2-D view, such as the
+    leading block of a larger buffer), one entry (a, b) of every block at a
+    time, so no (size*dim)^2 temporary is made.
     """
-    j, k = np.indices((size, size))
-    blocks = np.asarray(coeffs)[index(j, k) + size - 1]
-    return blocks.transpose(0, 2, 1, 3).reshape(size * dim, size * dim)
+    coeffs = np.asarray(coeffs)
+    if out is None:
+        out = np.empty((size * dim, size * dim), dtype=coeffs.dtype)
+    blocks = np.arange(size)
+    offsets = index(blocks[:, None], blocks[None, :]) + size - 1
+    grid = out.reshape(size, dim, size, dim)
+    for a in range(dim):
+        for b in range(dim):
+            grid[:, a, :, b] = coeffs[:, a, b].take(offsets)
+    return out
 
 
 def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBlocks:

@@ -1,8 +1,22 @@
 """Canonical JSON / CSV output and increment specs to and from dicts.
 
-Floats are always emitted with 17 significant digits, which round-trips
-doubles exactly and keeps repeated runs byte-identical.  Complex values are
-two-element [re, im] arrays in JSON and paired Re/Im columns in CSV.
+Floats are always written as ``"%.17g"`` writes them, with negative zero as
+``0``: 17 significant digits round-trip doubles exactly and keep repeated
+runs byte-identical.  Complex values are two-element [re, im] arrays in
+JSON and paired Re/Im columns in CSV.
+
+Float arrays (every CSV table and every float or complex ndarray in a JSON
+document) are written by one vectorized kernel, ``_floatfmt.format_rows``,
+exact by construction.  It forms the 17 digits D = round(|x| 10^(16-k)),
+k = floor(log10 |x|) corrected once, in double-double arithmetic (10^q as
+a rounded hi + lo pair, Dekker's two-product) with an absolute error below
+2^-46, and it writes a value only where that certifies the rounding: the
+fraction is farther than 2^-30 from 1/2 and D is in [10^16, 10^17].
+Zeros are written as ``0``.  Every other value (ties and near ties,
+subnormals, |x| > 1e290) goes to ``_format_float`` on its own.  The full
+argument is in the ``_floatfmt`` module docstring.  That module is imported
+inside the two writers that use it, so commands that write no float array
+(``classify``, ``coeffs``) never compile it.
 """
 
 from __future__ import annotations
@@ -24,6 +38,9 @@ def _format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize negative zero
     return format(x, ".17g")
+
+
+# --- JSON -------------------------------------------------------------------
 
 
 def canonical_json(obj) -> str:
@@ -59,6 +76,8 @@ def _emit(obj, out: list[str]):
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size and obj.ndim:
+        out.append(_json_array(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         out.append("[")
@@ -71,15 +90,40 @@ def _emit(obj, out: list[str]):
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def _json_array(arr: np.ndarray) -> str:
+    """Nested JSON lists of a non-empty float or complex array, in one kernel pass.
+
+    A value whose c innermost indices are all last closes c lists and opens
+    c again after its comma; the last value's tail is cut back to one "]"
+    less than the dimension count, and the outer "]" closes the array.
+    """
+    from ._floatfmt import format_rows
+
+    if arr.dtype.kind == "c":
+        arr = complex_array(arr)
+    inner = arr.shape[1:]
+    cols = math.prod(inner)
+    closes = np.zeros(cols, dtype=int)
+    stride = 1
+    for size in reversed(inner):
+        stride *= size
+        closes += np.arange(cols) % stride == stride - 1
+    tails = np.zeros((cols, 2 * len(inner) + 1), np.uint8)
+    for col, c in enumerate(closes):
+        text = b"]" * c + b"," + b"[" * c
+        tails[col, :len(text)] = np.frombuffer(text, np.uint8)
+    body = format_rows(arr.reshape(arr.shape[0], cols), tails)
+    return "[" * arr.ndim + body[:-arr.ndim].decode() + "]"
+
+
 def write_json(path: Path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n")
 
 
-def complex_array(values: np.ndarray) -> list:
-    """Nested [re, im] pairs for a complex array."""
+def complex_array(values: np.ndarray) -> np.ndarray:
+    """Stacked (..., 2) [re, im] pairs of a complex array."""
     arr = np.asarray(values, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
+    return np.stack([arr.real, arr.imag], axis=-1)
 
 
 def increment_to_dict(spec) -> dict:
@@ -137,13 +181,11 @@ def solution_to_dict(sol: InterpolationSolution) -> dict:
 
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
     """CSV of a real table, every value in the ``_format_float`` form."""
-    bad = ~np.isfinite(table)
-    if np.any(bad):
-        _format_float(float(table[bad][0]))  # raises ValidationError
-    table = table + 0.0  # normalize negative zero
-    template = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)] + [template % tuple(row) for row in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    from ._floatfmt import format_rows
+
+    tails = np.full((table.shape[1], 1), ord(","), np.uint8)
+    tails[-1] = ord("\n")
+    Path(path).write_bytes((",".join(header) + "\n").encode() + format_rows(table, tails))
 
 
 def write_characteristic_csv(path: Path, grid_nodes: np.ndarray, h: np.ndarray) -> None:
@@ -174,8 +216,9 @@ def write_density_csv(path: Path, density: DensityGrid) -> None:
 
 
 def write_convergence_csv(path: Path, rows: list, delta_classical: float) -> None:
-    lines = ["L,delta_L,relative_gap"]
-    for L, dL in rows:
-        gap = (dL - delta_classical) / delta_classical if delta_classical else math.inf
-        lines.append(",".join([str(int(L)), _format_float(float(dL)), _format_float(float(gap))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.array(rows, dtype=float).reshape(-1, 2)
+    if delta_classical:
+        gap = (table[:, 1] - delta_classical) / delta_classical
+    else:
+        gap = np.full(len(table), math.inf)  # rejected as non-finite
+    _write_table(path, ["L", "delta_L", "relative_gap"], np.column_stack([table, gap]))

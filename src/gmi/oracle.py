@@ -67,6 +67,9 @@ class GramSystem:
     # lower bound on the eigenvalues of the Gram and of every window inside it,
     # certified above PINV_RCOND times their upper bound; None when not certified
     eig_floor: float | None = None
+    # (|J| T + 1)^2 buffer whose leading block is ``gram`` (a view); its last
+    # row and column are left for the cross vector of ``_nested_rows``
+    bordered: np.ndarray | None = None
 
 
 def _certified_floor(phi: np.ndarray, span: int, n_grid: int) -> float | None:
@@ -93,7 +96,8 @@ def gram_covariances(prob: Problem, f: DensityGrid, g: DensityGrid,
     p = f + |beta|^2 g at the index differences; cross terms integrate the
     target's differenced and noise parts against each observation.  Both
     are real (see the module docstring), and the Gram is gathered once,
-    in gap order, from the blocks 0.5 (R(m) + R(-m)^T).
+    in gap order, from the blocks 0.5 (R(m) + R(-m)^T), straight into the
+    leading block of the buffer that ``_nested_rows`` borders.
     """
     grid, chi, w = f.grid, prob.chi, prob.w
     idx = window.gap_order(prob.fspec.N, prob.spec.n_gamma())
@@ -104,14 +108,18 @@ def gram_covariances(prob: Problem, f: DensityGrid, g: DensityGrid,
     r_coeffs = grid.fourier(phi, np.arange(-span, span + 1)).real
     r_coeffs = 0.5 * (r_coeffs + r_coeffs[::-1].transpose(0, 2, 1))
     shift = span - (len(idx) - 1)
-    gram = _block_toeplitz(r_coeffs, len(idx), f.dim, lambda j, k: idx[j] - idx[k] + shift)
+    size = len(idx) * f.dim
+    bordered = np.empty((size + 1, size + 1))
+    gram = _block_toeplitz(r_coeffs, len(idx), f.dim, lambda j, k: idx[j] - idx[k] + shift,
+                           out=bordered[:size, :size])
 
     # cross_j = E[target obs_j], the real part of the target's row against each observation
     u1 = np.einsum("nt,nts->ns", prob.B, f.values) * w[:, None]
     u2 = np.einsum("nt,nts->ns", prob.B * chi[:, None] - prob.A, g.values) * np.conj(chi)[:, None]
     cross = grid.fourier(u1 + u2, -idx).real.reshape(-1)
     return GramSystem(gram=gram, cross=cross, target_var=mse_of_characteristic(prob, f, g, 0),
-                      indices=idx, eig_floor=_certified_floor(phi, span, grid.n_grid))
+                      indices=idx, eig_floor=_certified_floor(phi, span, grid.n_grid),
+                      bordered=bordered)
 
 
 def projection_mse(gs: GramSystem) -> float:
@@ -179,8 +187,7 @@ def _nested_rows(gs: GramSystem, schedule: tuple[int, ...], dim: int) -> list[tu
     """Every window's error from one real Cholesky factor of the bordered Gram."""
     c = gs.cross
     size = len(c)
-    bordered = np.empty((size + 1, size + 1))
-    bordered[:size, :size] = gs.gram
+    bordered = gs.bordered
     bordered[:size, size] = bordered[size, :size] = c
     bordered[size, size] = 2.0 * float(c @ c) / gs.eig_floor + 1.0
     y = np.linalg.cholesky(bordered)[size, :size]

@@ -1,6 +1,7 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
 combined density and its lag covariances, a seeded spectral sampler, the
-error functional of a fixed characteristic and a least favorable search."""
+error functional of a fixed characteristic, a least favorable search and
+the value-by-value JSON emitter."""
 
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ import numpy as np
 from gmi.classical import FunctionalSpec, Problem, mse_of_characteristic, solve_interpolation
 from gmi.errors import NumericalError, ValidationError
 from gmi.increments import GMIncrementSpec, expand_operator, inverse_series
+from gmi.io import _format_float
 from gmi.minimax import (
     _blend,
     _delta_core,
@@ -309,3 +311,48 @@ def two_atom_search(class_spec, fspec, spec, grid, n_positions: int = 96, rounds
                         "label": best["label"] + f"+g(eta={eta:.2f})"}
         g_vals = best["g"]
     return best
+
+
+def canonical_json_loop(obj) -> str:
+    """``canonical_json`` with every array value formatted on its own."""
+    out: list[str] = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out: list[str]):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _emit([float(obj.real), float(obj.imag)], out)
+    elif isinstance(obj, str):
+        import json as _json
+
+        out.append(_json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            _emit(str(key), out)
+            out.append(":")
+            _emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+        out.append("[")
+        for i, item in enumerate(seq):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__}")

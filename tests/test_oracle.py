@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,28 @@ class TestNestedRoute:
         assert [L for L, _ in rows] == list(schedule)
         for (_, got), (_, want) in zip(rows, expected):
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_gram_is_the_leading_block_of_the_bordered_buffer(self, grid1k):
+        f, g, fs = problem_of_dim(grid1k, 2)
+        gs = gram_covariances(Problem(SPEC21, fs, f.grid), f, g, ObservationWindow(40))
+        size = len(gs.cross)
+        assert gs.bordered.shape == (size + 1, size + 1)
+        assert np.shares_memory(gs.gram, gs.bordered)
+        assert np.array_equal(gs.gram, gs.bordered[:size, :size])
+
+    def test_table_peak_is_two_bordered_grams(self, grid1k):
+        # the bordered Gram and its Cholesky factor; no third copy of the Gram
+        f, g, fs = problem_of_dim(grid1k, 2)
+        schedule = (1, 200)
+        convergence_table(SPEC21, f, g, fs, schedule)
+        tracemalloc.start()
+        try:
+            convergence_table(SPEC21, f, g, fs, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 2 * max(schedule) * 2 + 1
+        assert peak < 2.25 * rows * rows * 8
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_floor_bounds_gram_spectrum(self, grid1k, T):
