@@ -119,15 +119,16 @@ def v_coeffs(spec: GMIncrementSpec, b: np.ndarray) -> np.ndarray:
 class Problem:
     """What the densities of an interpolation problem (spec, fspec) never change.
 
-    chi and beta are the operator symbol and its weight on the grid, b the
-    differenced-target weights, A and B the row polynomials of a and b, and
-    a_mu the noise-side weights.  Each is built once here and read by every
-    solve, oracle table and minimax step of the problem.
+    chi, beta and beta2 = |beta|^2 are the operator symbol, its weight and the
+    weight of g in p on the grid; b the differenced-target weights, A and B the
+    row polynomials of a and b, a_mu the noise-side weights.  Each is built
+    once here and read by every solve, oracle table and minimax step.
     """
 
     def __init__(self, spec: GMIncrementSpec, fspec: FunctionalSpec, grid: FrequencyGrid):
         self.spec, self.fspec, self.grid = spec, fspec, grid
         self.chi, self.beta = _chi_beta(spec.s, spec.mu, spec.d, grid.nodes)
+        self.beta2 = np.abs(self.beta) ** 2
         self.b = transform_b(spec, fspec)
         self.A, self.B = _row_polynomial(fspec.a, grid), _row_polynomial(self.b, grid)
         self.a_mu = coeffs_a_mu(spec, fspec)
@@ -137,12 +138,12 @@ class Problem:
     @cached_property
     def w(self) -> np.ndarray:
         """|chi|^2 / |beta|^2: weighs the observed density and every f-side budget."""
-        return np.abs(self.chi) ** 2 / np.abs(self.beta) ** 2
+        return np.abs(self.chi) ** 2 / self.beta2
 
     @cached_property
     def w_inv(self) -> np.ndarray:
         """|beta|^2 / |chi|^2: weighs the P and T kernels and the minimality integral."""
-        return np.abs(self.beta) ** 2 / np.abs(self.chi) ** 2
+        return self.beta2 / np.abs(self.chi) ** 2
 
 
 @dataclass
@@ -181,6 +182,11 @@ def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index,
     return out
 
 
+def _nodewise(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b node by node; a plain product when the values are 1 x 1."""
+    return (np.multiply if a.shape[1:] == b.shape[1:] == (1, 1) else np.matmul)(a, b, out=out)
+
+
 def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBlocks:
     """Fourier-coefficient block matrices P, T, Q of the linear system.
 
@@ -188,37 +194,35 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
         P: (|beta|^2 / |chi|^2) p^{-1}
         T: (-1)^{sum d} (|beta|^2 / |chi|^2) g p^{-1}
         Q: f p^{-1} g
-    Each is sampled nodewise and transformed once; blocks depend on the
-    index offset only.  The symbols come from the problem; the observed
-    density p and p^{-1} are kept on the result for the later stages.
+    All three are sampled nodewise into one (3, n, T, T) buffer, whose
+    single FFT runs in place; blocks depend on the index offset only.  The
+    symbols come from the problem; the observed density p and p^{-1} are
+    kept on the result for the later stages.
     """
     grid, spec, N = f.grid, prob.spec, prob.fspec.N
     ng = spec.n_gamma()
     dim = f.dim
     size = N + ng + 1
-    obs = observed_spectrum(f, g, prob.beta)
-    w = prob.w_inv
+    obs = observed_spectrum(f, g, prob.beta2)
+    w = prob.w_inv[:, None, None]
 
-    k_p = w[:, None, None] * obs.p_inv
-    sign = -1.0 if spec.total_order() % 2 else 1.0
-    k_t = sign * w[:, None, None] * (g.values @ obs.p_inv)
-    k_q = f.values @ obs.p_inv @ g.values
+    kern = np.empty((3,) + obs.p_inv.shape, dtype=complex)
+    np.multiply(w, obs.p_inv, out=kern[0])
+    _nodewise(f.values, obs.p_inv, out=kern[1])  # Q's f p^{-1}, in the T slot until T
+    _nodewise(kern[1], g.values, out=kern[2])
+    _nodewise(g.values, obs.p_inv, out=kern[1])
+    kern[1] *= (-1.0 if spec.total_order() % 2 else 1.0) * w
 
-    for name, kern in (("P", k_p), ("T", k_t), ("Q", k_q)):
-        if not np.all(np.isfinite(kern)):
-            bad = int(np.argwhere(~np.isfinite(kern))[0][0])
-            raise NumericalError(
-                f"non-finite {name} integrand at node {bad} (lambda={grid.nodes[bad]:.6f})"
-            )
+    if not np.all(np.isfinite(kern)):
+        which, bad = np.argwhere(~np.isfinite(kern))[0][:2]
+        raise NumericalError(f"non-finite {'PTQ'[which]} integrand at node {bad} "
+                             f"(lambda={grid.nodes[bad]:.6f})")
 
     offsets = np.arange(-(size - 1), size)
-    p_coeffs = grid.fourier(k_p, offsets).transpose(0, 2, 1)
-    t_coeffs = grid.fourier(k_t, offsets).transpose(0, 2, 1)
-    q_coeffs = grid.fourier(k_q, np.arange(-N, N + 1))
-
-    P = _block_toeplitz(p_coeffs, size, dim, lambda j, k: k - j)
-    T = _block_toeplitz(t_coeffs, size, dim, lambda j, k: k - j)
-    Q = _block_toeplitz(q_coeffs, N + 1, dim, lambda j, k: j - k)
+    coeffs = grid.fourier(kern.transpose(1, 0, 2, 3), offsets, in_place=True)
+    P = _block_toeplitz(coeffs[:, 0].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    T = _block_toeplitz(coeffs[:, 1].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    Q = _block_toeplitz(coeffs[ng:len(offsets) - ng, 2], N + 1, dim, lambda j, k: j - k)
     return FourierBlocks(P=P, T=T, Q=Q, N=N, n_gamma=ng, dim=dim, spectrum=obs)
 
 
@@ -309,7 +313,8 @@ def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: Syste
     """(h, h1, h2) from the split c = c1 - c2, or h alone rebuilt from c if given."""
     grid = g.grid
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
-    noise_term = np.einsum("nt,nts->ns", prob.A, g.values @ p_inv) * np.conj(prob.beta)[:, None]
+    noise_term = (np.einsum("nt,nts->ns", prob.A, _nodewise(g.values, p_inv))
+                  * np.conj(prob.beta)[:, None])
     c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
 
     def c_term(cc: np.ndarray) -> np.ndarray:
@@ -354,9 +359,14 @@ def mse_of_characteristic(prob: Problem, f: DensityGrid, g: DensityGrid, h: np.n
     r_f = B^T chi/beta - h^T and r_g = B^T chi - A^T - beta h^T.
     Linear in (f, g); h = 0 gives the raw variance of the target.
     """
-    r_f, r_g = _error_rows(prob, h)
-    term_f = np.einsum("nt,nts,ns->n", r_f, f.values, np.conj(r_f))
-    term_g = np.einsum("nt,nts,ns->n", r_g, g.values, np.conj(r_g))
+    return _error_energy(_error_rows(prob, h), f.values, g.values)
+
+
+def _error_energy(rows, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
+    """``mse_of_characteristic`` on the error rows (r_f, r_g) of its h."""
+    r_f, r_g = rows
+    term_f = np.einsum("nt,nts,ns->n", r_f, f_vals, np.conj(r_f))
+    term_g = np.einsum("nt,nts,ns->n", r_g, g_vals, np.conj(r_g))
     total = np.mean(term_f + term_g)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")

@@ -76,6 +76,8 @@ def _emit(obj, out: list[str]):
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 0:
+        _emit(obj.item(), out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size and obj.ndim:
         out.append(_json_array(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):

@@ -22,6 +22,7 @@ from .classical import (
     Problem,
     _algebraic_mse,
     _characteristic,
+    _error_energy,
     _error_rows,
     _interpolate,
     _row_polynomial,
@@ -470,7 +471,6 @@ class _Problem(Problem):
                  fspec: FunctionalSpec, grid: FrequencyGrid):
         validate_class_spec(class_spec)
         super().__init__(spec, fspec, grid)
-        self.beta2 = np.abs(self.beta) ** 2
         self.f, self.g = (_family(side, self.w, fspec.dim) for side in (class_spec.f, class_spec.g))
 
 
@@ -668,10 +668,10 @@ def _ee_candidate_g(ctx: _Problem, f_vals, shape):
         return None
     lo, q = G.bounds[0][:, 0, 0].real, G.scalar_budget
     hi = np.full(len(lo), np.inf) if G.bounds[1] is None else G.bounds[1][:, 0, 0].real
-    base = w * f_vals[:, 0, 0].real
+    base, wb = w * f_vals[:, 0, 0].real, w * ctx.beta2
 
-    g_new = _ee_fill(lambda mult: np.clip((shape / mult - base) / (w * ctx.beta2), lo, hi),
-                     shape, q, 1e-14, 1e14)
+    g_new = _ee_fill(lambda mult: np.clip((shape / mult - base) / wb, lo, hi), shape, q,
+                     1e-14, 1e14)
     return g_new.reshape(-1, 1, 1).astype(complex) if np.all(np.isfinite(g_new)) else None
 
 
@@ -786,9 +786,9 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
         return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
     rng = np.random.default_rng(seed)
     ctx, f0, g0, h0, delta0 = result.problem, result.f0, result.g0, result.h0, result.delta0
-    grid, n = ctx.grid, ctx.grid.n_grid
+    n = ctx.grid.n_grid
 
-    max_violation, skipped = -np.inf, 0
+    max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
     for _ in range(n_samples):
         jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
         f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
@@ -797,9 +797,7 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
         if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
             skipped += 1
             continue
-        val = mse_of_characteristic(ctx, DensityGrid(grid, f_vals, validate=False),
-                                    DensityGrid(grid, g_vals, validate=False), h0)
-        max_violation = max(max_violation, val - delta0)
+        max_violation = max(max_violation, _error_energy(rows, f_vals, g_vals) - delta0)
     if not np.isfinite(max_violation):
         max_violation = 0.0
 
@@ -807,9 +805,10 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     band = list(range(-4 - ng, 0)) + list(range(ctx.fspec.N + ng + 1, ctx.fspec.N + ng + 5))
     left_min = np.inf
     scale = float(np.max(np.abs(h0))) or 1.0
+    waves = [np.exp(1j * k * ctx.grid.nodes)[:, None] for k in band]
     for _ in range(10):
         theta = 0.1 * scale * rng.standard_normal((len(band), f0.dim))
-        poly = sum(np.exp(1j * k * grid.nodes)[:, None] * theta[i] for i, k in enumerate(band))
+        poly = sum(wave * theta[i] for i, wave in enumerate(waves))
         h_alt = h0 + poly * (ctx.chi / ctx.beta)[:, None]
         left_min = min(left_min, mse_of_characteristic(ctx, f0, g0, h_alt) - delta0)
     passed = skipped < n_samples and max_violation <= 1e-6 * max(delta0, 1e-300) \

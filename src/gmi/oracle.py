@@ -104,7 +104,7 @@ def gram_covariances(prob: Problem, f: DensityGrid, g: DensityGrid,
 
     # R(m) for every difference m = idx[j] - idx[k], one FFT pass
     span = int(np.ptp(idx)) if len(idx) else 0
-    phi = w[:, None, None] * _combine(f, g, prob.beta).values
+    phi = w[:, None, None] * _combine(f, g, prob.beta2).values
     r_coeffs = grid.fourier(phi, np.arange(-span, span + 1)).real
     r_coeffs = 0.5 * (r_coeffs + r_coeffs[::-1].transpose(0, 2, 1))
     shift = span - (len(idx) - 1)

@@ -48,14 +48,17 @@ class FrequencyGrid:
         """Midpoint value of (1/2pi) * integral, i.e. the node average."""
         return np.mean(values, axis=0)
 
-    def fourier(self, values: np.ndarray, ms: Sequence[int]) -> np.ndarray:
+    def fourier(self, values: np.ndarray, ms: Sequence[int], in_place: bool = False) -> np.ndarray:
         """Fourier coefficients (1/2pi) int values(l) e^{i m l} dl for each m.
 
-        One FFT over the node axis; the midpoint offset enters as a phase.
+        One FFT over the node axis; the midpoint offset enters as a phase.  With
+        ``in_place``, ``values`` must be a complex ndarray (a view will do): the
+        FFT overwrites it and allocates no array of its size.
         """
         n = self.n_grid
         ms = np.asarray(ms, dtype=int)
-        base = np.fft.ifft(np.asarray(values, dtype=complex), axis=0)
+        values = np.asarray(values, dtype=complex)
+        base = np.fft.ifft(values, axis=0, out=values if in_place else None)
         phase = np.exp(1j * ms * (-np.pi + np.pi / n))
         picked = base[np.mod(ms, n)]
         return picked * phase.reshape((len(ms),) + (1,) * (picked.ndim - 1))
@@ -279,10 +282,10 @@ def fm_density(spec: FMIncrementSpec, base: DensityGrid, grid: FrequencyGrid) ->
     return DensityGrid(grid, values)
 
 
-def _combine(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> DensityGrid:
+def _combine(f: DensityGrid, g: DensityGrid, beta2: np.ndarray) -> DensityGrid:
     if f.dim != g.dim or f.grid.n_grid != g.grid.n_grid:
         raise ValidationError("signal and noise densities have mismatched dimensions")
-    values = f.values + (np.abs(beta) ** 2)[:, None, None] * g.values
+    values = f.values + beta2[:, None, None] * g.values
     return DensityGrid(f.grid, values, validate=False)
 
 
@@ -294,13 +297,13 @@ class ObservedSpectrum:
     p_inv: np.ndarray
 
 
-def observed_spectrum(f: DensityGrid, g: DensityGrid, beta: np.ndarray) -> ObservedSpectrum:
+def observed_spectrum(f: DensityGrid, g: DensityGrid, beta2: np.ndarray) -> ObservedSpectrum:
     """Observed density p = f + |beta|^2 g and its inverse; raises if p is singular.
 
-    beta is the symbol weight on the grid of f, sampled once per problem
-    (``classical.Problem``).
+    beta2 is |beta|^2 on the grid of f, formed once per problem
+    (``classical.Problem.beta2``).
     """
-    p = _combine(f, g, beta)
+    p = _combine(f, g, beta2)
     return ObservedSpectrum(p=p, p_inv=inverse_density(p))
 
 
@@ -338,7 +341,8 @@ def minimality_value(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> M
     A > 5% gap between the two values flags a non-minimal configuration.
     """
     chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
-    return _minimality(spec, np.abs(beta) ** 2 / np.abs(chi) ** 2, observed_spectrum(f, g, beta))
+    beta2 = np.abs(beta) ** 2
+    return _minimality(spec, beta2 / np.abs(chi) ** 2, observed_spectrum(f, g, beta2))
 
 
 def _minimality(spec: GMIncrementSpec, weight: np.ndarray,

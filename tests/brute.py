@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmi.classical import FunctionalSpec, Problem, mse_of_characteristic, solve_interpolation
+from gmi.classical import (
+    FunctionalSpec,
+    Problem,
+    _block_toeplitz,
+    mse_of_characteristic,
+    solve_interpolation,
+)
 from gmi.errors import NumericalError, ValidationError
 from gmi.increments import GMIncrementSpec, expand_operator, inverse_series
 from gmi.io import _format_float
@@ -20,7 +26,7 @@ from gmi.minimax import (
     feasible_start,
 )
 from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
-from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine
+from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine, observed_spectrum
 
 
 def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
@@ -195,7 +201,22 @@ def simulate_path(
 def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGrid:
     """Observed-sequence density p(l) = f(l) + |beta(il)|^2 g(l)."""
     _, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
-    return _combine(f, g, beta)
+    return _combine(f, g, np.abs(beta) ** 2)
+
+
+def fourier_blocks_loop(prob: Problem, f: DensityGrid, g: DensityGrid):
+    """(P, T, Q) of ``classical.fourier_blocks`` with each kernel formed and transformed alone."""
+    spec, N, dim = prob.spec, prob.fspec.N, f.dim
+    size = N + spec.n_gamma() + 1
+    p_inv = observed_spectrum(f, g, prob.beta2).p_inv
+    w = prob.w_inv[:, None, None]
+    sign = -1.0 if spec.total_order() % 2 else 1.0
+    kernels = (w * p_inv, sign * w * (g.values @ p_inv), f.values @ p_inv @ g.values)
+    offsets = (np.arange(-(size - 1), size),) * 2 + (np.arange(-N, N + 1),)
+    coeffs = [f.grid.fourier(k, m) for k, m in zip(kernels, offsets)]
+    return (_block_toeplitz(coeffs[0].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
+            _block_toeplitz(coeffs[1].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
+            _block_toeplitz(coeffs[2], N + 1, dim, lambda j, k: j - k))
 
 
 def structural_function(spec: GMIncrementSpec, f: DensityGrid, m: int) -> np.ndarray:
@@ -346,6 +367,8 @@ def _emit(obj, out: list[str]):
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 0:
+        _emit(obj.item(), out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         out.append("[")

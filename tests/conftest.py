@@ -43,7 +43,8 @@ def matrix_ma_density(grid, coefficients):
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
-    """Record each call of owner.name, patched in every loaded gmi module that holds it."""
+    """Record each call of owner.name, patched in every loaded gmi module that holds it
+    (on the class itself when owner is a class, for a method)."""
     original = getattr(owner, name)
     calls = []
 
@@ -51,6 +52,8 @@ def count_calls(monkeypatch, owner, name: str) -> list:
         calls.append(1)
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "gmi" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)

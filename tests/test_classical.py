@@ -1,17 +1,27 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import coeffs_a_mu_loop, transform_b_loop, v_coeffs_loop
-from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
+from brute import coeffs_a_mu_loop, fourier_blocks_loop, transform_b_loop, v_coeffs_loop
+from conftest import (
+    constant_density,
+    count_calls,
+    matrix_ma_density,
+    pchi_one_density,
+    rational_density,
+)
+from gmi import classical
 from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
     Problem,
     _block_toeplitz,
+    _nodewise,
     _row_polynomial,
     coeffs_a_mu,
     fourier_blocks,
@@ -26,7 +36,7 @@ from gmi.classical import (
 )
 from gmi.errors import NumericalError
 from gmi.increments import GMIncrementSpec
-from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta
+from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, observed_spectrum
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 
@@ -190,6 +200,102 @@ class TestFourierBlocks:
         blocks = blocks_of(SPEC11, f, g, N=2)
         assert np.allclose(blocks.P, blocks.P.conj().T, atol=1e-12)
         assert np.allclose(blocks.Q, blocks.Q.conj().T, atol=1e-12)
+
+
+class TestKernelBuffer:
+    """The three kernels share one buffer, checked once and transformed once in place."""
+
+    def test_one_fourier_call_per_solve(self, monkeypatch, grid1k):
+        f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
+        g = constant_density(grid1k, 0.3)
+        calls = count_calls(monkeypatch, FrequencyGrid, "fourier")
+        blocks_of(GMIncrementSpec((2,), (1,), (1,)), f, g, N=2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("s, N, T", [((1,), 0, 1), ((2,), 2, 1), ((12,), 3, 1),
+                                         ((1,), 2, 2), ((3,), 1, 3)])
+    def test_blocks_match_one_kernel_at_a_time(self, grid1k, s, N, T):
+        spec = GMIncrementSpec(s, (1,), (1,))
+        if T == 1:
+            f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
+            g = constant_density(grid1k, 0.3)
+        else:
+            h = np.random.default_rng(T).standard_normal((2, T, T))
+            f = matrix_ma_density(grid1k, [(np.eye(T) + 0.2 * h[0]).tolist(),
+                                           (0.3 * h[1]).tolist()])
+            g = constant_density(grid1k, 0.4 * np.eye(T) + 0.05)
+        prob = Problem(spec, FunctionalSpec(N=N, a=np.ones((N + 1, T))), grid1k)
+        blocks = fourier_blocks(prob, f, g)
+        for got, want in zip((blocks.P, blocks.T, blocks.Q), fourier_blocks_loop(prob, f, g)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_p_its_inverse_and_the_buffer(self):
+        # p, p^{-1} and the (3, n, T, T) buffer are five kernel sizes, the
+        # finite mask of the buffer 3/16 of one; three separate kernels and
+        # one transform reach six, the buffer beside its own transform eight
+        T, grid = 4, FrequencyGrid(2 ** 13)
+        rng = np.random.default_rng(4)
+        f = matrix_ma_density(grid, [(np.eye(T) + 0.1 * rng.standard_normal((T, T))).tolist(),
+                                     (0.2 * rng.standard_normal((T, T))).tolist()])
+        g = constant_density(grid, 0.5 * np.eye(T))
+        prob = Problem(SPEC11, FunctionalSpec(N=2, a=np.ones((3, T))), grid)
+        fourier_blocks(prob, f, g)
+        tracemalloc.start()
+        try:
+            fourier_blocks(prob, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * grid.n_grid * T * T * 16
+
+    def test_scalar_nodewise_is_matmul_bitwise(self):
+        # densities and their inverses are nonnegative, so no zero changes sign
+        rng = np.random.default_rng(8)
+        a, b = (rng.uniform(0.0, 3.0, (4096, 1, 1)).astype(complex) for _ in range(2))
+        a[::7] = 0.0
+        assert _nodewise(a, b).tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_matrices_take_matmul(self, monkeypatch, T):
+        calls, original = [], np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        rng = np.random.default_rng(T)
+        a, b = (rng.standard_normal((64, T, T)) + 1j * rng.standard_normal((64, T, T))
+                for _ in range(2))
+        out = np.empty((64, T, T), dtype=complex)
+        assert _nodewise(a, b, out=out) is out
+        assert np.array_equal(out, original(a, b) if T > 1 else a * b)
+        assert len(calls) == (T > 1)
+
+    @staticmethod
+    def densities(grid, T, side, value):
+        """(f, g) with value at entry (0, 0) of nodes 700 and 900 on one side."""
+        vals = np.broadcast_to(0.5 * np.eye(T), (grid.n_grid, T, T)).astype(complex)
+        vals[[700, 900], 0, 0] = value
+        bad, good = DensityGrid(grid, vals, validate=False), constant_density(grid, np.eye(T))
+        return (bad, good) if side == "f" else (good, bad)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("T, value, kernel", [(1, np.nan, "P"), (2, np.inf, "Q")])
+    def test_first_bad_kernel_and_node_are_named(self, grid1k, T, value, kernel):
+        f, g = self.densities(grid1k, T, "f", value)
+        prob = Problem(SPEC11, FunctionalSpec(N=1, a=np.ones((2, T))), grid1k)
+        message = f"non-finite {kernel} integrand at node 700 (lambda=1.156622)"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            fourier_blocks(prob, f, g)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_noise_names_the_t_kernel(self, monkeypatch, grid1k):
+        # an infinite g also makes p non-finite (P fails first), so the
+        # observed spectrum is taken from the finite g it replaced
+        f, g = self.densities(grid1k, 1, "g", np.inf)
+        prob = Problem(SPEC11, FunctionalSpec(N=1, a=np.ones((2, 1))), grid1k)
+        finite = observed_spectrum(f, constant_density(grid1k, 0.5), prob.beta2)
+        monkeypatch.setattr(classical, "observed_spectrum", lambda *args: finite)
+        message = "non-finite T integrand at node 700 (lambda=1.156622)"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            fourier_blocks(prob, f, g)
 
 
 class TestSolveSystem:

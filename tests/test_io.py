@@ -256,6 +256,12 @@ class TestJson:
                "ints": np.arange(3), "flags": np.array([True, False])}
         assert canonical_json(doc) == canonical_json_loop(doc)
 
+    @pytest.mark.parametrize("value, text", [(1.5, "1.5"), (2 + 1j, "[2,1]"), (3, "3")])
+    def test_zero_dimensional_array_is_its_scalar(self, value, text):
+        doc = {"x": np.array(value), "nested": [np.array(value)]}
+        assert canonical_json(doc) == f'{{"nested":[{text}],"x":{text}}}'
+        assert canonical_json_loop(doc) == canonical_json(doc)
+
     def test_non_finite_array_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             canonical_json({"x": np.array([[1.0, 2.0], [math.nan, 0.0]])})

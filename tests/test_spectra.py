@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestFrequencyGrid:
         assert coeffs[1] == pytest.approx(1.0)
         assert coeffs[2] == pytest.approx(1.0)
         assert abs(coeffs[3]) < 1e-14
+
+    def test_in_place_fourier_overwrites_a_view_and_allocates_nothing(self):
+        grid = FrequencyGrid(2 ** 13)
+        rng = np.random.default_rng(11)
+        shape = (3, grid.n_grid, 2, 2)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ms = np.arange(-9, 10)
+        expected = grid.fourier(values.transpose(1, 0, 2, 3), ms)
+        transform = np.fft.ifft(values, axis=1)
+        tracemalloc.start()
+        try:
+            got = grid.fourier(values.transpose(1, 0, 2, 3), ms, in_place=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        assert values.tobytes() == transform.tobytes()
+        assert peak < 0.05 * values.nbytes
 
 
 class TestSymbols:
