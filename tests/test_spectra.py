@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,11 @@ class TestFrequencyGrid:
         assert got.tobytes() == expected.tobytes()
         assert values.tobytes() == transform.tobytes()
         assert peak < 0.05 * values.nbytes
+
+    def test_declared_numpy_floor_has_the_fft_out_argument(self):
+        # fourier passes ``out`` to numpy.fft on every call; NumPy 2.0 added it
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert int(re.search(r'"numpy>=(\d+)', pyproject).group(1)) >= 2
 
 
 class TestSymbols:
