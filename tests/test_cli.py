@@ -174,6 +174,15 @@ def test_oracle_verify_is_byte_identical_across_runs(tmp_path, config):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_minimax_is_byte_identical_across_runs(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["minimax", "--config", str(CONFIGS / "minimax.json"),
+                     "--output-dir", str(out), "--quiet"]) == 0
+    for name in ("minimax.json", "least_favorable_signal.csv", "least_favorable_noise.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def _fm_signal_without_spec(config):
     config["problem"]["signal_density"] = {"kind": "fm",
                                            "base": {"kind": "constant", "matrix": [[1.0]]}}

@@ -5,7 +5,13 @@ against a fixed signal density, for five ascent steps on a 1024-node grid.
 The values were recorded before the class table replaced the per-kind
 code paths; delta0 must stay within 1e-9 relative and the number of ascent
 steps must not change.
+
+Each T = 1 case also runs to its stop (at most 500 steps): its delta0 is
+pinned to 1e-12 relative and the kind of every step in order, so that no
+change to the ascent can move the choice of a step unseen.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from gmi.spectra import DensityGrid, DensityModel, FrequencyGrid
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 GRID = FrequencyGrid(1024)
 PINNED_OPTIONS = MinimaxOptions(max_iter=5, saddle_samples=0)
+FULL_OPTIONS = MinimaxOptions(max_iter=500, saddle_samples=0)
 
 #: case -> (delta0, number of ascent steps)
 PINNED = {
@@ -72,6 +79,36 @@ PINNED = {
     "T2-fixed-DVU_2": (3.3041295459338427, 5),
     "T2-fixed-DVU_3": (2.8306693344564935, 1),
     "T2-fixed-DVU_4": (2.831811793998574, 5),
+}
+
+#: T = 1 case run to its stop -> (delta0, step kinds as "kind*count" runs)
+FULL_RUN = {
+    "T1-D0_1-fixed": (4.857360822055676, "ee_f*10"),
+    "T1-D0_1-zero": (3.2724980257998357, "ee_f*9"),
+    "T1-D0_2-fixed": (4.857360822055676, "ee_f*10"),
+    "T1-D0_2-zero": (3.2724980257998357, "ee_f*9"),
+    "T1-D0_3-fixed": (4.857360822055676, "ee_f*10"),
+    "T1-D0_3-zero": (3.2724980257998357, "ee_f*9"),
+    "T1-D0_4-fixed": (3.014735547833531, "ee_f*8"),
+    "T1-D0_4-zero": (1.6362490128999179, "ee_f*9"),
+    "T1-D1delta_1-fixed": (4.524136159922469, "ee_f*3"),
+    "T1-D1delta_1-zero": (2.944833511141729, "ee_f*9"),
+    "T1-D1delta_2-fixed": (4.524136159922469, "ee_f*3"),
+    "T1-D1delta_2-zero": (2.944833511141729, "ee_f*9"),
+    "T1-D1delta_3-fixed": (4.351284630096001, "ee_f*3"),
+    "T1-D1delta_3-zero": (2.7607732993719463, "ee_f*9"),
+    "T1-D1delta_4-fixed": (4.524136159922469, "ee_f*3"),
+    "T1-D1delta_4-zero": (2.944833511141729, "ee_f*9"),
+    "T1-fixed-DVU_1": (4.057518045249675, "ee_g*8"),
+    "T1-fixed-DVU_2": (4.200776566577253, "ee_g*8"),
+    "T1-fixed-DVU_3": (4.200776566577253, "ee_g*8"),
+    "T1-fixed-DVU_4": (4.200776566577253, "ee_g*8"),
+    "T1-fixed-Deps_1": (4.715184227228587, "ee_g*10"),
+    "T1-fixed-Deps_2": (4.468538083456441, "ee_g*9"),
+    "T1-fixed-Deps_3": (4.057518045249675, "ee_g*8"),
+    "T1-fixed-Deps_4": (4.468538083456441, "ee_g*9"),
+    "T1-fixed-fixed": (4.159254089788544, "stall*1"),
+    "T1-fixed-zero": (2.5443647210584053, "stall*1"),
 }
 
 
@@ -141,3 +178,21 @@ def test_pinned_delta0_and_steps(name):
     delta0, steps = PINNED[name]
     assert res.delta0 == pytest.approx(delta0, rel=1e-9, abs=0)
     assert len(res.trace) == steps
+
+
+def _step_runs(trace) -> str:
+    return " ".join(f"{kind}*{len(list(run))}"
+                    for kind, run in itertools.groupby(e["step"] for e in trace))
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RUN))
+def test_full_run_delta0_and_step_kinds(name):
+    cls, fspec = case(name)
+    res = solve_minimax(cls, fspec, SPEC11, GRID, FULL_OPTIONS)
+    delta0, steps = FULL_RUN[name]
+    assert res.delta0 == pytest.approx(delta0, rel=1e-12, abs=0)
+    assert _step_runs(res.trace) == steps
+
+
+def test_full_run_covers_every_t1_case():
+    assert set(FULL_RUN) == {name for name in PINNED if name.startswith("T1-")}
