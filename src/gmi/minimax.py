@@ -1,12 +1,12 @@
 """Least favorable spectral densities over uncertainty classes.
 
 A monotone projected ascent of the optimal-estimate error, which is concave
-in (f, g): linearize through the error rows r_f, r_g (the gradient kernels
-conj(r) r^T are rank one), step toward a class vertex, line-search the
-blend; scalar problems also try the extremal-equation fixed points.  Each
-class kind is one family read through one measure (CLASS_TABLE).  Every
-vertex is exact at T = 1; at T > 1 only D0_2, D0_4 and DVU_2 are, and the
-other kinds are listed in residual_report["approximate"] and never converge.
+in (f, g): linearize through the error rows r_f, r_g (rank-one gradient
+kernels conj(r) r^T) and line-search the blend toward a class vertex, but at
+T = 1 only when no extremal-equation fixed point improves.  Each class kind
+is one family read through one measure (CLASS_TABLE).  Every vertex is exact
+at T = 1; at T > 1 only D0_2, D0_4 and DVU_2 are, and the other kinds are
+listed in residual_report["approximate"] and never converge.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ class DensityClassSpec:
 class MinimaxOptions:
     tol: float = 1e-7
     max_iter: int = 500
-    line_search_evals: int = 16
+    line_search_evals: int = 16  # at T = 1 used only if no extremal-equation candidate improves
     saddle_samples: int = 50
     seed: int = 0
 
@@ -680,6 +680,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
                   options: MinimaxOptions | None = None) -> MinimaxResult:
     """Ascend the optimal-estimate error over the admissible class.
 
+    At T = 1 the line search runs only when no extremal-equation candidate improves.
     A stop (no improving candidate, or a relative change below options.tol)
     is converged only if the final certificate gap is below GAP_RTOL * delta0
     and the class's vertices are exact at this dimension.
@@ -698,19 +699,21 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
         for it in range(options.max_iter):
             rows = _gradient_kernels(ctx, g_vals, blocks, sol)
             fv_vals, gv_vals, gap = _vertex_pair(ctx, f_vals, g_vals, rows, delta)
-            eta, val = _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta,
-                                    options.line_search_evals)
-            candidates = [("line", _blend(f_vals, fv_vals, eta), _blend(g_vals, gv_vals, eta), val)]
+            candidates, bar = [], delta * (1.0 + 1e-15)
             if scalar:  # extremal-equation candidates
                 sf, sg = _ee_shapes(ctx, f_vals, g_vals, sol.c)
                 fe, ge = _ee_candidate_f(ctx, g_vals, sf), _ee_candidate_g(ctx, f_vals, sg)
-                for kind, fc, gc in (("ee_f", fe, g_vals), ("ee_g", f_vals, ge),
-                                     ("ee_fg", fe, ge)):
-                    if fc is not None and gc is not None:
-                        candidates.append((kind, fc, gc, _delta_or_inf(ctx, fc, gc)))
+                candidates = [(kind, fc, gc, _delta_or_inf(ctx, fc, gc)) for kind, fc, gc in (
+                    ("ee_f", fe, g_vals), ("ee_g", f_vals, ge), ("ee_fg", fe, ge))
+                    if fc is not None and gc is not None]
+            if not any(c[3] > bar for c in candidates):  # the line heads the list: it wins ties
+                eta, val = _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta,
+                                        options.line_search_evals)
+                candidates.insert(0, ("line", _blend(f_vals, fv_vals, eta),
+                                      _blend(g_vals, gv_vals, eta), val))
 
             kind, f_new, g_new, val = max(candidates, key=lambda t: t[3])
-            if val <= delta * (1.0 + 1e-15):
+            if val <= bar:
                 stopped = True
                 trace.append({"iter": it, "delta": delta, "step": "stall", "eta": 0.0, "gap": gap})
                 break

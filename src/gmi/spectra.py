@@ -222,17 +222,21 @@ def _check_unit_circle_roots(den: np.ndarray, grid: FrequencyGrid):
 
     The refined-grid modulus check alone misses roots sitting exactly at
     seasonal frequencies (midpoint grids dodge them), so the companion
-    matrix roots are checked as well.
+    matrix roots are checked as well.  Returns the smallest modulus on the
+    refined grid, whose points go in blocks of 2^13 to keep temporaries small.
     """
-    n = min(16 * grid.n_grid, 1 << 20)
-    lam = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
-    vals = np.polyval(den[::-1], np.exp(-1j * lam))
-    if float(np.min(np.abs(vals))) <= 1e-8:
+    n, block, smallest = min(16 * grid.n_grid, 1 << 20), 1 << 13, np.inf
+    for start in range(0, n, block):
+        lam = -np.pi + (np.arange(start, min(start + block, n)) + 0.5) * (2 * np.pi / n)
+        vals = np.polyval(den[::-1], np.exp(-1j * lam))
+        smallest = min(smallest, float(np.min(np.abs(vals))))
+    if smallest <= 1e-8:
         raise ValidationError("rational density denominator has a root on the unit circle")
     if len(den) > 1 and np.any(den[1:] != 0):
         roots = np.roots(den[::-1])
         if roots.size and float(np.min(np.abs(np.abs(roots) - 1.0))) <= 1e-6:
             raise ValidationError("rational density denominator has a root on the unit circle")
+    return smallest
 
 
 def fm_density(spec: FMIncrementSpec, base: DensityGrid, grid: FrequencyGrid) -> DensityGrid:

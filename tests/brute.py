@@ -219,6 +219,14 @@ def fourier_blocks_loop(prob: Problem, f: DensityGrid, g: DensityGrid):
             _block_toeplitz(coeffs[2], N + 1, dim, lambda j, k: j - k))
 
 
+def refined_min_modulus(den: np.ndarray, grid: FrequencyGrid) -> float:
+    """The smallest |den(e^{-il})| on the refined grid of ``spectra._check_unit_circle_roots``,
+    evaluated in one pass."""
+    n = min(16 * grid.n_grid, 1 << 20)
+    lam = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
+    return float(np.min(np.abs(np.polyval(den[::-1], np.exp(-1j * lam)))))
+
+
 def structural_function(spec: GMIncrementSpec, f: DensityGrid, m: int) -> np.ndarray:
     """Covariance of differenced values at lag m:
     (1/2pi) int e^{i l m} |chi(e^{-il})|^2 |beta(il)|^{-2} f(l) dl."""

@@ -273,6 +273,35 @@ class TestSolveMinimax:
         assert {name: len(c) for name, c in calls.items()} == \
             {"transform_b": 1, "coeffs_a_mu": 1, "_chi_beta": 2}
 
+    def test_scalar_steps_search_the_line_only_when_no_candidate_improves(
+            self, grid1k, budget_class, monkeypatch):
+        import gmi.minimax
+
+        calls = {name: count_calls(monkeypatch, gmi.minimax, name)
+                 for name in ("_line_search", "_delta_core")}
+        fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
+        res = solve_minimax(budget_class, fs, SPEC11, grid1k, FAST)
+        steps = [t["step"] for t in res.trace]
+        assert steps and all(step.startswith("ee_") for step in steps)
+        assert len(calls["_line_search"]) == 0
+        # the start, then per step at most three candidates and the accepted pair
+        assert len(calls["_delta_core"]) <= 4 * len(steps) + 1
+        # with no tolerance the ascent runs until no candidate improves; that step searches the line
+        res = solve_minimax(budget_class, fs, SPEC11, grid1k,
+                            MinimaxOptions(tol=0.0, saddle_samples=0))
+        assert res.trace[-1]["step"] == "stall" and len(calls["_line_search"]) == 1
+
+    def test_matrix_steps_search_the_line_every_step(self, grid1k, monkeypatch):
+        import gmi.minimax
+
+        calls = count_calls(monkeypatch, gmi.minimax, "_line_search")
+        cls = DensityClassSpec(FClassSpec("D0_2", {"p": 1.2}), GClassSpec(
+            "fixed", {"g1": constant_density(grid1k, [[0.4, 0.1], [0.1, 0.3]])}))
+        fs = FunctionalSpec(N=1, a=np.array([[1.0, 0.5], [0.3, -0.2]]))
+        res = solve_minimax(cls, fs, SPEC11, grid1k, MinimaxOptions(max_iter=5, saddle_samples=0))
+        assert len(res.trace) == 5 and all(t["step"] == "line" for t in res.trace)
+        assert len(calls) == len(res.trace)
+
     def test_all_class_pairs_evaluable_scalar(self, grid2k):
         f1 = rational_density(grid2k, [1.0], [1.0, -0.4])
         g1 = constant_density(grid2k, 0.4)

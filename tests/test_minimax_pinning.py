@@ -192,7 +192,3 @@ def test_full_run_delta0_and_step_kinds(name):
     delta0, steps = FULL_RUN[name]
     assert res.delta0 == pytest.approx(delta0, rel=1e-12, abs=0)
     assert _step_runs(res.trace) == steps
-
-
-def test_full_run_covers_every_t1_case():
-    assert set(FULL_RUN) == {name for name in PINNED if name.startswith("T1-")}

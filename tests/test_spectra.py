@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brute import chi_beta_power, combine, structural_function
+from brute import chi_beta_power, combine, refined_min_modulus, structural_function
 from conftest import constant_density, pchi_one_density, rational_density
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
 from gmi.spectra import (
     DensityGrid,
     FrequencyGrid,
+    _check_unit_circle_roots,
     _chi_beta,
     fm_density,
     minimality_value,
@@ -123,6 +124,27 @@ class TestDensityGrid:
     def test_rational_unit_circle_root(self, grid1k):
         with pytest.raises(ValidationError):
             rational_density(grid1k, [1.0], [1.0, -1.0])
+
+
+class TestUnitCircleRootCheck:
+    DENOMINATORS = ([1.0, -0.4], [1.0, 0.9], [1.0, -0.5, 0.3], [1.0, -1.8, 0.95],
+                    [2.0, 0.3, -0.4, 0.1, 0.05])
+
+    @pytest.mark.parametrize("log2_grid", [10, 12, 14, 15, 17])
+    def test_blocked_minimum_equals_one_pass(self, log2_grid):
+        grid = FrequencyGrid(1 << log2_grid)
+        for den in map(np.array, self.DENOMINATORS):
+            assert _check_unit_circle_roots(den, grid) == refined_min_modulus(den, grid)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        grid, den = FrequencyGrid(1 << 16), np.array([1.0, -0.4])  # 2^20 refined points
+        tracemalloc.start()
+        try:
+            _check_unit_circle_roots(den, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << 13) * 16  # eight complex blocks; one pass takes about 56 MB
 
 
 class TestFmDensity:
