@@ -360,16 +360,16 @@ def _minimality(spec: GMIncrementSpec, weight: np.ndarray,
     # refined midpoints sit at +-Delta/4 around each node
     delta = 2.0 * np.pi / p.grid.n_grid
     lam_fine = np.concatenate([lam - delta / 4.0, lam + delta / 4.0])
-    p_left = 0.75 * p.values + 0.25 * np.roll(p.values, 1, axis=0)
-    p_right = 0.75 * p.values + 0.25 * np.roll(p.values, -1, axis=0)
-    p_fine = np.concatenate([p_left, p_right], axis=0)
     chi_f, beta_f = _chi_beta(spec.s, spec.mu, spec.d, lam_fine)
     weight_fine = np.abs(beta_f) ** 2 / np.abs(chi_f) ** 2
-    if p.dim == 1:
-        trace_inv_fine = 1.0 / p_fine[:, 0, 0].real
-    else:
-        trace_inv_fine = np.trace(np.linalg.inv(p_fine), axis1=1, axis2=2).real
-    fine = float(np.mean(weight_fine * trace_inv_fine))
+
+    def trace_inv(shift: int) -> np.ndarray:  # one half of the refined points at a time
+        half = 0.75 * p.values + 0.25 * np.roll(p.values, shift, axis=0)
+        if p.dim == 1:
+            return 1.0 / half[:, 0, 0].real
+        return np.trace(np.linalg.inv(half), axis1=1, axis2=2).real
+
+    fine = float(np.mean(weight_fine * np.concatenate([trace_inv(1), trace_inv(-1)])))
 
     is_minimal = abs(fine - value) <= 0.05 * max(abs(value), abs(fine))
     return MinimalityReport(value=value, refined_value=fine, is_minimal=is_minimal)

@@ -227,6 +227,21 @@ def refined_min_modulus(den: np.ndarray, grid: FrequencyGrid) -> float:
     return float(np.min(np.abs(np.polyval(den[::-1], np.exp(-1j * lam)))))
 
 
+def refined_minimality_one_pass(weight_of, obs) -> float:
+    """The refined value of ``spectra._minimality`` with both halves of the refined
+    grid formed and inverted in one pass; weight_of(lam) is |beta|^2 / |chi|^2."""
+    p = obs.p
+    lam, delta = p.grid.nodes, 2.0 * np.pi / p.grid.n_grid
+    p_fine = np.concatenate([0.75 * p.values + 0.25 * np.roll(p.values, shift, axis=0)
+                             for shift in (1, -1)])
+    if p.dim == 1:
+        trace_inv = 1.0 / p_fine[:, 0, 0].real
+    else:
+        trace_inv = np.trace(np.linalg.inv(p_fine), axis1=1, axis2=2).real
+    return float(np.mean(weight_of(np.concatenate([lam - delta / 4.0, lam + delta / 4.0]))
+                         * trace_inv))
+
+
 def structural_function(spec: GMIncrementSpec, f: DensityGrid, m: int) -> np.ndarray:
     """Covariance of differenced values at lag m:
     (1/2pi) int e^{i l m} |chi(e^{-il})|^2 |beta(il)|^{-2} f(l) dl."""

@@ -5,8 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brute import chi_beta_power, combine, refined_min_modulus, structural_function
-from conftest import constant_density, pchi_one_density, rational_density
+from brute import (
+    chi_beta_power,
+    combine,
+    refined_min_modulus,
+    refined_minimality_one_pass,
+    structural_function,
+)
+from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
 from gmi.spectra import (
@@ -14,8 +20,10 @@ from gmi.spectra import (
     FrequencyGrid,
     _check_unit_circle_roots,
     _chi_beta,
+    _minimality,
     fm_density,
     minimality_value,
+    observed_spectrum,
     symbols,
 )
 
@@ -268,6 +276,39 @@ class TestMinimality:
         g = constant_density(grid2k, 0.5)
         report = minimality_value(spec, f, g)
         assert not report.is_minimal
+
+    @staticmethod
+    def _inputs(grid, dim):
+        """(weight function, observed spectrum) of an MA signal in white noise."""
+        rng = np.random.default_rng(dim)
+        f = matrix_ma_density(grid, [np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)),
+                                     0.3 * rng.standard_normal((dim, dim))])
+        beta2 = np.abs(_chi_beta(SPEC11.s, SPEC11.mu, SPEC11.d, grid.nodes)[1]) ** 2
+
+        def weight_of(lam):
+            chi, beta = _chi_beta(SPEC11.s, SPEC11.mu, SPEC11.d, lam)
+            return np.abs(beta) ** 2 / np.abs(chi) ** 2
+
+        return weight_of, observed_spectrum(f, constant_density(grid, 0.3 * np.eye(dim)), beta2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_refined_value_equals_one_pass(self, grid1k, dim):
+        weight_of, obs = self._inputs(grid1k, dim)
+        report = _minimality(SPEC11, weight_of(grid1k.nodes), obs)
+        assert report.refined_value == refined_minimality_one_pass(weight_of, obs)
+
+    def test_refined_value_inverts_one_half_at_a_time(self):
+        grid = FrequencyGrid(1 << 13)
+        weight_of, obs = self._inputs(grid, 4)
+        weight = weight_of(grid.nodes)
+        tracemalloc.start()
+        try:
+            _minimality(SPEC11, weight, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # kernel size: one (n, 4, 4) complex array; the one-pass form reads 6.6
+        assert peak < 3.5 * grid.n_grid * 16 * 16
 
     def test_refinement_stability(self, grid1k, grid2k):
         for grid_pair in [(grid1k, grid2k)]:
