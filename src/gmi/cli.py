@@ -3,8 +3,10 @@
 Commands: interpolate, oracle-verify, minimax, classify, coeffs.  Every
 command reads one JSON config (schema_version 1), writes machine-readable
 artifacts into --output-dir, and reports errors as a JSON envelope on
-stderr.  Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 verification failure.
+stderr.  Exit codes: 0 success, 2 validation error (a missing or malformed
+config value, named with its section, e.g. ``problem.functional.a``),
+3 numerical failure on valid input, 4 verification failure.  A command reads
+each key it uses once, through ``io._get``; defaults stay with their owners.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -40,6 +41,8 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    import numpy as np
+
     from .errors import GmiError
 
     try:
@@ -47,7 +50,7 @@ def main(argv=None) -> int:
     except GmiError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
-    except Exception as exc:  # numerical library failures map to 3
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # numerical library failures
         _emit_error("numerical_error", f"{type(exc).__name__}: {exc}")
         return 3
     return code
@@ -64,94 +67,59 @@ def _say(args, text: str):
 
 def _load_config(args) -> dict:
     from .errors import ValidationError
+    from .io import _get, _int, _must, _object
 
     try:
         config = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the config file or the output directory
+        raise ValidationError(f"{exc.strerror}: {exc.filename}") from exc
+    except ValueError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    _check_config(config)
-    problem = config["problem"]
-    if args.grid is not None:
-        problem["grid"] = args.grid
-    if args.seed is not None:
-        problem["seed"] = args.seed
-    grid_n = problem.get("grid", 4096)
-    if grid_n < 2 ** 10 or grid_n > 2 ** 20 or grid_n & (grid_n - 1):
-        raise ValidationError("grid size must be a power of two in [2^10, 2^20]")
+    if not isinstance(config, dict):
+        raise ValidationError("the config must be a JSON object")
+    _get(config, "schema_version", "", lambda v: _must(_int(v) == 1, v, "1"))
+    problem = _get(config, "problem", "", _object)
+    for key in ("grid", "seed"):
+        if getattr(args, key) is not None:
+            problem[key] = getattr(args, key)
     return config
 
 
-def _check_config(config) -> None:
-    """Top-level shape: schema_version 1, the increment type, section and integer types."""
-    from .errors import ValidationError
-
-    def require(ok: bool, what: str):
-        if not ok:
-            raise ValidationError(f"config schema violation: {what}")
-
-    require(isinstance(config, dict), "the config must be an object")
-    version = config.get("schema_version")
-    require(version == 1 and not isinstance(version, bool), "schema_version must be 1")
-    problem = config.get("problem")
-    require(isinstance(problem, dict), "problem must be an object")
-    increment = problem.get("increment")
-    require(isinstance(increment, dict), "problem.increment must be an object")
-    require(increment.get("type") in ("gm", "fm"), "problem.increment.type must be 'gm' or 'fm'")
-    sections = [(problem, "problem.", key)
-                for key in ("signal_density", "noise_density", "functional")]
-    sections += [(config, "", key) for key in ("oracle", "minimax", "coeffs")]
-    for owner, prefix, key in sections:
-        require(key not in owner or isinstance(owner[key], dict),
-                f"{prefix}{key} must be an object")
-    for key in ("grid", "seed"):
-        require(key not in problem or type(problem[key]) is int,
-                f"problem.{key} must be an integer")
-
-
-@contextmanager
-def _config_keys():
-    """Report a key missing from the config as a validation error."""
-    from .errors import ValidationError
-
-    try:
-        yield
-    except KeyError as exc:
-        raise ValidationError(f"config is missing key {exc.args[0]!r}") from exc
-
-
-def _build_grid(config):
-    from .spectra import FrequencyGrid
-
-    return FrequencyGrid(config["problem"].get("grid", 4096))
-
-
-def _density_model(data: dict):
-    from .errors import ValidationError
-    from .io import increment_from_dict
+def _density_model(data: dict, where: str, dim=None):
+    """The DensityModel of a density object; ``dim`` sizes a zero density without one."""
+    from .io import (_count, _get, _object, _one_of, _present, _real, _reals,
+                     increment_from_dict)
     from .spectra import DensityModel
 
-    if data is None:
-        raise ValidationError("missing density description")
-    kind = data.get("kind")
+    kind = _get(data, "kind", where, _one_of(("constant", "rational", "matrix_ma", "zero", "fm")))
     if kind == "constant":
-        matrix = data.get("matrix", data.get("value"))
-        return DensityModel("constant", {"matrix": matrix})
-    if kind == "rational":
-        return DensityModel("rational", {
-            "numerator": data.get("numerator", [1.0]),
-            "denominator": data.get("denominator", [1.0]),
-            "scale": data.get("scale", 1.0)})
-    if kind == "matrix_ma":
-        return DensityModel("matrix_ma", {"coefficients": data["coefficients"]})
-    if kind == "zero":
-        return DensityModel("zero", {"dim": data.get("dim", 1)})
-    if kind == "fm":
-        base = _density_model(data["base"])
-        fm_spec = increment_from_dict({"type": "fm", **data["spec"]})
-        return DensityModel("fm", {"spec": fm_spec, "base": base})
-    raise ValidationError(f"unknown density kind {kind!r}")
+        params = {"matrix": _get(data, "matrix", where, _reals())}
+    elif kind == "rational":
+        params = _present(data, where, numerator=_reals(1), denominator=_reals(1), scale=_real)
+    elif kind == "matrix_ma":
+        params = {"coefficients": _get(data, "coefficients", where, _reals(1, 3))}
+    elif kind == "zero":
+        dim = _get(data, "dim", where, _count, dim)
+        params = {} if dim is None else {"dim": dim}
+    else:
+        spec = {**_get(data, "spec", where, _object), "type": "fm"}
+        params = {"spec": increment_from_dict(spec, f"{where}.spec"),
+                  "base": _density_model(_get(data, "base", where, _object), f"{where}.base")}
+    return DensityModel(kind, params)
+
+
+def _density(section: dict, key: str, where: str, grid, dim=None, default=None):
+    """The density object ``section[key]`` (or ``default``) evaluated on the grid."""
+    from .errors import ValidationError
+    from .io import REQUIRED, _get, _object
+
+    at = f"{where}.{key}"
+    model = _density_model(_get(section, key, where, _object, default or REQUIRED), at, dim)
+    try:
+        return model.evaluate(grid)
+    except ValidationError as exc:
+        raise ValidationError(f"{at}: {exc}") from exc
 
 
 def _integer_part(spec):
@@ -165,15 +133,19 @@ def _integer_part(spec):
     return GMIncrementSpec(s=s, mu=(1,) * len(keep), d=d)
 
 
+def _increment(config):
+    from .io import _get, _object, increment_from_dict
+
+    return increment_from_dict(_get(config["problem"], "increment", "problem", _object),
+                               "problem.increment")
+
+
 def _gm_spec(config):
     from .errors import ValidationError
     from .increments import GMIncrementSpec
-    from .io import increment_from_dict
 
-    spec = increment_from_dict(config["problem"]["increment"])
-    if isinstance(spec, GMIncrementSpec):
-        return spec
-    gm = _integer_part(spec)
+    spec = _increment(config)
+    gm = spec if isinstance(spec, GMIncrementSpec) else _integer_part(spec)
     if gm is None:
         raise ValidationError(
             "fractional increment has no integer-order part; interpolation needs one")
@@ -182,72 +154,49 @@ def _gm_spec(config):
 
 def _functional(config):
     from .classical import FunctionalSpec, PeriodicFunctionalSpec, lift_periodic
-    from .errors import ValidationError
+    from .io import _count, _get, _object, _one_of, _reals
 
-    data = config["problem"].get("functional")
-    if data is None:
-        raise ValidationError("problem.functional is required for this command")
-    if data.get("type") == "periodic":
-        p = PeriodicFunctionalSpec(M=int(data["M"]), T=int(data["T"]),
-                                   a_scalar=data["a"])
-        return lift_periodic(p)
-    if data.get("type", "vector") == "vector":
-        import numpy as np
-
-        a = np.asarray(data["a"], dtype=float)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        return FunctionalSpec(N=a.shape[0] - 1, a=a)
-    raise ValidationError("functional type must be 'vector' or 'periodic'")
+    where = "problem.functional"
+    data = _get(config["problem"], "functional", "problem", _object)
+    if _get(data, "type", where, _one_of(("vector", "periodic")), "vector") == "periodic":
+        return lift_periodic(PeriodicFunctionalSpec(
+            M=_get(data, "M", where, _count), T=_get(data, "T", where, _count),
+            a_scalar=_get(data, "a", where, _reals(1))))
+    a = _get(data, "a", where, _reals(1, 2))
+    return FunctionalSpec(N=a.shape[0] - 1, a=a.reshape(a.shape[0], -1))
 
 
-def _densities(config, grid, dim_hint=None):
-    from .errors import ValidationError
-    from .spectra import DensityModel
-
+def _densities(config, grid):
+    """Signal and noise densities; no noise, or a zero one without dim, has the signal's size."""
     problem = config["problem"]
-    if "signal_density" not in problem:
-        raise ValidationError("problem.signal_density is required for this command")
-    f = _density_model(problem["signal_density"]).evaluate(grid)
-    noise = problem.get("noise_density")
-    if noise is None:
-        g = DensityModel("zero", {"dim": f.dim}).evaluate(grid)
-    else:
-        if noise.get("kind") == "zero" and "dim" not in noise:
-            noise = {"kind": "zero", "dim": f.dim}
-        g = _density_model(noise).evaluate(grid)
-    return f, g
+    f = _density(problem, "signal_density", "problem", grid)
+    return f, _density(problem, "noise_density", "problem", grid, f.dim, {"kind": "zero"})
 
 
 def _problem(config):
-    """Increment, functional and densities (on the config's grid) of a problem."""
-    with _config_keys():
-        grid = _build_grid(config)
-        spec = _gm_spec(config)
-        fspec = _functional(config)
-        return spec, fspec, *_densities(config, grid)
+    """Grid, increment and functional of the config's problem."""
+    from .io import _get, _int, _must
+    from .spectra import FrequencyGrid
+
+    grid = _get(config["problem"], "grid", "problem", lambda n: _must(
+        2 ** 10 <= _int(n) <= 2 ** 20 and not n & (n - 1), n, "a power of two in [2^10, 2^20]"),
+        4096)
+    return FrequencyGrid(grid), _gm_spec(config), _functional(config)
 
 
 def _dispatch(args) -> int:
     config = _load_config(args)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    command = args.command
-    if command == "interpolate":
-        return _cmd_interpolate(args, config)
-    if command == "oracle-verify":
-        return _cmd_oracle(args, config)
-    if command == "minimax":
-        return _cmd_minimax(args, config)
-    if command == "classify":
-        return _cmd_classify(args, config)
-    return _cmd_coeffs(args, config)
+    return {"interpolate": _cmd_interpolate, "oracle-verify": _cmd_oracle,
+            "minimax": _cmd_minimax, "classify": _cmd_classify,
+            "coeffs": _cmd_coeffs}[args.command](args, config)
 
 
 def _cmd_interpolate(args, config) -> int:
     from .classical import solve_interpolation
     from .io import solution_to_dict, write_characteristic_csv, write_json
 
-    spec, fspec, f, g = _problem(config)
+    grid, spec, fspec = _problem(config)
+    f, g = _densities(config, grid)
     sol = solve_interpolation(spec, f, g, fspec)
     write_json(args.output_dir / "solution.json", solution_to_dict(sol))
     write_characteristic_csv(args.output_dir / "spectral_characteristic.csv",
@@ -260,14 +209,17 @@ def _cmd_interpolate(args, config) -> int:
 
 def _cmd_oracle(args, config) -> int:
     from .classical import Problem, _interpolate
-    from .errors import VerificationError
-    from .io import write_convergence_csv, write_json
+    from .errors import ValidationError, VerificationError
+    from .io import _count, _get, _list, _object, _real, write_convergence_csv, write_json
     from .oracle import DEFAULT_SCHEDULE, _table
 
-    spec, fspec, f, g = _problem(config)
-    opts = config.get("oracle", {})
-    schedule = tuple(int(x) for x in opts.get("schedule", DEFAULT_SCHEDULE))
-    tolerance = float(opts.get("tolerance", 0.02))
+    grid, spec, fspec = _problem(config)
+    f, g = _densities(config, grid)
+    opts = _get(config, "oracle", "", _object, {})
+    schedule = _get(opts, "schedule", "oracle", _list(_count), DEFAULT_SCHEDULE)
+    if not schedule:
+        raise ValidationError("oracle.schedule must not be empty")
+    tolerance = _get(opts, "tolerance", "oracle", _real, 0.02)
     prob = Problem(spec, fspec, f.grid)
     sol = _interpolate(prob, f, g)
     rows = _table(prob, f, g, schedule)
@@ -292,43 +244,36 @@ def _cmd_oracle(args, config) -> int:
     return 0
 
 
-def _class_spec(config, grid):
-    from .errors import ValidationError
-    from .minimax import DensityClassSpec, FClassSpec, GClassSpec
+def _class_spec(data: dict, grid):
+    """Both sides of the minimax class; f1, g1, V and U are densities, the rest reals."""
+    from .io import REQUIRED, _get, _object, _one_of, _reals
+    from .minimax import (F_CLASS_PARAMS, G_CLASS_PARAMS, DensityClassSpec, FClassSpec,
+                          GClassSpec)
 
-    data = config.get("minimax", {})
-    fdata = dict(data.get("f_class", {}))
-    gdata = dict(data.get("g_class", {"kind": "zero"}))
-    fkind = fdata.pop("kind", None)
-    gkind = gdata.pop("kind", None)
-    if fkind is None or gkind is None:
-        raise ValidationError("minimax.f_class.kind and minimax.g_class.kind are required")
-    for key in ("f1",):
-        if key in fdata:
-            fdata[key] = _density_model(fdata[key]).evaluate(grid)
-    for key in ("g1", "V", "U"):
-        if key in gdata:
-            gdata[key] = _density_model(gdata[key]).evaluate(grid)
-    return DensityClassSpec(FClassSpec(fkind, fdata), GClassSpec(gkind, gdata))
+    sides = []
+    for key, table, default, side in (
+            ("f_class", F_CLASS_PARAMS, REQUIRED, FClassSpec),
+            ("g_class", G_CLASS_PARAMS, {"kind": "zero"}, GClassSpec)):
+        where = f"minimax.{key}"
+        spec = _get(data, key, "minimax", _object, default)
+        kind = _get(spec, "kind", where, _one_of(table))
+        sides.append(side(kind, {
+            name: _density(spec, name, where, grid) if name in ("f1", "g1", "V", "U")
+            else _get(spec, name, where, _reals()) for name in table[kind]}))
+    return DensityClassSpec(*sides)
 
 
 def _cmd_minimax(args, config) -> int:
-    from .io import complex_array, write_density_csv, write_json
+    from .io import (_count, _get, _object, _present, _real, complex_array, write_density_csv,
+                     write_json)
     from .minimax import MinimaxOptions, solve_minimax
 
-    with _config_keys():
-        grid = _build_grid(config)
-        spec = _gm_spec(config)
-        fspec = _functional(config)
-        opts_data = config.get("minimax", {})
-        options = MinimaxOptions(
-            tol=float(opts_data.get("tol", 1e-7)),
-            max_iter=int(opts_data.get("max_iter", 500)),
-            saddle_samples=int(opts_data.get("saddle_samples", 50)),
-            seed=int(config["problem"].get("seed", 0)),
-        )
-        class_spec = _class_spec(config, grid)
-    result = solve_minimax(class_spec, fspec, spec, grid, options)
+    grid, spec, fspec = _problem(config)
+    data = _get(config, "minimax", "", _object, {})
+    options = MinimaxOptions(**_present(data, "minimax", tol=_real, max_iter=_count,
+                                        saddle_samples=_count),
+                             **_present(config["problem"], "problem", seed=_count))
+    result = solve_minimax(_class_spec(data, grid), fspec, spec, grid, options)
     payload = {
         "schema_version": 1,
         "kind": "minimax_result",
@@ -358,40 +303,29 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
 def _cmd_classify(args, config) -> int:
     from .errors import ValidationError
     from .increments import FMIncrementSpec, classify_stationarity
-    from .io import increment_from_dict, write_json
+    from .io import write_json
 
-    with _config_keys():
-        spec = increment_from_dict(config["problem"]["increment"])
+    spec = _increment(config)
     if not isinstance(spec, FMIncrementSpec):
         raise ValidationError("classify requires a fractional ('fm') increment")
     report = classify_stationarity(spec)
-    conditions: dict[str, bool] = {}
-    for p in report.per_nu:
-        cond = "|" + "+".join(f"D{j}" for j in p.contributors) + "| < 1/2"
-        conditions.setdefault(cond, p.stationary)
+    # frequencies with one condition share their contributors, hence D_nu and the verdict
+    conditions = {p.condition: p.stationary for p in report.per_nu}
     payload = {
         "schema_version": 1,
         "kind": "stationarity_report",
         "stationary": report.stationary,
         "long_memory": report.long_memory,
         "invertible": report.invertible,
-        "conditions": [
-            {"condition": cond, "satisfied": ok} for cond, ok in conditions.items()
-        ],
+        "conditions": [{"condition": c, "satisfied": ok} for c, ok in conditions.items()],
         "per_frequency": [
             {"nu": p.nu, "D_nu": p.d_nu, "stationary": p.stationary,
              "long_memory": p.long_memory, "invertible": p.invertible,
@@ -411,25 +345,21 @@ def _cmd_classify(args, config) -> int:
 def _cmd_coeffs(args, config) -> int:
     from .increments import (GMIncrementSpec, expand_operator, frequency_set, gm_series,
                              inverse_series)
-    from .io import increment_from_dict, write_json
+    from .io import _count, _get, _object, write_json
 
-    with _config_keys():
-        spec = increment_from_dict(config["problem"]["increment"])
-        length = int(config.get("coeffs", {}).get("length", 32))
+    spec = _increment(config)
+    length = _get(_get(config, "coeffs", "", _object, {}), "length", "coeffs", _count, 32)
     payload = {"schema_version": 1, "kind": "coefficient_dump", "length": length}
-    if isinstance(spec, GMIncrementSpec):
-        payload["expansion"] = [int(x) for x in expand_operator(spec)]
-        payload["inverse_series"] = [int(x) for x in inverse_series(spec, length)]
-    else:
+    gm = spec if isinstance(spec, GMIncrementSpec) else _integer_part(spec)
+    if gm is not spec:
         fset = frequency_set(spec)
         payload["frequencies"] = [
             {"nu": e.nu, "D_nu": e.d_nu, "D_tilde": e.d_tilde} for e in fset.entries]
         payload["series_plus"] = [float(x) for x in gm_series(fset, "plus", length)]
         payload["series_minus"] = [float(x) for x in gm_series(fset, "minus", length)]
-        gm = _integer_part(spec)
-        if gm is not None:
-            payload["expansion"] = [int(x) for x in expand_operator(gm)]
-            payload["inverse_series"] = [int(x) for x in inverse_series(gm, length)]
+    if gm is not None:
+        payload["expansion"] = [int(x) for x in expand_operator(gm)]
+        payload["inverse_series"] = [int(x) for x in inverse_series(gm, length)]
     write_json(args.output_dir / "coefficients.json", payload)
     _say(args, "coeffs: written coefficients.json")
     return 0

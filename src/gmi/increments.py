@@ -142,16 +142,6 @@ class FrequencyEntry:
 class FrequencySet:
     entries: tuple[FrequencyEntry, ...]
 
-    @property
-    def k_star(self) -> int:
-        return len(self.entries)
-
-    def order_at(self, nu: float, tol: float = 1e-12) -> float:
-        for e in self.entries:
-            if abs(e.nu - nu) <= tol:
-                return e.d_nu
-        return 0.0
-
 
 def _poly_mul(a: list[int], b: list[int], truncate: int | None = None) -> list[int]:
     out_len = len(a) + len(b) - 1
@@ -318,6 +308,11 @@ class PerFrequencyFlags:
     invertible: bool
     contributors: tuple[int, ...]
 
+    @property
+    def condition(self) -> str:
+        """The stationarity condition at this frequency, e.g. ``|D0+D1| < 1/2``."""
+        return "|" + "+".join(f"D{j}" for j in self.contributors) + "| < 1/2"
+
 
 @dataclass(frozen=True)
 class StationarityReport:
@@ -338,21 +333,13 @@ def classify_stationarity(spec: FMIncrementSpec) -> StationarityReport:
     invertibility window are also listed individually).
     """
     fset = frequency_set(spec)
-    per_nu = []
-    conditions = []
-    for e in fset.entries:
-        ok = -0.5 < e.d_nu < 0.5
-        lm = 0.0 < e.d_nu < 0.5
-        inv = -0.5 < e.d_nu < 0.0
-        per_nu.append(PerFrequencyFlags(e.nu, e.d_nu, ok, lm, inv, e.contributors))
-        cond = "|" + "+".join(f"D{j}" for j in e.contributors) + "| < 1/2"
-        if cond not in conditions:
-            conditions.append(cond)
+    per_nu = [PerFrequencyFlags(e.nu, e.d_nu, -0.5 < e.d_nu < 0.5, 0.0 < e.d_nu < 0.5,
+                                -0.5 < e.d_nu < 0.0, e.contributors) for e in fset.entries]
     return StationarityReport(
         stationary=all(p.stationary for p in per_nu),
         long_memory=any(p.long_memory for p in per_nu),
         invertible=all(p.invertible for p in per_nu),
         per_nu=tuple(per_nu),
-        conditions=tuple(conditions),
+        conditions=tuple(dict.fromkeys(p.condition for p in per_nu)),
         invertible_frequencies=tuple(p.nu for p in per_nu if p.invertible),
     )

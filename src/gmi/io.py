@@ -141,17 +141,85 @@ def increment_to_dict(spec) -> dict:
     raise ValidationError("unknown increment spec")
 
 
-def increment_from_dict(data: dict):
-    if data.get("type") == "gm":
-        return GMIncrementSpec(s=tuple(data["s"]), mu=tuple(data["mu"]), d=tuple(data["d"]))
-    if data.get("type") == "fm":
-        return FMIncrementSpec(
-            R0=int(data.get("R0", 0)),
-            D0=float(data.get("D0", 0.0)),
-            factors=tuple(SeasonalFactor(int(f["s"]), int(f.get("R", 0)), float(f.get("D", 0.0)))
-                          for f in data.get("factors", [])),
-        )
-    raise ValidationError("increment type must be 'gm' or 'fm'")
+# --- config values ----------------------------------------------------------
+
+REQUIRED = object()  # the default of a key that must be present
+
+
+def _get(section: dict, key: str, where: str, read=None, default=REQUIRED):
+    """``read(section[key])``, or ``default`` when absent.  A missing required key,
+    or a value ``read`` refuses, raises a ValidationError naming ``where``.key."""
+    if key not in section:
+        if default is REQUIRED:
+            raise ValidationError(f"{where or 'config'} is missing key {key!r}")
+        return default
+    try:
+        return section[key] if read is None else read(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where + '.' if where else ''}{key}: {exc}") from exc
+
+
+def _present(section: dict, where: str, **readers) -> dict:
+    """The keys of ``readers`` that ``section`` has, read; the owner defaults the others."""
+    return {key: _get(section, key, where, read) for key, read in readers.items() if key in section}
+
+
+def _must(ok: bool, value, what: str):
+    """``value`` if ``ok``, else the ValueError that ``_get`` turns into a named message."""
+    if not ok:
+        raise ValueError(f"must be {what}, not {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    return _must(isinstance(value, dict), value, "an object")
+
+
+def _int(value) -> int:  # an exact JSON integer: no bool, no 2.5, no "2"
+    return _must(type(value) is int, value, "an integer")
+
+
+def _count(value) -> int:
+    return _must(_int(value) >= 0, value, "a non-negative integer")
+
+
+def _real(value) -> float:
+    ok = type(value) in (int, float) and math.isfinite(value)
+    return float(_must(ok, value, "a finite real number"))
+
+
+def _list(read):
+    """Converter of a list whose items pass ``read``, to a tuple."""
+    return lambda value: tuple(map(read, _must(isinstance(value, list), value, "a list")))
+
+
+def _one_of(choices):
+    return lambda value: _must(isinstance(value, str) and value in choices, value,
+                               "one of " + ", ".join(map(repr, choices)))
+
+
+def _reals(*ndims):
+    """Converter to a non-empty float array of finite reals, of a rank in ``ndims`` if given."""
+    def read(value) -> np.ndarray:
+        arr = np.asarray(value)
+        rank = f" (rank {' or '.join(map(str, ndims))})" if ndims else ""
+        _must(arr.dtype.kind in "iuf" and arr.size and (not ndims or arr.ndim in ndims)
+              and np.all(np.isfinite(arr)), value, f"a non-empty array{rank} of finite reals")
+        return arr.astype(float)
+    return read
+
+
+def increment_from_dict(data: dict, where: str = "increment"):
+    """The increment spec of a ``{"type": "gm" | "fm", ...}`` object."""
+    if _get(data, "type", where, _one_of(("gm", "fm"))) == "gm":
+        return GMIncrementSpec(*(_get(data, key, where, _list(_count)) for key in ("s", "mu", "d")))
+    factors = []
+    for k, factor in enumerate(_get(data, "factors", where, _list(_object), ())):
+        at = f"{where}.factors[{k}]"
+        factors.append(SeasonalFactor(_get(factor, "s", at, _int), _get(factor, "R", at, _count, 0),
+                                      _get(factor, "D", at, _real, 0.0)))
+    return FMIncrementSpec(R0=_get(data, "R0", where, _count, 0),
+                           D0=_get(data, "D0", where, _real, 0.0), factors=tuple(factors))
 
 
 def solution_to_dict(sol: InterpolationSolution) -> dict:

@@ -469,7 +469,7 @@ class _Problem(Problem):
 
     def __init__(self, class_spec: DensityClassSpec, spec: GMIncrementSpec,
                  fspec: FunctionalSpec, grid: FrequencyGrid):
-        validate_class_spec(class_spec)
+        validate_class_spec(class_spec, fspec.dim)
         super().__init__(spec, fspec, grid)
         self.f, self.g = (_family(side, self.w, fspec.dim) for side in (class_spec.f, class_spec.g))
 
@@ -488,9 +488,18 @@ def feasibility_report(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) ->
             "max_residual": max(rf, rg)}
 
 
-def validate_class_spec(class_spec: DensityClassSpec) -> None:
-    """Enforce the structural constraints on the class parameters."""
+#: the rank of each real class parameter at dimension T: scalar, T-vector or T x T matrix
+_PARAM_RANK = {"p": 0, "q": 0, "delta": 0, "eps": 0, "p_k": 1, "q_k": 1, "delta_k": 1,
+               "P": 2, "Q": 2, "B1": 2, "B2": 2, "delta_ij": 2}
+
+
+def validate_class_spec(class_spec: DensityClassSpec, dim: int) -> None:
+    """Enforce the shapes and structural constraints of the class parameters at dimension dim."""
     pf, pg = class_spec.f.params, class_spec.g.params
+    for key, value in (*pf.items(), *pg.items()):
+        shape = (dim,) * _PARAM_RANK.get(key, 0)
+        if key in _PARAM_RANK and np.shape(value) != shape:
+            raise ValidationError(f"class parameter {key} must have shape {shape}")
     for key, params in (("P", pf), ("B1", pf), ("Q", pg), ("B2", pg)):
         if key not in params:
             continue
@@ -499,7 +508,7 @@ def validate_class_spec(class_spec: DensityClassSpec) -> None:
             raise ValidationError(f"class parameter {key} must be Hermitian")
         if float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) <= 0:
             raise ValidationError(f"class parameter {key} must be positive definite")
-    for key in ("delta", "delta_k", "delta_ij"):
+    for key in ("p", "p_k", "delta", "delta_k", "delta_ij"):
         if key in pf and np.min(np.asarray(pf[key], dtype=float)) <= 0:
             raise ValidationError(f"class parameter {key} must be positive")
     if "eps" in pg and not 0.0 <= float(pg["eps"]) <= 1.0:

@@ -107,7 +107,7 @@ def symbols(spec: GMIncrementSpec, lam) -> tuple[np.ndarray, np.ndarray]:
 class DensityGrid:
     """Matrix spectral density sampled on a frequency grid.
 
-    values[j] is the T x T Hermitian PSD matrix at node j; the sampled
+    values[j] is the finite T x T Hermitian PSD matrix at node j; the sampled
     function must satisfy value(-lambda) = value(lambda)^T up to 1e-10
     (relative), the frequency-domain footprint of a real sequence.
     """
@@ -130,7 +130,10 @@ class DensityGrid:
         return self.values.shape[1]
 
     def _validate(self):
-        scale = max(1.0, float(np.max(np.abs(self.values))))
+        top = float(np.max(np.abs(self.values)))
+        if not np.isfinite(top):  # NaN, and inf - inf, fail every comparison below
+            raise ValidationError("density has a non-finite value")
+        scale = max(1.0, top)
         herm_err = np.max(np.abs(self.values - self.values.conj().transpose(0, 2, 1)))
         if herm_err > PSD_TOL * scale:
             raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
@@ -210,6 +213,8 @@ class DensityModel:
                       for c in self.params["coefficients"]]
             z = np.exp(-1j * grid.nodes)
             T = coeffs[0].shape[0]
+            if any(c.shape != (T, T) for c in coeffs):
+                raise ValidationError("matrix_ma coefficients must be square and of one size")
             H = np.zeros((grid.n_grid, T, T), dtype=complex)
             for k, ck in enumerate(coeffs):
                 H += (z ** k)[:, None, None] * ck

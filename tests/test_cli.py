@@ -192,6 +192,18 @@ def _float_grid(config):
     config["problem"]["grid"] = 1024.0
 
 
+def _setting(*path):
+    """An edit that sets the value path[-1] at the key path path[:-1]."""
+    *keys, last, value = path
+
+    def edit(config):
+        for key in keys:
+            config = config[key]
+        config[last] = value
+
+    return edit
+
+
 # (command, shipped config, edit, name the message must contain)
 BAD_CONFIGS = {
     "matrix_ma_without_coefficients": (
@@ -205,6 +217,58 @@ BAD_CONFIGS = {
         "interpolate", "interpolate", lambda c: c["problem"]["functional"].pop("a"), "'a'"),
     "fm_density_without_spec": ("interpolate", "interpolate", _fm_signal_without_spec, "spec"),
     "float_grid": ("interpolate", "interpolate", _float_grid, "grid"),
+    "string_weights": (
+        "interpolate", "interpolate", _setting("problem", "functional", "a", "foo"),
+        "functional.a"),
+    "string_numerator": (
+        "interpolate", "interpolate", _setting("problem", "signal_density", "numerator", "x"),
+        "signal_density.numerator"),
+    "string_scale": (
+        "interpolate", "interpolate", _setting("problem", "signal_density", "scale", "x"),
+        "signal_density.scale"),
+    "string_matrix": (
+        "interpolate", "interpolate", _setting("problem", "noise_density", "matrix", "x"),
+        "noise_density.matrix"),
+    "scalar_periods": ("interpolate", "interpolate", _setting("problem", "increment", "s", 2),
+                       "increment.s"),
+    "fractional_period": (
+        "interpolate", "interpolate", _setting("problem", "increment", "s", [2.5]),
+        "increment.s"),
+    "string_period_count": (
+        "interpolate", "periodic", _setting("problem", "functional", "T", "2"), "functional.T"),
+    "empty_schedule": ("oracle-verify", "interpolate", _setting("oracle", "schedule", []),
+                       "oracle.schedule"),
+    "string_schedule": ("oracle-verify", "interpolate", _setting("oracle", "schedule", "x"),
+                        "oracle.schedule"),
+    "string_tolerance": ("oracle-verify", "interpolate", _setting("oracle", "tolerance", "x"),
+                         "oracle.tolerance"),
+    "nan_tolerance": ("oracle-verify", "interpolate",
+                      _setting("oracle", "tolerance", float("nan")), "oracle.tolerance"),
+    "empty_coefficients": (
+        "interpolate", "periodic", _setting("problem", "signal_density", "coefficients", []),
+        "signal_density.coefficients"),
+    "null_tol": ("minimax", "minimax", _setting("minimax", "tol", None), "minimax.tol"),
+    "string_max_iter": ("minimax", "minimax", _setting("minimax", "max_iter", "x"),
+                        "minimax.max_iter"),
+    "negative_saddle_samples": (
+        "minimax", "minimax", _setting("minimax", "saddle_samples", -3),
+        "minimax.saddle_samples"),
+    "number_f1": ("minimax", "minimax", _setting("minimax", "f_class", "f1", 3), "f_class.f1"),
+    "string_delta_k": ("minimax", "minimax", _setting("minimax", "f_class", "delta_k", "x"),
+                       "f_class.delta_k"),
+    "string_q": ("minimax", "minimax", _setting("minimax", "g_class", "q", "x"), "g_class.q"),
+    "string_factors": ("classify", "classify", _setting("problem", "increment", "factors", "x"),
+                       "increment.factors"),
+    "string_R0": ("classify", "classify", _setting("problem", "increment", "R0", "x"),
+                  "increment.R0"),
+    "string_coeffs_length": ("coeffs", "coeffs", _setting("coeffs", "length", "x"),
+                             "coeffs.length"),
+    "constant_density_without_matrix": (
+        "interpolate", "interpolate", lambda c: c["problem"]["noise_density"].pop("matrix"),
+        "'matrix'"),
+    "infinite_noise": (
+        "interpolate", "interpolate",
+        _setting("problem", "noise_density", "matrix", [[float("inf")]]), "noise_density"),
 }
 
 

@@ -129,6 +129,14 @@ class TestDensityGrid:
         with pytest.raises(ValidationError):
             DensityGrid.constant(grid1k, [[-1.0]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_node(self, grid1k, value):
+        # NaN fails every comparison, so the Hermitian, symmetry and PSD checks alone pass it
+        vals = np.ones((1024, 1, 1), dtype=complex)
+        vals[7] = vals[1024 - 1 - 7] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityGrid(grid1k, vals)
+
     def test_rational_unit_circle_root(self, grid1k):
         with pytest.raises(ValidationError):
             rational_density(grid1k, [1.0], [1.0, -1.0])
