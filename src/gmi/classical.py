@@ -373,34 +373,11 @@ def _error_energy(rows, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
     return float(total.real)
 
 
-@dataclass
-class MseReport:
-    algebraic: float
-    spectral: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.algebraic - self.spectral)
-
-
 def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) -> float:
     """Error read off the solved system: <rhs, c> + <Q a, a>."""
     a_flat = a.reshape(-1).astype(complex)
     return float((np.vdot(sol.c.reshape(-1).astype(complex), sol.rhs)
                   + np.vdot(a_flat, blocks.Q @ a_flat)).real)
-
-
-def _mse_routes(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray,
-                spectral: float) -> MseReport:
-    """Algebraic error next to the spectral one; raises if they differ beyond 1e-6 relative."""
-    algebraic = _algebraic_mse(blocks, sol, a)
-    report = MseReport(algebraic=algebraic, spectral=spectral)
-    scale = max(abs(algebraic), abs(spectral), 1e-300)
-    if report.difference > MSE_CONSISTENCY_RTOL * scale and report.difference > 1e-12:
-        raise MseInconsistencyError(
-            f"MSE routes disagree: algebraic {algebraic!r} vs spectral {spectral!r}"
-        )
-    return report
 
 
 @dataclass
@@ -442,9 +419,14 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
     blocks, sol = _solve(prob, f, g)
     minimality = _minimality(spec, prob.w_inv, blocks.spectrum)
     h, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)
-    routes = _mse_routes(blocks, sol, fspec.a, mse_of_characteristic(prob, f, g, h))
-    delta_alg = routes.algebraic
-    if delta_alg < -1e-10 * max(abs(delta_alg), abs(routes.spectral), 1e-300):
+    # the algebraic error next to the spectral one: they must agree to 1e-6 relative
+    spectral = mse_of_characteristic(prob, f, g, h)
+    delta_alg = _algebraic_mse(blocks, sol, fspec.a)
+    scale, difference = max(abs(delta_alg), abs(spectral), 1e-300), abs(delta_alg - spectral)
+    if difference > MSE_CONSISTENCY_RTOL * scale and difference > 1e-12:
+        raise MseInconsistencyError(
+            f"MSE routes disagree: algebraic {delta_alg!r} vs spectral {spectral!r}")
+    if delta_alg < -1e-10 * scale:
         raise NumericalError(f"negative interpolation error {delta_alg!r}")
     return InterpolationSolution(
         spec=spec,
@@ -455,7 +437,7 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
         h1=h1,
         h2=h2,
         delta=max(delta_alg, 0.0),
-        delta_spectral=routes.spectral,
+        delta_spectral=spectral,
         b=prob.b,
         a_mu=prob.a_mu,
         condition_number=sol.condition_number,

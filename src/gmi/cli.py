@@ -111,15 +111,11 @@ def _density_model(data: dict, where: str, dim=None):
 
 def _density(section: dict, key: str, where: str, grid, dim=None, default=None):
     """The density object ``section[key]`` (or ``default``) evaluated on the grid."""
-    from .errors import ValidationError
-    from .io import REQUIRED, _get, _object
+    from .io import REQUIRED, _get, _named, _object
 
     at = f"{where}.{key}"
     model = _density_model(_get(section, key, where, _object, default or REQUIRED), at, dim)
-    try:
-        return model.evaluate(grid)
-    except ValidationError as exc:
-        raise ValidationError(f"{at}: {exc}") from exc
+    return _named(at, model.evaluate, grid)
 
 
 def _integer_part(spec):
@@ -154,14 +150,14 @@ def _gm_spec(config):
 
 def _functional(config):
     from .classical import FunctionalSpec, PeriodicFunctionalSpec, lift_periodic
-    from .io import _count, _get, _object, _one_of, _reals
+    from .io import _count, _get, _named, _object, _one_of, _reals
 
     where = "problem.functional"
     data = _get(config["problem"], "functional", "problem", _object)
     if _get(data, "type", where, _one_of(("vector", "periodic")), "vector") == "periodic":
-        return lift_periodic(PeriodicFunctionalSpec(
-            M=_get(data, "M", where, _count), T=_get(data, "T", where, _count),
-            a_scalar=_get(data, "a", where, _reals(1))))
+        return lift_periodic(_named(
+            where, PeriodicFunctionalSpec, M=_get(data, "M", where, _count),
+            T=_get(data, "T", where, _count), a_scalar=_get(data, "a", where, _reals(1))))
     a = _get(data, "a", where, _reals(1, 2))
     return FunctionalSpec(N=a.shape[0] - 1, a=a.reshape(a.shape[0], -1))
 
@@ -245,10 +241,10 @@ def _cmd_oracle(args, config) -> int:
 
 
 def _class_spec(data: dict, grid):
-    """Both sides of the minimax class; f1, g1, V and U are densities, the rest reals."""
+    """Both sides of the minimax class: the densities of CLASS_PARAMS, and reals."""
     from .io import REQUIRED, _get, _object, _one_of, _reals
-    from .minimax import (F_CLASS_PARAMS, G_CLASS_PARAMS, DensityClassSpec, FClassSpec,
-                          GClassSpec)
+    from .minimax import (CLASS_PARAMS, F_CLASS_PARAMS, G_CLASS_PARAMS, DensityClassSpec,
+                          FClassSpec, GClassSpec)
 
     sides = []
     for key, table, default, side in (
@@ -258,7 +254,7 @@ def _class_spec(data: dict, grid):
         spec = _get(data, key, "minimax", _object, default)
         kind = _get(spec, "kind", where, _one_of(table))
         sides.append(side(kind, {
-            name: _density(spec, name, where, grid) if name in ("f1", "g1", "V", "U")
+            name: _density(spec, name, where, grid) if CLASS_PARAMS[name][1] == "density"
             else _get(spec, name, where, _reals()) for name in table[kind]}))
     return DensityClassSpec(*sides)
 

@@ -60,10 +60,6 @@ class GMIncrementSpec:
         if all(v == 0 for v in d):
             raise DegenerateOperatorError("all differencing orders are zero")
 
-    @property
-    def r(self) -> int:
-        return len(self.s)
-
     def n_gamma(self) -> int:
         """Degree of the expanded operator polynomial."""
         return sum(m * p * k for m, p, k in zip(self.mu, self.s, self.d))
@@ -110,10 +106,6 @@ class FMIncrementSpec:
         if any(b <= a for a, b in zip(periods, periods[1:])):
             raise ValidationError("seasonal periods must be strictly increasing")
 
-    @property
-    def r(self) -> int:
-        return len(self.factors)
-
     def has_integrating_factor(self) -> bool:
         return self.R0 != 0 or self.D0 != 0.0
 
@@ -143,21 +135,6 @@ class FrequencySet:
     entries: tuple[FrequencyEntry, ...]
 
 
-def _poly_mul(a: list[int], b: list[int], truncate: int | None = None) -> list[int]:
-    out_len = len(a) + len(b) - 1
-    if truncate is not None:
-        out_len = min(out_len, truncate + 1)
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= out_len:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= out_len:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def _as_int64(coeffs: list[int]) -> np.ndarray:
     if any(abs(c) > np.iinfo(np.int64).max for c in coeffs):
         raise ValidationError("integer coefficients exceed the int64 range")
@@ -171,14 +148,12 @@ def expand_operator(spec: GMIncrementSpec) -> np.ndarray:
     -------
     (n_gamma + 1,) int64 array with leading coefficient 1.
     """
-    coeffs = [1]
+    coeffs = [1] + [0] * spec.n_gamma()
     for s, mu, d in zip(spec.s, spec.mu, spec.d):
         step = mu * s
-        base = [0] * (step + 1)
-        base[0] = 1
-        base[step] = -1
-        for _ in range(d):
-            coeffs = _poly_mul(coeffs, base)
+        for _ in range(d):  # times (1 - x^step), from the top down
+            for k in range(len(coeffs) - 1, step - 1, -1):
+                coeffs[k] -= coeffs[k - step]
     return _as_int64(coeffs)
 
 
@@ -190,15 +165,12 @@ def inverse_series(spec: GMIncrementSpec, length: int) -> np.ndarray:
     """
     if length < 0:
         raise ValidationError("length must be non-negative")
-    out = [0] * (length + 1)
-    out[0] = 1
+    out = [1] + [0] * length
     for s, mu, d in zip(spec.s, spec.mu, spec.d):
         step = mu * s
-        geometric = [1 if k % step == 0 else 0 for k in range(length + 1)]
-        for _ in range(d):
-            out = _poly_mul(out, geometric, truncate=length)
-    if len(out) < length + 1:
-        out = out + [0] * (length + 1 - len(out))
+        for _ in range(d):  # over (1 - x^step): a running sum, from the bottom up
+            for k in range(step, length + 1):
+                out[k] += out[k - step]
     return _as_int64(out)
 
 

@@ -209,17 +209,26 @@ def _reals(*ndims):
     return read
 
 
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValidationError it raises gets ``where`` in front."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def increment_from_dict(data: dict, where: str = "increment"):
     """The increment spec of a ``{"type": "gm" | "fm", ...}`` object."""
     if _get(data, "type", where, _one_of(("gm", "fm"))) == "gm":
-        return GMIncrementSpec(*(_get(data, key, where, _list(_count)) for key in ("s", "mu", "d")))
+        return _named(where, GMIncrementSpec,
+                      *(_get(data, key, where, _list(_count)) for key in ("s", "mu", "d")))
     factors = []
     for k, factor in enumerate(_get(data, "factors", where, _list(_object), ())):
         at = f"{where}.factors[{k}]"
-        factors.append(SeasonalFactor(_get(factor, "s", at, _int), _get(factor, "R", at, _count, 0),
-                                      _get(factor, "D", at, _real, 0.0)))
-    return FMIncrementSpec(R0=_get(data, "R0", where, _count, 0),
-                           D0=_get(data, "D0", where, _real, 0.0), factors=tuple(factors))
+        factors.append(_named(at, SeasonalFactor, _get(factor, "s", at, _int),
+                              _get(factor, "R", at, _count, 0), _get(factor, "D", at, _real, 0.0)))
+    return _named(where, FMIncrementSpec, R0=_get(data, "R0", where, _count, 0),
+                  D0=_get(data, "D0", where, _real, 0.0), factors=tuple(factors))
 
 
 def solution_to_dict(sol: InterpolationSolution) -> dict:

@@ -31,11 +31,14 @@ from .classical import (
 )
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
-from .spectra import DensityGrid, FrequencyGrid
+from .spectra import DensityGrid, FrequencyGrid, hermitian_eigenvalues
 
 FEASIBILITY_TOL = 1e-8
 #: a stopped ascent is converged only if its certificate gap is below this share of delta0
 GAP_RTOL = 1e-3
+#: the line search runs LINE_SEARCH_EVALS - 2 ternary rounds (at T = 1 only if
+#: no extremal-equation candidate improves)
+LINE_SEARCH_EVALS = 16
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:
@@ -50,8 +53,7 @@ def _rank_one(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
 
 
 def _psd_violation(y: np.ndarray) -> float:
-    herm = 0.5 * (y + np.conj(np.swapaxes(y, -1, -2)))
-    return max(-float(np.min(np.linalg.eigvalsh(herm))), 0.0)
+    return max(-float(np.min(hermitian_eigenvalues(y))), 0.0)
 
 
 class _Measure:
@@ -398,6 +400,27 @@ F_CLASS_PARAMS = {"fixed": ("f1",), **{
 G_CLASS_PARAMS = {"zero": (), "fixed": ("g1",), **{
     kind: fam.params(m) for kind, (fam, m) in CLASS_TABLE.items() if fam.b_param == "B2"}}
 
+#: class parameter -> (rank at dimension T, condition); a density has T x T values
+#: and is checked when it is built.  V <= U is the one rule across parameters.
+CLASS_PARAMS = {
+    **dict.fromkeys(("p", "delta"), (0, "positive")), "q": (0, None), "eps": (0, "in [0, 1]"),
+    **dict.fromkeys(("p_k", "delta_k"), (1, "positive")), "q_k": (1, None),
+    "delta_ij": (2, "positive"),
+    **dict.fromkeys(("P", "Q", "B1", "B2"), (2, "Hermitian positive definite")),
+    **dict.fromkeys(("f1", "g1", "V", "U"), (2, "density")),
+}
+
+
+def _hermitian_pd(value) -> bool:
+    m = np.asarray(value, dtype=complex)
+    return np.max(np.abs(m - m.conj().T)) <= 1e-10 * max(1.0, float(np.max(np.abs(m)))) \
+        and float(np.min(hermitian_eigenvalues(m))) > 0
+
+
+_CONDITIONS = {"positive": lambda x: np.min(np.asarray(x, dtype=float)) > 0,
+               "in [0, 1]": lambda x: 0.0 <= float(x) <= 1.0,
+               "Hermitian positive definite": _hermitian_pd}
+
 
 @dataclass(frozen=True)
 class _ClassSpec:
@@ -405,10 +428,9 @@ class _ClassSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        required = F_CLASS_PARAMS if self.side == "f" else G_CLASS_PARAMS
-        if self.kind not in required:
+        if self.kind not in self.table:
             raise ValidationError(f"unknown {self.side}-class {self.kind!r}")
-        missing = [key for key in required[self.kind] if key not in self.params]
+        missing = [key for key in self.table[self.kind] if key not in self.params]
         if missing:
             raise ValidationError(
                 f"{self.side}-class {self.kind} requires parameter(s) {', '.join(missing)}")
@@ -416,12 +438,12 @@ class _ClassSpec:
 
 @dataclass(frozen=True)
 class FClassSpec(_ClassSpec):
-    side = "f"
+    side, table = "f", F_CLASS_PARAMS
 
 
 @dataclass(frozen=True)
 class GClassSpec(_ClassSpec):
-    side = "g"
+    side, table = "g", G_CLASS_PARAMS
 
 
 @dataclass(frozen=True)
@@ -434,7 +456,6 @@ class DensityClassSpec:
 class MinimaxOptions:
     tol: float = 1e-7
     max_iter: int = 500
-    line_search_evals: int = 16  # at T = 1 used only if no extremal-equation candidate improves
     saddle_samples: int = 50
     seed: int = 0
 
@@ -488,31 +509,17 @@ def feasibility_report(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) ->
             "max_residual": max(rf, rg)}
 
 
-#: the rank of each real class parameter at dimension T: scalar, T-vector or T x T matrix
-_PARAM_RANK = {"p": 0, "q": 0, "delta": 0, "eps": 0, "p_k": 1, "q_k": 1, "delta_k": 1,
-               "P": 2, "Q": 2, "B1": 2, "B2": 2, "delta_ij": 2}
-
-
 def validate_class_spec(class_spec: DensityClassSpec, dim: int) -> None:
-    """Enforce the shapes and structural constraints of the class parameters at dimension dim."""
-    pf, pg = class_spec.f.params, class_spec.g.params
-    for key, value in (*pf.items(), *pg.items()):
-        shape = (dim,) * _PARAM_RANK.get(key, 0)
-        if key in _PARAM_RANK and np.shape(value) != shape:
-            raise ValidationError(f"class parameter {key} must have shape {shape}")
-    for key, params in (("P", pf), ("B1", pf), ("Q", pg), ("B2", pg)):
-        if key not in params:
-            continue
-        m = np.atleast_2d(np.asarray(params[key], dtype=complex))
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-            raise ValidationError(f"class parameter {key} must be Hermitian")
-        if float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) <= 0:
-            raise ValidationError(f"class parameter {key} must be positive definite")
-    for key in ("p", "p_k", "delta", "delta_k", "delta_ij"):
-        if key in pf and np.min(np.asarray(pf[key], dtype=float)) <= 0:
-            raise ValidationError(f"class parameter {key} must be positive")
-    if "eps" in pg and not 0.0 <= float(pg["eps"]) <= 1.0:
-        raise ValidationError("contamination level eps must lie in [0, 1]")
+    """Enforce the shape and condition of each class parameter at dimension dim."""
+    for side in (class_spec.f, class_spec.g):
+        for key in side.table[side.kind]:
+            (rank, condition), value = CLASS_PARAMS[key], side.params[key]
+            shape = value.values.shape[1:] if condition == "density" else np.shape(value)
+            if shape != (dim,) * rank:
+                raise ValidationError(f"{side.side}_class.{key}: must have shape {(dim,) * rank}")
+            if condition in _CONDITIONS and not _CONDITIONS[condition](value):
+                raise ValidationError(f"{side.side}_class.{key}: must be {condition}")
+    pg = class_spec.g.params
     if "V" in pg and "U" in pg and _psd_violation(pg["U"].values - pg["V"].values) > \
             1e-10 * max(float(np.max(np.abs(pg["U"].values))), 1.0):
         raise ValidationError("box bounds require V <= U in the PSD order pointwise")
@@ -602,7 +609,7 @@ def _blend(x: np.ndarray, v: np.ndarray, eta: float) -> np.ndarray:
     return (1.0 - eta) * x + eta * v
 
 
-def _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta: float, evals: int):
+def _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta: float):
     """Concave 1-D maximization toward the vertex pair; delta is the value at eta = 0."""
 
     def value(eta: float) -> float:
@@ -610,7 +617,7 @@ def _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta: float, evals: int
 
     lo, hi = 0.0, 1.0
     best = max([(delta, 0.0), (value(1.0), 1.0)], key=lambda p: p[0])  # ties keep eta = 0
-    for _ in range(max(evals - 2, 0)):
+    for _ in range(LINE_SEARCH_EVALS - 2):
         m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
         v1, v2 = value(m1), value(m2)
         best = max([best, (v1, m1), (v2, m2)], key=lambda p: p[0])
@@ -716,8 +723,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
                     ("ee_f", fe, g_vals), ("ee_g", f_vals, ge), ("ee_fg", fe, ge))
                     if fc is not None and gc is not None]
             if not any(c[3] > bar for c in candidates):  # the line heads the list: it wins ties
-                eta, val = _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta,
-                                        options.line_search_evals)
+                eta, val = _line_search(ctx, f_vals, g_vals, fv_vals, gv_vals, delta)
                 candidates.insert(0, ("line", _blend(f_vals, fv_vals, eta),
                                       _blend(g_vals, gv_vals, eta), val))
 

@@ -31,7 +31,7 @@ import numpy as np
 from .classical import FunctionalSpec, Problem, _block_toeplitz, mse_of_characteristic
 from .errors import NumericalError, ValidationError
 from .increments import GMIncrementSpec
-from .spectra import DensityGrid, _combine
+from .spectra import DensityGrid, _combine, hermitian_eigenvalues
 
 PINV_RCOND = 1e-10
 DEFAULT_SCHEDULE = (1, 5, 10, 50, 100, 200)
@@ -47,13 +47,8 @@ class ObservationWindow:
         if self.L < 0:
             raise ValidationError("window half-length must be >= 0")
 
-    def indices(self, N: int, n_gamma: int) -> np.ndarray:
-        left = np.arange(-self.L, 0)
-        right = np.arange(N + n_gamma + 1, N + n_gamma + 1 + self.L)
-        return np.concatenate([left, right])
-
     def gap_order(self, N: int, n_gamma: int) -> np.ndarray:
-        """The same indices nearest the gap first: -1, N+ng+1, -2, N+ng+2, ..."""
+        """The indices nearest the gap first: -1, N+ng+1, -2, N+ng+2, ..."""
         k = np.arange(1, self.L + 1)
         return np.stack([-k, N + n_gamma + k], axis=1).reshape(-1)
 
@@ -80,10 +75,7 @@ def _certified_floor(phi: np.ndarray, span: int, n_grid: int) -> float | None:
     """
     if span >= n_grid:
         return None
-    if phi.shape[1] == 1:
-        vals = phi[:, 0, 0].real
-    else:
-        vals = np.linalg.eigvalsh(0.5 * (phi + phi.conj().transpose(0, 2, 1)))
+    vals = hermitian_eigenvalues(phi)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     return lo if lo > PINV_RCOND * hi else None
 

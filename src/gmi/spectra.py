@@ -44,10 +44,6 @@ class FrequencyGrid:
         j = np.arange(self.n_grid)
         return -np.pi + (j + 0.5) * (2.0 * np.pi / self.n_grid)
 
-    def mean(self, values: np.ndarray) -> np.ndarray:
-        """Midpoint value of (1/2pi) * integral, i.e. the node average."""
-        return np.mean(values, axis=0)
-
     def fourier(self, values: np.ndarray, ms: Sequence[int], in_place: bool = False) -> np.ndarray:
         """Fourier coefficients (1/2pi) int values(l) e^{i m l} dl for each m.
 
@@ -62,6 +58,15 @@ class FrequencyGrid:
         phase = np.exp(1j * ms * (-np.pi + np.pi / n))
         picked = base[np.mod(ms, n)]
         return picked * phase.reshape((len(ms),) + (1,) * (picked.ndim - 1))
+
+
+def hermitian_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of each T x T matrix in a stack of any
+    leading shape; at T = 1 the real part, which is what eigvalsh returns there."""
+    values = np.asarray(values)
+    if values.shape[-1] == 1:
+        return values[..., 0].real
+    return np.linalg.eigvalsh(0.5 * (values + np.conj(np.swapaxes(values, -1, -2))))
 
 
 def _chi_beta(
@@ -142,11 +147,7 @@ class DensityGrid:
             raise ValidationError(
                 f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
             )
-        if self.dim == 1:
-            min_eig = float(np.min(self.values[:, 0, 0].real))
-        else:
-            herm = 0.5 * (self.values + self.values.conj().transpose(0, 2, 1))
-            min_eig = float(np.min(np.linalg.eigvalsh(herm)))
+        min_eig = float(np.min(hermitian_eigenvalues(self.values)))
         if min_eig < -PSD_TOL * scale:
             raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
@@ -203,7 +204,8 @@ class DensityModel:
             z = np.exp(-1j * grid.nodes)
             num_v = np.polyval(num[::-1], z)
             den_v = np.polyval(den[::-1], z)
-            vals = scale * np.abs(num_v) ** 2 / np.abs(den_v) ** 2
+            with np.errstate(over="ignore"):  # an overflow is refused as non-finite
+                vals = scale * np.abs(num_v) ** 2 / np.abs(den_v) ** 2
             return DensityGrid.from_scalar_samples(grid, vals)
         if self.kind == "fm":
             base = self.params["base"].evaluate(grid)
@@ -261,12 +263,8 @@ def fm_density(spec: FMIncrementSpec, base: DensityGrid, grid: FrequencyGrid) ->
     if base.grid is not grid and base.grid.n_grid != grid.n_grid:
         raise ValidationError("base density grid does not match the target grid")
 
-    if base.dim == 1:
-        eig_min = float(np.min(base.values[:, 0, 0].real))
-        eig_max = float(np.max(base.values[:, 0, 0].real))
-    else:
-        eigs = np.linalg.eigvalsh(0.5 * (base.values + base.values.conj().transpose(0, 2, 1)))
-        eig_min, eig_max = float(np.min(eigs)), float(np.max(eigs))
+    eigs = hermitian_eigenvalues(base.values)
+    eig_min, eig_max = float(np.min(eigs)), float(np.max(eigs))
     lo, hi = BASE_DENSITY_BOUNDS
     if eig_min < lo or eig_max > hi:
         raise ValidationError(
@@ -327,15 +325,11 @@ def inverse_density(p: DensityGrid) -> np.ndarray:
     """Nodewise inverse of p with a singularity check."""
     vals = p.values
     scale = max(float(np.max(np.abs(vals))), 1.0)
-    if p.dim == 1:
-        diag = vals[:, 0, 0].real
-        if np.min(diag) <= INVERTIBILITY_FLOOR * scale:
-            raise SingularDensityError("minimality violated (singular density)")
-        return (1.0 / diag).reshape(-1, 1, 1).astype(complex)
-    herm = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(herm)
+    eigs = hermitian_eigenvalues(vals)
     if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:
         raise SingularDensityError("minimality violated (singular density)")
+    if p.dim == 1:
+        return (1.0 / eigs)[..., None].astype(complex)
     return np.linalg.inv(vals)
 
 

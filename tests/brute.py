@@ -1,5 +1,5 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
-combined density and its lag covariances, a seeded spectral sampler, the
+observed indices of a window in natural order, the combined density and its lag covariances, a seeded spectral sampler, the
 error functional of a fixed characteristic, a least favorable search and
 the value-by-value JSON emitter."""
 
@@ -29,10 +29,17 @@ from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projecti
 from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine, observed_spectrum
 
 
+def window_indices(window: ObservationWindow, N: int, n_gamma: int) -> np.ndarray:
+    """The observed indices [-L, -1] and [N+ng+1, N+ng+L] of a window, in natural order."""
+    left = np.arange(-window.L, 0)
+    right = np.arange(N + n_gamma + 1, N + n_gamma + 1 + window.L)
+    return np.concatenate([left, right])
+
+
 def gram_loop(spec, f, g, fspec, window) -> np.ndarray:
     """The oracle Gram matrix assembled block by block in a double loop."""
     grid = f.grid
-    idx = window.indices(fspec.N, spec.n_gamma())
+    idx = window_indices(window, fspec.N, spec.n_gamma())
     dim = f.dim
     if len(idx) == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -58,7 +65,7 @@ def pinv_table(spec, f, g, fspec, schedule) -> list:
     """
     prob = Problem(spec, fspec, f.grid)
     window = ObservationWindow(max(schedule))
-    idx = window.indices(fspec.N, spec.n_gamma())
+    idx = window_indices(window, fspec.N, spec.n_gamma())
     gram = gram_loop(spec, f, g, fspec, window)
     chi, lam = prob.chi, f.grid.nodes
     weight = np.abs(chi) ** 2 / np.abs(prob.beta) ** 2
@@ -70,8 +77,8 @@ def pinv_table(spec, f, g, fspec, schedule) -> list:
     target_var = mse_of_characteristic(prob, f, g, 0)
     rows = []
     for L in schedule:
-        sel = np.repeat(np.isin(idx, ObservationWindow(L).indices(fspec.N, spec.n_gamma())),
-                        f.dim)
+        sel = np.repeat(np.isin(idx, window_indices(ObservationWindow(L), fspec.N,
+                                                    spec.n_gamma())), f.dim)
         pinv = np.linalg.pinv(gram[np.ix_(sel, sel)], rcond=1e-10, hermitian=True)
         rows.append((L, target_var - np.vdot(cross[sel], pinv @ cross[sel]).real))
     return rows
@@ -83,7 +90,7 @@ def convergence_loop(spec, f, g, fspec, schedule) -> list:
     gs = gram_covariances(Problem(spec, fspec, f.grid), f, g, ObservationWindow(max(schedule)))
     rows = []
     for L in schedule:
-        idx = ObservationWindow(L).indices(fspec.N, spec.n_gamma())
+        idx = window_indices(ObservationWindow(L), fspec.N, spec.n_gamma())
         sel = np.repeat(np.isin(gs.indices, idx), f.dim)
         sub = GramSystem(gram=gs.gram[np.ix_(sel, sel)], cross=gs.cross[sel],
                          target_var=gs.target_var, indices=idx)

@@ -269,6 +269,25 @@ BAD_CONFIGS = {
     "infinite_noise": (
         "interpolate", "interpolate",
         _setting("problem", "noise_density", "matrix", [[float("inf")]]), "noise_density"),
+    "overflowing_scale": (
+        "interpolate", "interpolate", _setting("problem", "signal_density", "scale", 1e308),
+        "signal_density"),
+    "zero_period": ("interpolate", "interpolate", _setting("problem", "increment", "s", [0]),
+                    "problem.increment"),
+    "unequal_increment_lengths": (
+        "interpolate", "interpolate", _setting("problem", "increment", "mu", [1, 1]),
+        "problem.increment"),
+    "zero_periodic_T": ("interpolate", "periodic", _setting("problem", "functional", "T", 0),
+                        "problem.functional"),
+    "matrix_f1": ("minimax", "minimax", _setting("minimax", "f_class", "f1", {
+        "kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}), "f_class.f1"),
+    "matrix_U": ("minimax", "minimax", _setting("minimax", "g_class", "U", {
+        "kind": "constant", "matrix": [[0.6, 0.0], [0.0, 0.6]]}), "g_class.U"),
+    "negative_P": ("minimax", "minimax",
+                   _setting("minimax", "f_class", {"kind": "D0_1", "P": [[-1.0]]}), "f_class.P"),
+    "eps_above_one": ("minimax", "minimax", _setting("minimax", "g_class", {
+        "kind": "Deps_1", "g1": {"kind": "constant", "matrix": [[0.4]]}, "eps": 2.0, "q": 0.5}),
+        "g_class.eps"),
 }
 
 

@@ -11,6 +11,7 @@ from brute import (
     quadrature_covariance,
     simulate_path,
     structural_function,
+    window_indices,
 )
 from conftest import constant_density, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, Problem, solve_interpolation
@@ -50,11 +51,11 @@ def scalar_fixture(grid2k):
 
 class TestWindow:
     def test_indices(self):
-        idx = ObservationWindow(3).indices(N=1, n_gamma=1)
+        idx = window_indices(ObservationWindow(3), N=1, n_gamma=1)
         assert idx.tolist() == [-3, -2, -1, 3, 4, 5]
 
     def test_disjoint_from_block(self):
-        idx = ObservationWindow(5).indices(N=2, n_gamma=2)
+        idx = window_indices(ObservationWindow(5), N=2, n_gamma=2)
         assert not set(idx) & set(range(0, 5))
 
     def test_gap_order(self):
@@ -100,7 +101,8 @@ class TestGram:
         # the covariances of a real sequence are real: the loop's imaginary parts are rounding
         assert np.max(np.abs(loop.imag), initial=0.0) <= \
             1e-15 * np.max(np.abs(loop), initial=0.0)
-        perm = gap_permutation(window.indices(fs.N, SPEC21.n_gamma()), gs.indices, T)
+        natural = window_indices(window, fs.N, SPEC21.n_gamma())
+        perm = gap_permutation(natural, gs.indices, T)
         assert np.array_equal(gs.gram, loop.real[np.ix_(perm, perm)])
 
     @pytest.mark.parametrize("T", [1, 2])

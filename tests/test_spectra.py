@@ -22,6 +22,7 @@ from gmi.spectra import (
     _chi_beta,
     _minimality,
     fm_density,
+    hermitian_eigenvalues,
     minimality_value,
     observed_spectrum,
     symbols,
@@ -140,6 +141,23 @@ class TestDensityGrid:
     def test_rational_unit_circle_root(self, grid1k):
         with pytest.raises(ValidationError):
             rational_density(grid1k, [1.0], [1.0, -1.0])
+
+
+def test_hermitian_eigenvalues_equal_eigvalsh_of_the_hermitian_part_bitwise():
+    rng = np.random.default_rng(4)
+    real = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, -2.5e-310, -9.9e306, 3.3],
+                           rng.uniform(-1e300, 1e300, 5)])
+    imag = np.concatenate([[1.0, -2.0, 3e-300, -1e306, 7.0, 1e306, -1e-300],
+                           rng.uniform(-1e300, 1e300, 5)])
+    scalar = (real + 1j * imag).reshape(-1, 1, 1)  # finite, |z| < 1e307
+    stacks = [scalar, scalar[0], scalar.reshape(3, 4, 1, 1)]
+    for T in (2, 3):
+        x = rng.standard_normal((6, T, T)) + 1j * rng.standard_normal((6, T, T))
+        stacks += [x, x[0], x.reshape(2, 3, T, T)]
+    for x in stacks:  # x[0] is a (T, T) matrix, as _Floor.start passes to _Matrix.below
+        want = np.linalg.eigvalsh(0.5 * (x + np.conj(np.swapaxes(x, -1, -2))))
+        got = hermitian_eigenvalues(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestUnitCircleRootCheck:
