@@ -1,7 +1,8 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
 observed indices of a window in natural order, the combined density and its lag covariances, a seeded spectral sampler, the
-error functional of a fixed characteristic, a least favorable search and
-the value-by-value JSON emitter."""
+error functional of a fixed characteristic, a least favorable search, the
+plain extremal-equation bisection, the per-sample saddle check and the
+value-by-value JSON emitter."""
 
 from dataclasses import dataclass
 
@@ -11,6 +12,8 @@ from gmi.classical import (
     FunctionalSpec,
     Problem,
     _block_toeplitz,
+    _error_energy,
+    _error_rows,
     mse_of_characteristic,
     solve_interpolation,
 )
@@ -23,6 +26,9 @@ from gmi.minimax import (
     _gradient_kernels,
     _lp_g,
     _Problem,
+    _project_f,
+    _project_g,
+    feasibility_report,
     feasible_start,
 )
 from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
@@ -362,6 +368,55 @@ def two_atom_search(class_spec, fspec, spec, grid, n_positions: int = 96, rounds
                         "label": best["label"] + f"+g(eta={eta:.2f})"}
         g_vals = best["g"]
     return best
+
+
+def bisect_decreasing_loop(fun, target, lo, hi, iters=200):
+    """Geometric bisection of fun(x) = target for decreasing fun, one call of fun per step."""
+    for _ in range(iters):
+        mid = np.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return mid
+        if fun(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return np.sqrt(lo * hi)
+
+
+def saddle_check_loop(result, n_samples: int, seed: int = 0) -> dict:
+    """The saddle check with one draw, projection and energy per sample."""
+    if n_samples <= 0:
+        return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
+    rng = np.random.default_rng(seed)
+    ctx, f0, g0, h0, delta0 = result.problem, result.f0, result.g0, result.h0, result.delta0
+    n = ctx.grid.n_grid
+
+    max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
+    for _ in range(n_samples):
+        jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
+        f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
+        g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
+        if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
+            skipped += 1
+            continue
+        max_violation = max(max_violation, _error_energy(rows, f_vals, g_vals) - delta0)
+    if not np.isfinite(max_violation):
+        max_violation = 0.0
+
+    ng = ctx.spec.n_gamma()
+    band = list(range(-4 - ng, 0)) + list(range(ctx.fspec.N + ng + 1, ctx.fspec.N + ng + 5))
+    left_min = np.inf
+    scale = float(np.max(np.abs(h0))) or 1.0
+    waves = [np.exp(1j * k * ctx.grid.nodes)[:, None] for k in band]
+    for _ in range(10):
+        theta = 0.1 * scale * rng.standard_normal((len(band), f0.dim))
+        poly = sum(wave * theta[i] for i, wave in enumerate(waves))
+        h_alt = h0 + poly * (ctx.chi / ctx.beta)[:, None]
+        left_min = min(left_min, mse_of_characteristic(ctx, f0, g0, h_alt) - delta0)
+    passed = skipped < n_samples and max_violation <= 1e-6 * max(delta0, 1e-300) \
+        and left_min >= -1e-10
+    return {"n_samples": n_samples, "skipped_samples": skipped, "pass": bool(passed),
+            "max_violation": float(max_violation), "left_min_margin": float(left_min)}
 
 
 def canonical_json_loop(obj) -> str:

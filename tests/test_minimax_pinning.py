@@ -9,8 +9,14 @@ steps must not change.
 Each T = 1 case also runs to its stop (at most 500 steps): its delta0 is
 pinned to 1e-12 relative and the kind of every step in order, so that no
 change to the ascent can move the choice of a step unseen.
+
+The saddle report of each five-step result, checked with 20 samples, is
+pinned by its repr: every count, flag and float bit must stay.  The same
+check with a sample count that fills no whole block must equal the
+per-sample reference loop of tests/brute.py.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,8 +24,11 @@ import pytest
 
 from gmi.classical import FunctionalSpec
 from gmi.increments import GMIncrementSpec
-from gmi.minimax import DensityClassSpec, FClassSpec, GClassSpec, MinimaxOptions, solve_minimax
+from gmi.minimax import (DensityClassSpec, FClassSpec, GClassSpec, MinimaxOptions, saddle_check,
+                         solve_minimax)
 from gmi.spectra import DensityGrid, DensityModel, FrequencyGrid
+
+import brute
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 GRID = FrequencyGrid(1024)
@@ -80,6 +89,63 @@ PINNED = {
     "T2-fixed-DVU_3": (2.8306693344564935, 1),
     "T2-fixed-DVU_4": (2.831811793998574, 5),
 }
+
+#: case -> saddle_report of the five-step result at 20 samples and seed 5:
+#: (skipped samples, pass, max_violation, left_min_margin)
+SADDLE_PINNED = {
+    "T1-D0_1-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_1-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
+    "T1-D0_2-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_2-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
+    "T1-D0_3-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_3-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
+    "T1-D0_4-fixed": (0, False, 3.172606934365163e-05, 0.005426133398334088),
+    "T1-D0_4-zero": (0, False, 1.9530068886774998e-05, 0.0039313943132202045),
+    "T1-D1delta_1-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_1-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
+    "T1-D1delta_2-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_2-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
+    "T1-D1delta_3-fixed": (0, True, -0.04642110620956519, 0.015370465563028013),
+    "T1-D1delta_3-zero": (0, True, -0.056021710407921255, 0.025793340178298152),
+    "T1-D1delta_4-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_4-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
+    "T1-fixed-DVU_1": (0, True, -0.0002183914162898759, 0.017317737562736468),
+    "T1-fixed-DVU_2": (0, True, -0.0004967929244532598, 0.015445357759393374),
+    "T1-fixed-DVU_3": (0, True, -0.0004967929244532598, 0.015445357759393374),
+    "T1-fixed-DVU_4": (0, True, -0.0004967929244532598, 0.015445357759393374),
+    "T1-fixed-Deps_1": (0, False, 6.30884872876436e-06, 0.006794334563629434),
+    "T1-fixed-Deps_2": (0, True, -5.826131422015379e-05, 0.010435547010589907),
+    "T1-fixed-Deps_3": (0, True, -0.0002771095445943672, 0.017317737562736468),
+    "T1-fixed-Deps_4": (0, True, -5.826131422015379e-05, 0.010435547010589907),
+    "T1-fixed-fixed": (0, True, 0.0, 0.019773493419134702),
+    "T1-fixed-zero": (0, True, 4.440892098500626e-16, 0.0376692059029069),
+    "T2-D0_1-fixed": (0, False, 0.0031267759524347127, 0.003775967865954577),
+    "T2-D0_1-zero": (0, False, 0.0004336069308172874, 0.009434581349661908),
+    "T2-D0_2-fixed": (0, False, 0.0024395705993891514, 0.05985794029299707),
+    "T2-D0_2-zero": (0, False, 0.00020067916996713286, 0.007317315669576496),
+    "T2-D0_3-fixed": (0, False, 0.0026018039246173963, 0.020132773510853408),
+    "T2-D0_3-zero": (0, False, 0.00022414336284692915, 0.007452957132183302),
+    "T2-D0_4-fixed": (0, False, 0.0023327549978646722, 0.04034275912071328),
+    "T2-D0_4-zero": (0, False, 0.00013378611331127388, 0.004878210446384035),
+    "T2-D1delta_1-fixed": (0, False, 0.0046666344925396785, 0.25876701534627955),
+    "T2-D1delta_1-zero": (0, False, 0.003758840754006343, 0.07032260413413804),
+    "T2-D1delta_2-fixed": (20, False, 0.0, 0.24837911567370696),
+    "T2-D1delta_2-zero": (20, False, 0.0, 0.07356243173275567),
+    "T2-D1delta_3-fixed": (0, False, 0.0014461689702423008, 0.19080248366078623),
+    "T2-D1delta_3-zero": (0, False, 0.002898692729862873, 0.06998569723812897),
+    "T2-D1delta_4-fixed": (20, False, 0.0, 0.24837911567370696),
+    "T2-D1delta_4-zero": (20, False, 0.0, 0.07356243173275567),
+    "T2-fixed-DVU_1": (0, True, -0.00012744026015409915, 0.0014567210001139586),
+    "T2-fixed-DVU_2": (0, False, 0.00033763231472550004, 0.0047576120999131),
+    "T2-fixed-DVU_3": (0, False, 0.00011730703703305423, 0.0014557328586595197),
+    "T2-fixed-DVU_4": (0, False, 1.902247217300257e-05, 0.0014567210001139586),
+    "T2-fixed-Deps_1": (20, False, 0.0, 0.08333349084738373),
+    "T2-fixed-Deps_2": (0, False, 6.543037267370266e-05, 0.0022611043102394035),
+    "T2-fixed-Deps_4": (18, False, 5.421272748007411e-05, 0.003563834734207294),
+    "T2-fixed-fixed": (0, True, 1.3322676295501878e-15, 0.0021894247093561248),
+    "T2-fixed-zero": (0, True, 4.440892098500626e-16, 0.062195671037986955),
+}
+SADDLE_SAMPLES, SADDLE_SEED = 20, 5
 
 #: T = 1 case run to its stop -> (delta0, step kinds as "kind*count" runs)
 FULL_RUN = {
@@ -171,13 +237,48 @@ def case(name):
     return DensityClassSpec(FClassSpec(kf, f_kinds[kf]), GClassSpec(kg, pg)), fspec
 
 
+@functools.cache
+def _pinned_run(name):
+    cls, fspec = case(name)
+    return solve_minimax(cls, fspec, SPEC11, GRID, PINNED_OPTIONS)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_delta0_and_steps(name):
-    cls, fspec = case(name)
-    res = solve_minimax(cls, fspec, SPEC11, GRID, PINNED_OPTIONS)
+    res = _pinned_run(name)
     delta0, steps = PINNED[name]
     assert res.delta0 == pytest.approx(delta0, rel=1e-9, abs=0)
     assert len(res.trace) == steps
+
+
+@pytest.mark.parametrize("name", sorted(SADDLE_PINNED))
+def test_pinned_saddle_report(name):
+    skipped, passed, violation, margin = SADDLE_PINNED[name]
+    expected = {"n_samples": SADDLE_SAMPLES, "skipped_samples": skipped, "pass": passed,
+                "max_violation": violation, "left_min_margin": margin}
+    assert repr(saddle_check(_pinned_run(name), SADDLE_SAMPLES, SADDLE_SEED)) == repr(expected)
+
+
+@pytest.mark.parametrize("name", sorted(SADDLE_PINNED))
+def test_saddle_report_equals_the_per_sample_loop(name):
+    res = _pinned_run(name)
+    assert repr(saddle_check(res, 7, 3)) == repr(brute.saddle_check_loop(res, 7, 3))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+def test_jitters_drawn_by_blocks_equal_the_per_sample_stream(block):
+    """Blocks of (b, 2, n) uniforms give each sample's jf, jg and leave the
+    stream where the per-sample draws leave it."""
+    n, samples = 64, 11
+    one = np.random.default_rng(4)
+    expected = [one.uniform(-1.0, 1.0, size=n) for _ in range(2 * samples)]
+    blocked = np.random.default_rng(4)
+    drawn = []
+    for start in range(0, samples, block):
+        for pair in blocked.uniform(-1.0, 1.0, size=(min(block, samples - start), 2, n)):
+            drawn.extend(pair)
+    assert np.array_equal(np.array(drawn), np.array(expected))
+    assert np.array_equal(blocked.standard_normal(8), one.standard_normal(8))
 
 
 def _step_runs(trace) -> str:
