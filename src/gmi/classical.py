@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MseInconsistencyError, NumericalError, ValidationError
+from .errors import MseInconsistencyError, NumericalError, ValidationError, WeightOverflowError
 from .increments import GMIncrementSpec, expand_operator, inverse_series
 from .spectra import (
     DensityGrid,
@@ -80,10 +80,14 @@ def lift_periodic(p: PeriodicFunctionalSpec) -> FunctionalSpec:
 
 
 def transform_b(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
-    """Differenced-target weights b(k) = sum_{m>=k} d_mu(m-k) a(m)."""
+    """Differenced-target weights b(k) = sum_{m>=k} d_mu(m-k) a(m), which must be finite."""
     d_mu = inverse_series(spec, fspec.N).astype(float)
     k = np.arange(fspec.N + 1)
-    return np.triu(d_mu[np.abs(k[None, :] - k[:, None])]) @ fspec.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.triu(d_mu[np.abs(k[None, :] - k[:, None])]) @ fspec.a
+    if not np.all(np.isfinite(b)):
+        raise WeightOverflowError("the differenced target weights overflow")
+    return b
 
 
 def _operator_correlation(spec: GMIncrementSpec, x: np.ndarray) -> np.ndarray:

@@ -43,10 +43,13 @@ def main(argv=None) -> int:
 
     import numpy as np
 
-    from .errors import GmiError
+    from .errors import GmiError, WeightOverflowError
 
     try:
         code = _dispatch(args)
+    except WeightOverflowError as exc:  # raised where the problem is built; a names the weights
+        _emit_error(exc.code, f"problem.functional.a: {exc}")
+        return exc.exit_code
     except GmiError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code

@@ -14,6 +14,10 @@ class ValidationError(GmiError):
     code = "validation_error"
 
 
+class WeightOverflowError(ValidationError):
+    """The functional weights overflow the differenced target weights."""
+
+
 class DegenerateOperatorError(ValidationError):
     """All differencing orders are zero; the operator is the identity."""
 

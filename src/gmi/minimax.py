@@ -39,6 +39,8 @@ GAP_RTOL = 1e-3
 #: the line search runs LINE_SEARCH_EVALS - 2 ternary rounds (at T = 1 only if
 #: no extremal-equation candidate improves)
 LINE_SEARCH_EVALS = 16
+#: saddle samples drawn, projected and checked as one (b, n, T, T) stack
+SADDLE_BLOCK = 4
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:
@@ -52,8 +54,18 @@ def _rank_one(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.einsum("nt,ns->nts", v, np.conj(v)) / np.where(zero, 1.0, norm)[:, None, None]
 
 
-def _psd_violation(y: np.ndarray) -> float:
-    return max(-float(np.min(hermitian_eigenvalues(y))), 0.0)
+def _worst(k: int, x, floor=None):  # Python's max(max x, floor) per sample (first k axes)
+    top = np.max(np.reshape(x, np.shape(x)[:k] + (-1,)), axis=-1)
+    top = top if floor is None else np.where(floor > top, floor, top)
+    return float(top) if k == 0 else top
+
+
+def _lift(x) -> np.ndarray:  # a factor per sample of a stack, cast as its product casts it
+    return np.asarray(x, dtype=complex)[..., None, None, None]
+
+
+def _psd_violation(y: np.ndarray, k: int = 0):
+    return _worst(k, -hermitian_eigenvalues(y), 0.0)
 
 
 class _Measure:
@@ -66,11 +78,11 @@ class _Measure:
         self.name, self.dim = name, dim
         self.B = np.eye(dim) if B is None else np.atleast_2d(np.asarray(B, dtype=complex))
 
-    def below(self, y) -> float:  # largest violation of y >= 0
-        return max(-float(np.min(y)), 0.0)
+    def below(self, y, k=0):  # largest violation of y >= 0 per sample
+        return _worst(k, -y, 0.0)
 
     def rescale(self, x, target, have):  # move the measure of x from have to target
-        return x * (target / max(have, 1e-300))
+        return x * _lift(target / np.maximum(have, 1e-300))
 
 
 class _Trace(_Measure):
@@ -97,7 +109,7 @@ class _Diag(_Measure):
 
     def rescale(self, x, target, have):
         s = np.sqrt(target / np.maximum(have, 1e-300))
-        return x * s[None, None, :] * s[None, :, None]
+        return x * s[..., None, None, :] * s[..., None, :, None]
 
     def components(self, r, budget, whiten=True):
         unit = np.eye(self.dim)
@@ -114,7 +126,8 @@ class _Matrix(_Measure):
     below = staticmethod(_psd_violation)
 
     def rescale(self, x, target, have):
-        return x * (np.trace(target).real / max(np.trace(have).real, 1e-300))
+        return x * _lift(np.trace(target).real
+                         / np.maximum(np.trace(have, axis1=-2, axis2=-1).real, 1e-300))
 
     def components(self, r, budget, whiten=True):
         return [(_norm2(r), np.broadcast_to(budget, (len(r),) + budget.shape))]
@@ -136,15 +149,16 @@ class _Pinned:
     def __init__(self, kind, values):
         self.kind, self.values = kind, values
 
-    def start(self, vals=None):
+    def start(self):
         return self.values.copy()
 
-    project = start  # every sample projects onto the pinned density
+    def project(self, vals):  # every sample projects onto the pinned density
+        return np.broadcast_to(self.values, vals.shape)
 
     vertex = staticmethod(lambda r: None)
 
     def residual(self, vals):
-        return float(np.max(np.abs(vals - self.values)))
+        return _worst(vals.ndim - 3, np.abs(vals - self.values))
 
 
 class _Family:
@@ -171,24 +185,28 @@ class _Family:
     def params(cls, measure: str) -> tuple:
         return cls.base + ((cls.b_param,) if measure == "btrace" else ()) + (cls.budgets[measure],)
 
-    def weighted_mean(self, y):
-        return np.mean(self.w.reshape((-1,) + (1,) * (y.ndim - 1)) * y, axis=0)
+    def weighted_mean(self, y, k=0):  # over the nodes, axis k of y
+        return np.mean(self.w.reshape((-1,) + (1,) * (y.ndim - 1 - k)) * y, axis=k)
 
     def place(self, vals, components, scale):
         """Add each component's block at its best node pair with mass n / (2 scale_j)."""
         for rate, block in components:
             j = int(np.argmax(rate[: self.n // 2] / scale[: self.n // 2]))
-            atom = block[j] * (self.n / (2.0 * scale[j]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                atom = block[j] * (self.n / (2.0 * scale[j]))
+            if not np.all(np.isfinite(atom)):
+                raise ValidationError(f"{'g' if self.b_param == 'B2' else 'f'}_class."
+                                      f"{self.budgets[self.m.name]}: too large, a vertex overflows")
             vals[j] += atom
             vals[self.n - 1 - j] += atom.T
         return vals
 
     def residual(self, vals):
         """Noise families: the larger of the bound violations and the budget miss."""
-        got, (lo, hi) = self.m.of(vals), self.bounds
-        miss = [float(np.max(np.abs(np.mean(got, axis=0) - self.budget))),
-                self.m.below(got - self.m.of(lo))]
-        return max(miss + ([] if hi is None else [self.m.below(self.m.of(hi) - got)]))
+        k, got, (lo, hi) = vals.ndim - 3, self.m.of(vals), self.bounds
+        worst = _worst(k, np.abs(np.mean(got, axis=k) - self.budget),
+                       self.m.below(got - self.m.of(lo), k))
+        return worst if hi is None else _worst(k, worst, self.m.below(self.m.of(hi) - got, k))
 
     def budget_residual(self, vals):
         return self.residual(vals)
@@ -229,14 +247,14 @@ class _Budget(_Family):
         self.bounds = (np.zeros((self.n, 1, 1)), None)
 
     def budget_used(self, vals):
-        return self.weighted_mean(self.m.of(vals))
+        return self.weighted_mean(self.m.of(vals), vals.ndim - 3)
 
     def start(self):
         flat = self.m.flat(self.budget) / np.mean(self.w)
         return np.broadcast_to(flat, (self.n, self.dim, self.dim)).astype(complex)
 
     def residual(self, vals):
-        return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
+        return _worst(vals.ndim - 3, np.abs(self.budget_used(vals) - self.budget))
 
     def vertex(self, r):
         zeros = np.zeros((self.n, self.dim, self.dim), dtype=complex)
@@ -261,13 +279,13 @@ class _Ball(_Family):
         self.bounds = (self.f1, None)
 
     def budget_used(self, vals):
-        return self.weighted_mean(np.abs(self.m.of(vals - self.f1)))
+        return self.weighted_mean(np.abs(self.m.of(vals - self.f1)), vals.ndim - 3)
 
     def start(self):
         return self.f1.copy()
 
     def residual(self, vals):
-        return float(max(np.max(self.budget_used(vals) - self.budget), 0.0))
+        return _worst(vals.ndim - 3, self.budget_used(vals) - self.budget, 0.0)
 
     def budget_residual(self, vals):
         return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
@@ -279,8 +297,10 @@ class _Ball(_Family):
         return self.place(self.f1.copy(), m.components(r, budget, whiten=False), self.w)
 
     def project(self, vals):
-        used, bound = float(np.max(self.budget_used(vals))), float(np.max(self.budget))
-        return vals if used <= bound else self.f1 + (bound / used) * (vals - self.f1)
+        used, bound = _worst(vals.ndim - 3, self.budget_used(vals)), float(np.max(self.budget))
+        keep = np.asarray(used <= bound)
+        return np.where(keep[..., None, None, None], vals,
+                        self.f1 + _lift(bound / np.where(keep, bound, used)) * (vals - self.f1))
 
 
 class _Floor(_Family):
@@ -311,7 +331,8 @@ class _Floor(_Family):
         free = vals - self.floor
         if self.dim == 1:
             free = np.maximum(free.real, 0.0).astype(complex)
-        return self.floor + self.m.rescale(free, self.free, self.m.of(np.mean(free, axis=0)))
+        return self.floor + self.m.rescale(free, self.free,
+                                           self.m.of(np.mean(free, axis=vals.ndim - 3)))
 
 
 class _Box(_Family):
@@ -364,22 +385,19 @@ class _Box(_Family):
 
     def project(self, vals):
         if self.dim == 1:
-            x = _shift_clip(vals[:, 0, 0].real, self.V[:, 0, 0].real, self.U[:, 0, 0].real,
+            x = _shift_clip(vals[:, :, 0, 0].real, self.V[:, 0, 0].real, self.U[:, 0, 0].real,
                             self.scalar_budget)
-            return x.reshape(-1, 1, 1).astype(complex)
-        if self.m.name == "matrix":  # blend toward the feasible start until admissible
-            start = self.start()
-            for t in np.linspace(0.0, 1.0, 21):
-                cand = (1.0 - t) * vals + t * start
-                if self.residual(cand) <= FEASIBILITY_TOL:
-                    return cand
-            return vals
+            return x[:, :, None, None].astype(complex)
+        if self.m.name == "matrix":  # blend each sample toward the feasible start until admissible
+            start, ts = self.start(), np.linspace(0.0, 1.0, 21)
+            return np.stack([next((c for c in ((1.0 - t) * v + t * start for t in ts)
+                                   if self.residual(c) <= FEASIBILITY_TOL), v) for v in vals])
         # shift each measured component into the box, then rescale every node to it
-        got, lo, hi = (self.m.of(x).reshape(self.n, -1) for x in (vals, self.V, self.U))
-        t = np.stack([_shift_clip(got[:, k], lo[:, k], hi[:, k], b)
-                      for k, b in enumerate(np.reshape(self.budget, -1))], axis=1)
+        got, lo, hi = (self.m.of(x).reshape(x.shape[:-2] + (-1,)) for x in (vals, self.V, self.U))
+        t = np.stack([_shift_clip(got[..., k], lo[:, k], hi[:, k], b)
+                      for k, b in enumerate(np.reshape(self.budget, -1))], axis=-1)
         s = np.sqrt(t / np.maximum(got, 1e-300))
-        return vals * s[:, None, :] * s[:, :, None]
+        return vals * s[:, :, None, :] * s[:, :, :, None]
 
 
 #: class kind -> (family, measure): the suffixes _1.._4 differ only in the measure
@@ -497,16 +515,17 @@ class _Problem(Problem):
 
 def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
     """Symmetrize so that value(-l) = value(l)^T holds exactly; clip scalar values at 0."""
-    x = 0.5 * (x + x[::-1].transpose(0, 2, 1))
-    return np.maximum(x.real, 0.0).astype(complex) if clip and x.shape[1] == 1 else x
+    x = x + np.swapaxes(x[..., ::-1, :, :], -1, -2)
+    x *= 0.5
+    return np.maximum(x.real, 0.0).astype(complex) if clip and x.shape[-1] == 1 else x
 
 
 def feasibility_report(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) -> dict:
-    """Signed constraint residuals of the pair (f, g) in the run's class; 0 means feasible."""
+    """Signed constraint residuals of the pair (f, g), or of each in a stack; 0 means feasible."""
     F, G = ctx.f, ctx.g
     rf, rg = F.residual(f_vals), G.residual(g_vals)
     return {"f": {"kind": F.kind, "residual": rf}, "g": {"kind": G.kind, "residual": rg},
-            "max_residual": max(rf, rg)}
+            "max_residual": _worst(f_vals.ndim - 3, rf, rg)}
 
 
 def validate_class_spec(class_spec: DensityClassSpec, dim: int) -> None:
@@ -573,17 +592,25 @@ def _waterfill_traces(rate: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget_m
 
 
 def _shift_clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float) -> np.ndarray:
-    """clip(x + s, lo, hi) for x clipped to the box, with the shift s that gives the mean.
+    """clip(x + s, lo, hi) for x (or each row of x) clipped to the box, with the s giving the mean.
 
     The sum is piecewise linear in s: its slope rises by one where a node
     leaves lo (s = lo - x) and falls by one where it reaches hi (s = hi - x).
+    The sort may leave tied knots in any order: their diff is 0, so a slope
+    inside a tie adds an exact 0 to the sums, the slope after it is the same
+    sum of exact integers, and the knots are the same values, so knots, sums
+    and the np.interp result do not depend on the order.
     """
-    x = np.clip(x, lo, hi)
-    knots = np.concatenate([lo - x, hi - x])
-    order = np.argsort(knots, kind="stable")
-    knots, slope = knots[order], np.cumsum(np.repeat([1.0, -1.0], len(x))[order])
-    sums = np.sum(lo) + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(knots))])
-    return np.clip(x + np.interp(mean * len(x), sums, knots), lo, hi)
+    shape, x = np.shape(x), np.clip(np.atleast_2d(x), lo, hi)
+    knots = np.concatenate([lo - x, hi - x], axis=1)
+    sums = np.repeat([1.0, -1.0], x.shape[1])[np.argsort(knots, axis=1)]  # slope steps, sorted
+    knots.sort(axis=1)
+    step = np.diff(knots, axis=1)
+    step *= np.cumsum(sums, axis=1, out=sums)[:, :-1]  # times the slope
+    sums[:, 0], sums[:, 1:] = 0.0, np.cumsum(step, axis=1, out=step)
+    sums += np.sum(lo)
+    shift = [np.interp(mean * x.shape[1], *row) for row in zip(sums, knots)]
+    return np.clip(x + np.reshape(shift, (-1, 1)), lo, hi).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +668,52 @@ def _ee_shapes(ctx: _Problem, f_vals, g_vals, c):
 
 
 def _bisect_decreasing(fun, target, lo, hi, iters=200):
-    """Solve fun(x) = target for decreasing fun; stops once the bracket collapses to rounding."""
-    for _ in range(iters):
-        mid = np.sqrt(lo * hi)
-        if not lo < mid < hi:
-            return mid
-        if fun(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return np.sqrt(lo * hi)
+    """Solve fun(x) = target for decreasing fun; stops once the bracket collapses to rounding.
+
+    Replays the geometric bisection of [lo, hi] bit for bit, if fun never rises
+    with x and is never NaN: as the mean ee fills, since shape / m (shape >= 0),
+    - base, / (w |beta|^2), clip, maximum, numpy's fixed pairwise sum and / n
+    each keep order under round-to-nearest.  Each branch is then fixed by the
+    float where fun drops to target, so fun is called only for probes strictly
+    between the largest x seen above target and the smallest seen at or below
+    it, after Illinois regula falsi in u = 1/x has pinned these two whenever
+    they are within a factor 2 (stepping a doubling number of ulps inside when
+    it lands on one).  A NaN reruns the plain loop.
+    """
+    end = {True: [0.0, 0.0], False: [np.inf, 0.0]}  # fun(x) > target -> [x, |fun(x) - target|]
+
+    def above(x):
+        k, last = 1.0, None
+        for _ in range(iters):
+            (a, da), (b, db) = end[True], end[False]
+            if not a < x < b:
+                return x <= a
+            y, t = x, db / (da + db or 1.0)
+            if 2.0 * a >= b:  # probe the regula falsi estimate instead of x
+                y = a / (t + (1.0 - t) * (a / b))
+                if not a < y < b:
+                    y, k = a + k * np.spacing(a) if y <= a else b - k * np.spacing(b), 2.0 * k
+                    y = y if a < y < b else np.sqrt(a * b)
+            v = fun(y)
+            if v != v:
+                raise FloatingPointError("fun is NaN")
+            if (v > target) == last:  # Illinois: halve the distance of the end kept twice
+                end[not last][1] *= 0.5
+            end[v > target], last = [y, abs(v - target)], v > target
+        return fun(x) > target
+
+    def bisect(above, lo=lo, hi=hi):
+        for _ in range(iters):
+            mid = np.sqrt(lo * hi)
+            if not lo < mid < hi:
+                return mid
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        return np.sqrt(lo * hi)
+
+    try:
+        return bisect(above)
+    except FloatingPointError:
+        return bisect(lambda x: fun(x) > target)
 
 
 def _ee_fill(fill, shape, target: float, lo: float, hi: float) -> np.ndarray:
@@ -784,6 +847,7 @@ def extremal_residuals(result: MinimaxResult) -> dict:
 
 
 def _project_f(ctx: _Problem, f_vals: np.ndarray) -> np.ndarray:
+    """Each sample of a (b, n, T, T) stack, projected onto the class (as in _project_g)."""
     return ctx.f.project(_sym_value(f_vals, clip=True))
 
 
@@ -799,6 +863,12 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     delta0.  Left side: alternative valid characteristics (observation-band
     perturbations of h0) must not do better at the least favorable pair.
     A pass needs an admissible sample whenever samples were asked for.
+
+    The samples go in blocks of SADDLE_BLOCK: a (b, 2, n) uniform draw is the
+    stream of 2 b draws of n, and the projections and the feasibility report
+    run once on the (b, n, T, T) stack, reducing over each sample's nodes in
+    its own order, so the report is the per-sample loop's bit for bit.  The
+    energies go sample by sample: numpy's batched einsum is slower here.
     """
     if n_samples <= 0:
         return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
@@ -807,15 +877,17 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     n = ctx.grid.n_grid
 
     max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
-    for _ in range(n_samples):
-        jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
-        f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
-        g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
+    for start in range(0, n_samples, SADDLE_BLOCK):
+        j = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(min(SADDLE_BLOCK, n_samples - start), 2, n))
+        j = 0.5 * (j + j[..., ::-1])  # cast to complex below, as a product with complex casts it
+        # g first: a box projection holds the most memory, and f_vals is not made yet
+        g_vals = _project_g(ctx, j[:, 1, :, None, None].astype(complex) * g0.values)
+        f_vals = _project_f(ctx, j[:, 0, :, None, None].astype(complex) * f0.values)
         # matrix-class projections are approximate; only admissible samples count
-        if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
-            skipped += 1
-            continue
-        max_violation = max(max_violation, _error_energy(rows, f_vals, g_vals) - delta0)
+        ok = np.flatnonzero(~(feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6))
+        skipped += len(f_vals) - len(ok)
+        max_violation = max([max_violation] + [
+            _error_energy(rows, f_vals[i], g_vals[i]) - delta0 for i in ok])
     if not np.isfinite(max_violation):
         max_violation = 0.0
 

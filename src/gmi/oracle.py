@@ -181,7 +181,8 @@ def _nested_rows(gs: GramSystem, schedule: tuple[int, ...], dim: int) -> list[tu
     size = len(c)
     bordered = gs.bordered
     bordered[:size, size] = bordered[size, :size] = c
-    bordered[size, size] = 2.0 * float(c @ c) / gs.eig_floor + 1.0
+    with np.errstate(over="ignore"):  # an inf corner still bounds |y|^2; y does not read it
+        bordered[size, size] = 2.0 * float(c @ c) / gs.eig_floor + 1.0
     y = np.linalg.cholesky(bordered)[size, :size]
     reduction = np.concatenate([[0.0], np.cumsum(y ** 2)])
     return [(L, float(gs.target_var - reduction[2 * L * dim])) for L in schedule]

@@ -1,8 +1,8 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
 observed indices of a window in natural order, the combined density and its lag covariances, a seeded spectral sampler, the
 error functional of a fixed characteristic, a least favorable search, the
-plain extremal-equation bisection, the per-sample saddle check and the
-value-by-value JSON emitter."""
+plain extremal-equation bisection, the stable-sort box shift, the per-sample
+saddle check and the value-by-value JSON emitter."""
 
 from dataclasses import dataclass
 
@@ -383,6 +383,16 @@ def bisect_decreasing_loop(fun, target, lo, hi, iters=200):
     return np.sqrt(lo * hi)
 
 
+def shift_clip_stable(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float) -> np.ndarray:
+    """The box shift of one row with its knots in stable-sort order."""
+    x = np.clip(x, lo, hi)
+    knots = np.concatenate([lo - x, hi - x])
+    order = np.argsort(knots, kind="stable")
+    knots, slope = knots[order], np.cumsum(np.repeat([1.0, -1.0], len(x))[order])
+    sums = np.sum(lo) + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(knots))])
+    return np.clip(x + np.interp(mean * len(x), sums, knots), lo, hi)
+
+
 def saddle_check_loop(result, n_samples: int, seed: int = 0) -> dict:
     """The saddle check with one draw, projection and energy per sample."""
     if n_samples <= 0:
@@ -394,8 +404,8 @@ def saddle_check_loop(result, n_samples: int, seed: int = 0) -> dict:
     max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
     for _ in range(n_samples):
         jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
-        f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
-        g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
+        f_vals = _project_f(ctx, (0.5 * (jf + jf[::-1])[:, None, None] * f0.values)[None])[0]
+        g_vals = _project_g(ctx, (0.5 * (jg + jg[::-1])[:, None, None] * g0.values)[None])[0]
         if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
             skipped += 1
             continue

@@ -288,7 +288,29 @@ BAD_CONFIGS = {
     "eps_above_one": ("minimax", "minimax", _setting("minimax", "g_class", {
         "kind": "Deps_1", "g1": {"kind": "constant", "matrix": [[0.4]]}, "eps": 2.0, "q": 0.5}),
         "g_class.eps"),
+    "overflowing_class_budget": ("minimax", "minimax",
+                                 _setting("minimax", "f_class", "delta_k", [1e308]),
+                                 "f_class.delta_k"),
+    "overflowing_functional": ("interpolate", "interpolate",
+                               _setting("problem", "functional", "a", [[1e308]] * 3),
+                               "problem.functional.a"),
 }
+
+
+#: the oracle table of configs/interpolate.json with signal_density.scale 1e200, as
+#: written before its Gram corner was formed without an overflow warning
+HUGE_SCALE_TABLE = [1.4076477484348978e+199, 1.2204099011787396e+199, 1.218951414733805e+199,
+                    1.2188859587591473e+199, 1.2188856450548215e+199, 1.2188856061767036e+199]
+
+
+def test_oracle_on_huge_densities_warns_nothing(tmp_path, capsys):
+    config = json.loads((CONFIGS / "interpolate.json").read_text())
+    config["problem"]["signal_density"]["scale"] = 1e200
+    cfg = write_config(tmp_path, config)
+    code = main(["oracle-verify", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+    assert [row["delta_L"] for row in rows] == HUGE_SCALE_TABLE
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -1,9 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brute import budget_weight, mse_functional, two_atom_search
+from brute import (bisect_decreasing_loop, budget_weight, mse_functional, shift_clip_stable,
+                   two_atom_search)
 from conftest import constant_density, count_calls, matrix_ma_density, rational_density
 from gmi.classical import FunctionalSpec, solve_interpolation
+from gmi import minimax
 from gmi.errors import ValidationError
 from gmi.increments import GMIncrementSpec
 from gmi.minimax import (
@@ -20,10 +26,11 @@ from gmi.minimax import (
     saddle_check,
     solve_minimax,
 )
-from gmi.spectra import DensityGrid
+from gmi.spectra import DensityGrid, FrequencyGrid
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 FAST = MinimaxOptions(saddle_samples=0)
+GRID1K = FrequencyGrid(1024)
 
 
 def feasible_pair(cls, grid, dim=1):
@@ -496,3 +503,161 @@ class TestScalarSolvers:
                 else:
                     hi = mid
             assert _bisect_decreasing(fun, target, 1e-12, 1e12) == np.sqrt(lo * hi)
+
+
+def _f_fill(shape, base):
+    """The mean of the f-side ee fill at multiplier m, as _ee_candidate_f forms it."""
+    return lambda m: float(np.mean(np.maximum(shape / m - base, 0.0)))
+
+
+def _g_fill(shape, base, wb, lo, hi):
+    """The mean of the g-side ee fill at multiplier m, as _ee_candidate_g forms it."""
+    return lambda m: float(np.mean(np.clip((shape / m - base) / wb, lo, hi)))
+
+
+def _plain_probes(fun, target, lo, hi):
+    """The points at which the plain bisection calls fun."""
+    probes = []
+    bisect_decreasing_loop(lambda x: probes.append(x) or fun(x), target, lo, hi)
+    return probes
+
+
+class TestReplayedBisection:
+    """_bisect_decreasing replays the plain geometric bisection bit for bit."""
+
+    @staticmethod
+    def _same(fun, target, lo, hi, iters=200):
+        got = _bisect_decreasing(fun, target, lo, hi, iters)
+        want = bisect_decreasing_loop(fun, target, lo, hi, iters)
+        assert (got, type(got)) == (want, type(want))
+
+    @staticmethod
+    def _fills(rng, n=257):
+        """f and g fills with tied shapes, zero-shape nodes and a zero-width box node."""
+        shape = np.repeat(rng.uniform(0.0, 3.0, (n + 7) // 8), 8)[:n]
+        shape[::5] = 0.0
+        base = rng.uniform(0.0, 1.0, n)
+        wb = rng.uniform(0.5, 2.0, n)
+        lo = rng.uniform(0.0, 0.5, n)
+        hi = lo + rng.uniform(0.0, 1.0, n)
+        hi[::7] = lo[::7]
+        return _f_fill(shape, base), _g_fill(shape, base, wb, lo, hi), lo, hi
+
+    def test_equals_the_plain_loop_on_adversarial_fills(self):
+        rng = np.random.default_rng(14)
+        lo, hi = 1e-12, 1e12
+        for _ in range(5):
+            f, g, box_lo, box_hi = self._fills(rng)
+            for fun in (f, g):
+                probes = _plain_probes(fun, 0.4, lo, hi)
+                targets = [0.4, 0.0,                        # a plateau of the f fill at 0
+                           fun(probes[30]), fun(probes[-3]),  # fun(mid) == target exactly
+                           fun(np.nextafter(lo, 1.0)), fun(np.nextafter(hi, 0.0)),  # roots at the ends
+                           fun(lo) + 1.0, -1.0]              # no root in the bracket
+                for target in targets:
+                    self._same(fun, target, lo, hi)
+                    self._same(fun, target, lo, hi, iters=7)
+            for target in (float(np.mean(box_lo)), float(np.mean(box_hi))):  # saturated box
+                self._same(g, target, lo, hi)
+
+    @pytest.mark.parametrize("target", [1e-12, 1e-3, 0.7, 1.0, 5.0, 1e4, 1e12])
+    def test_equals_the_plain_loop_on_the_reciprocal(self, target):
+        self._same(lambda x: 1.0 / x, target, 1e-12, 1e12)
+        self._same(lambda x: 1.0 / x, target, 0.25, 4.0)
+
+    @pytest.mark.parametrize("target", [0.5, 0.7])
+    def test_a_nan_reruns_the_plain_loop(self, target):
+        """A NaN that the replay meets gives the plain loop's result: at a
+        regula falsi probe, which the plain loop never makes, and at the first
+        probe.  (A NaN is outside the precondition: one at a probe that the
+        replay decides without calling fun goes unseen.)"""
+        fill = _f_fill(np.linspace(0.0, 3.0, 129), 0.2)
+        called = []
+        _bisect_decreasing(lambda x: called.append(x) or fill(x), target, 1e-12, 1e12)
+        pinning = [x for x in called if x not in _plain_probes(fill, target, 1e-12, 1e12)]
+        for bad in (pinning[0], pinning[-1], called[0]):
+            self._same(lambda x, bad=bad: float("nan") if x == bad else fill(x),
+                       target, 1e-12, 1e12)
+
+    def test_few_exact_passes_per_fill(self, grid1k, monkeypatch):
+        """Budget-zero and ball-box runs at grid 1024 average at most 25 calls of fun per fill."""
+        f1 = rational_density(grid1k, [1.0], [1.0, -0.4])
+        box = {"V": constant_density(grid1k, 0.2), "U": constant_density(grid1k, 0.6), "q": 0.35}
+        classes = [DensityClassSpec(FClassSpec("D0_2", {"p": 1.5}), GClassSpec("zero")),
+                   DensityClassSpec(FClassSpec("D1delta_2", {"f1": f1, "delta_k": [0.1]}),
+                                    GClassSpec("DVU_2", box))]
+        counts = []
+        original = minimax._bisect_decreasing
+
+        def counting(fun, *args):
+            counts[-1][0] += 1
+            return original(lambda x: counts[-1].__setitem__(1, counts[-1][1] + 1) or fun(x), *args)
+
+        monkeypatch.setattr(minimax, "_bisect_decreasing", counting)
+        for cls in classes:
+            counts.append([0, 0])
+            solve_minimax(cls, FunctionalSpec(N=0, a=np.array([[1.0]])), SPEC11, grid1k, FAST)
+        for fills, passes in counts:
+            assert fills > 0 and passes / fills <= 25
+
+
+@functools.cache
+def _run_fills():
+    """The (fill, scale) pairs of the ee candidates of a short ball-box run at grid 1024."""
+    grid = GRID1K
+    fills = []
+    original = minimax._ee_fill
+
+    def keep(fill, shape, *args):
+        fills.append((fill, max(float(np.max(shape)), 1e-300)))
+        return original(fill, shape, *args)
+
+    cls = DensityClassSpec(
+        FClassSpec("D1delta_2", {"f1": rational_density(grid, [1.0], [1.0, -0.4]),
+                                 "delta_k": [0.1]}),
+        GClassSpec("DVU_2", {"V": constant_density(grid, 0.2), "U": constant_density(grid, 0.6),
+                             "q": 0.35}))
+    minimax._ee_fill = keep
+    try:
+        solve_minimax(cls, FunctionalSpec(N=0, a=np.array([[1.0]])), SPEC11, grid,
+                      MinimaxOptions(max_iter=2, saddle_samples=0))
+    finally:
+        minimax._ee_fill = original
+    return fills
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, 3), exponent=st.floats(-14.0, 14.0), ulps=st.integers(1, 2 ** 40))
+def test_ee_fills_never_rise_with_the_multiplier(index, exponent, ulps):
+    """Both ee fills of a run: the computed mean fill at m2 > m1 is at most that at m1."""
+    fills = _run_fills()
+    assert {fill.__code__.co_freevars for fill, _ in fills} >= {("base", "shape"),
+                                                              ("base", "hi", "lo", "shape", "wb")}
+    fill, scale = fills[index % len(fills)]
+    m1 = scale * 10.0 ** exponent
+    for m2 in (m1 + ulps * np.spacing(m1), np.nextafter(m1, np.inf)):
+        assert float(np.mean(fill(m2))) <= float(np.mean(fill(m1)))
+
+
+class TestShiftClipTies:
+    """The default (unstable) sort of _shift_clip gives the stable-sort result bit for bit."""
+
+    @pytest.mark.parametrize("case", ["rounded", "symmetric", "flat_nodes"])
+    def test_equals_the_stable_sort(self, case):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = 256
+            lo = np.round(rng.uniform(0.0, 1.0, n), 1)
+            hi = lo + np.round(rng.uniform(0.0, 1.0, n), 1)
+            x = rng.uniform(-0.5, 2.0, n)
+            if case == "rounded":
+                x = np.round(x, 1)
+            elif case == "symmetric":
+                lo, hi, x = (0.5 * (v + v[::-1]) for v in (lo, hi, x))
+            else:
+                hi[::3] = lo[::3]
+            mean = float(rng.uniform(lo.mean(), hi.mean()))
+            want = shift_clip_stable(x, lo, hi, mean)
+            assert np.array_equal(_shift_clip(x, lo, hi, mean), want)
+            rows = np.stack([x, x[::-1]])
+            assert np.array_equal(_shift_clip(rows, lo, hi, mean)[0], want)
