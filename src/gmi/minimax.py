@@ -880,9 +880,10 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     for start in range(0, n_samples, SADDLE_BLOCK):
         j = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(min(SADDLE_BLOCK, n_samples - start), 2, n))
         j = 0.5 * (j + j[..., ::-1])  # cast to complex below, as a product with complex casts it
-        # g first: a box projection holds the most memory, and f_vals is not made yet
-        g_vals = _project_g(ctx, j[:, 1, :, None, None].astype(complex) * g0.values)
         f_vals = _project_f(ctx, j[:, 0, :, None, None].astype(complex) * f0.values)
+        g_vals = j[:, 1, :, None, None].astype(complex) * g0.values
+        del j  # the largest projection, a box's, runs without it
+        g_vals = _project_g(ctx, g_vals)
         # matrix-class projections are approximate; only admissible samples count
         ok = np.flatnonzero(~(feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6))
         skipped += len(f_vals) - len(ok)
