@@ -377,6 +377,13 @@ def _error_energy(rows, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
     return float(total.real)
 
 
+def _check_weight_scale(prob: Problem, f: DensityGrid, g: DensityGrid) -> None:
+    """Refuse weights whose error energy on (f, g) overflows at h = 0 (the target's variance)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(mse_of_characteristic(prob, f, g, 0.0)):
+            raise WeightOverflowError("the error energy of the weights overflows")
+
+
 def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) -> float:
     """Error read off the solved system: <rhs, c> + <Q a, a>."""
     a_flat = a.reshape(-1).astype(complex)
@@ -420,6 +427,7 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
     spec, fspec = prob.spec, prob.fspec
     if f.dim != fspec.dim:
         raise ValidationError("functional dimension does not match the densities")
+    _check_weight_scale(prob, f, g)
     blocks, sol = _solve(prob, f, g)
     minimality = _minimality(spec, prob.w_inv, blocks.spectrum)
     h, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)

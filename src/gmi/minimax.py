@@ -22,6 +22,7 @@ from .classical import (
     Problem,
     _algebraic_mse,
     _characteristic,
+    _check_weight_scale,
     _error_energy,
     _error_rows,
     _interpolate,
@@ -511,6 +512,8 @@ class _Problem(Problem):
         validate_class_spec(class_spec, fspec.dim)
         super().__init__(spec, fspec, grid)
         self.f, self.g = (_family(side, self.w, fspec.dim) for side in (class_spec.f, class_spec.g))
+        wb = self.w * self.beta2  # |chi|^2, which keeps every ee fill free of NaN if > 0 and finite
+        self.wb = wb if np.all(np.isfinite(wb) & (wb > 0)) else None
 
 
 def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
@@ -670,14 +673,14 @@ def _ee_shapes(ctx: _Problem, f_vals, g_vals, c):
 def _bisect_decreasing(fun, target, lo, hi, iters=200):
     """Solve fun(x) = target for decreasing fun; stops once the bracket collapses to rounding.
 
-    Replays the geometric bisection of [lo, hi] bit for bit, if fun never rises
-    with x and is never NaN: as the mean ee fills, since shape / m (shape >= 0),
-    - base, / (w |beta|^2), clip, maximum, numpy's fixed pairwise sum and / n
-    each keep order under round-to-nearest.  Each branch is then fixed by the
-    float where fun drops to target, so fun is called only for probes strictly
-    between the largest x seen above target and the smallest seen at or below
-    it, after Illinois regula falsi in u = 1/x has pinned these two whenever
-    they are within a factor 2 (stepping a doubling number of ulps inside when
+    Replays the geometric bisection of [lo, hi] bit for bit, if fun never rises with x
+    and is never NaN: as the mean ee fills, made only when ``_Problem.wb`` = w |beta|^2
+    is positive and finite, since shape / m (shape >= 0), - base, / wb, clip, maximum,
+    numpy's fixed pairwise sum and / n each keep order under round-to-nearest.  Each
+    branch is then fixed by the float where fun drops to target, so fun is called only
+    for probes strictly between the largest x seen above target and the smallest seen
+    at or below it, after Illinois regula falsi in u = 1/x has pinned these two
+    whenever they are within a factor 2 (stepping a doubling number of ulps inside when
     it lands on one).  A NaN reruns the plain loop.
     """
     end = {True: [0.0, 0.0], False: [np.inf, 0.0]}  # fun(x) > target -> [x, |fun(x) - target|]
@@ -727,10 +730,10 @@ def _ee_fill(fill, shape, target: float, lo: float, hi: float) -> np.ndarray:
 def _ee_candidate_f(ctx: _Problem, g_vals, shape):
     """Scalar f-class: lift w (f + |beta|^2 g) toward |C^{f0}| / multiplier above the floor."""
     F, w = ctx.f, ctx.w
-    if F.bounds is None or F.scalar_budget <= 0:
+    if F.bounds is None or F.scalar_budget <= 0 or ctx.wb is None:
         return None
     budget, floor = F.scalar_budget, F.bounds[0][:, 0, 0].real
-    base = w * floor + w * ctx.beta2 * g_vals[:, 0, 0].real
+    base = w * floor + ctx.wb * g_vals[:, 0, 0].real
 
     lift = _ee_fill(lambda alpha: np.maximum(shape / alpha - base, 0.0), shape, budget,
                     1e-12, 1e12)
@@ -743,11 +746,11 @@ def _ee_candidate_f(ctx: _Problem, g_vals, shape):
 def _ee_candidate_g(ctx: _Problem, f_vals, shape):
     """Scalar g-class: w (f + |beta|^2 g) tracks |C^{g0}| / multiplier within the bounds."""
     G, w = ctx.g, ctx.w
-    if G.bounds is None:
+    if G.bounds is None or ctx.wb is None:
         return None
     lo, q = G.bounds[0][:, 0, 0].real, G.scalar_budget
     hi = np.full(len(lo), np.inf) if G.bounds[1] is None else G.bounds[1][:, 0, 0].real
-    base, wb = w * f_vals[:, 0, 0].real, w * ctx.beta2
+    base, wb = w * f_vals[:, 0, 0].real, ctx.wb
 
     g_new = _ee_fill(lambda mult: np.clip((shape / mult - base) / wb, lo, hi), shape, q,
                      1e-14, 1e14)
@@ -767,6 +770,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
     options = options or MinimaxOptions()
     ctx = _Problem(class_spec, spec, fspec, grid)
     f, g = feasible_start(ctx)
+    _check_weight_scale(ctx, f, g)
     f_vals, g_vals = f.values, g.values
     trace, stopped = [], False
     scalar = fspec.dim == 1 and (ctx.f.bounds is not None or ctx.g.bounds is not None)

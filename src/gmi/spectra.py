@@ -4,6 +4,10 @@ All integrals use the convention (1/2pi) * integral over [-pi, pi), which on
 the midpoint grid reduces to a plain average over nodes.  The midpoint grid
 never touches 0, +-pi or any seasonal frequency, so integrable singularities
 of fractional densities are handled by ordinary averaging.
+
+At T > 1 one Cholesky factor of a stack's Hermitian part, shifted by PSD_TOL / 2 or by
+-2 INVERTIBILITY_FLOOR times max(1, max|value|), certifies PSD or invertibility; the
+margins dwarf its rounding, and only a stack that does not factor is decided by eigenvalues.
 """
 
 from __future__ import annotations
@@ -67,6 +71,19 @@ def hermitian_eigenvalues(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return values[..., 0].real
     return np.linalg.eigvalsh(0.5 * (values + np.conj(np.swapaxes(values, -1, -2))))
+
+
+def _factors(values: np.ndarray, shift: float) -> bool:
+    """Whether cholesky(H - shift I) completes for each matrix; H is the Hermitian part."""
+    if not np.isfinite(shift):  # a non-finite entry makes one; NaN factors without error
+        return False
+    h = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+    h -= shift * np.eye(values.shape[-1])
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _chi_beta(
@@ -134,22 +151,24 @@ class DensityGrid:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def _validate(self):
-        top = float(np.max(np.abs(self.values)))
+    def _validate(self, values=None):
+        values = self.values if values is None else values
+        top = float(np.max(np.abs(values)))
         if not np.isfinite(top):  # NaN, and inf - inf, fail every comparison below
             raise ValidationError("density has a non-finite value")
         scale = max(1.0, top)
-        herm_err = np.max(np.abs(self.values - self.values.conj().transpose(0, 2, 1)))
+        herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
         if herm_err > PSD_TOL * scale:
             raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
-        sym_err = np.max(np.abs(self.values[::-1] - self.values.transpose(0, 2, 1)))
+        sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
         if sym_err > PSD_TOL * scale:
             raise ValidationError(
                 f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
             )
-        min_eig = float(np.min(hermitian_eigenvalues(self.values)))
-        if min_eig < -PSD_TOL * scale:
-            raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
+        if values.shape[-1] == 1 or not _factors(values, -0.5 * PSD_TOL * scale):
+            min_eig = float(np.min(hermitian_eigenvalues(values)))
+            if min_eig < -PSD_TOL * scale:
+                raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
     def scalar(self) -> np.ndarray:
         if self.dim != 1:
@@ -158,9 +177,12 @@ class DensityGrid:
 
     @classmethod
     def constant(cls, grid: FrequencyGrid, matrix) -> "DensityGrid":
+        """n_grid copies of one matrix, validated once: equal copies have one copy's maxima."""
         matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
         values = np.broadcast_to(matrix, (grid.n_grid,) + matrix.shape).copy()
-        return cls(grid, values)
+        density = cls(grid, values, validate=False)
+        density._validate(density.values[:1])
+        return density
 
     @classmethod
     def from_scalar_samples(cls, grid: FrequencyGrid, samples: np.ndarray) -> "DensityGrid":
@@ -325,11 +347,12 @@ def inverse_density(p: DensityGrid) -> np.ndarray:
     """Nodewise inverse of p with a singularity check."""
     vals = p.values
     scale = max(float(np.max(np.abs(vals))), 1.0)
-    eigs = hermitian_eigenvalues(vals)
-    if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:
-        raise SingularDensityError("minimality violated (singular density)")
-    if p.dim == 1:
-        return (1.0 / eigs)[..., None].astype(complex)
+    if p.dim == 1 or not _factors(vals, 2.0 * INVERTIBILITY_FLOOR * scale):
+        eigs = hermitian_eigenvalues(vals)
+        if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:
+            raise SingularDensityError("minimality violated (singular density)")
+        if p.dim == 1:
+            return (1.0 / eigs)[..., None].astype(complex)
     return np.linalg.inv(vals)
 
 

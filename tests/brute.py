@@ -2,7 +2,8 @@
 observed indices of a window in natural order, the combined density and its lag covariances, a seeded spectral sampler, the
 error functional of a fixed characteristic, a least favorable search, the
 plain extremal-equation bisection, the stable-sort box shift, the per-sample
-saddle check and the value-by-value JSON emitter."""
+saddle check, the value-by-value JSON emitter, and the density checks decided
+by eigenvalues alone."""
 
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from gmi.classical import (
     mse_of_characteristic,
     solve_interpolation,
 )
-from gmi.errors import NumericalError, ValidationError
+from gmi.errors import NumericalError, SingularDensityError, ValidationError
 from gmi.increments import GMIncrementSpec, expand_operator, inverse_series
 from gmi.io import _format_float
 from gmi.minimax import (
@@ -32,7 +33,16 @@ from gmi.minimax import (
     feasible_start,
 )
 from gmi.oracle import GramSystem, ObservationWindow, gram_covariances, projection_mse
-from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine, observed_spectrum
+from gmi.spectra import (
+    INVERTIBILITY_FLOOR,
+    PSD_TOL,
+    DensityGrid,
+    FrequencyGrid,
+    _chi_beta,
+    _combine,
+    hermitian_eigenvalues,
+    observed_spectrum,
+)
 
 
 def window_indices(window: ObservationWindow, N: int, n_gamma: int) -> np.ndarray:
@@ -474,3 +484,33 @@ def _emit(obj, out: list[str]):
         out.append("]")
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+def validate_by_eigenvalues(values: np.ndarray) -> None:
+    """``DensityGrid._validate`` with its PSD test decided by the eigenvalues alone."""
+    top = float(np.max(np.abs(values)))
+    if not np.isfinite(top):
+        raise ValidationError("density has a non-finite value")
+    scale = max(1.0, top)
+    herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
+    if herm_err > PSD_TOL * scale:
+        raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
+    sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
+    if sym_err > PSD_TOL * scale:
+        raise ValidationError(
+            f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
+        )
+    min_eig = float(np.min(hermitian_eigenvalues(values)))
+    if min_eig < -PSD_TOL * scale:
+        raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
+
+
+def inverse_by_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """``inverse_density`` with its singularity test decided by the eigenvalues alone."""
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    eigs = hermitian_eigenvalues(vals)
+    if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:
+        raise SingularDensityError("minimality violated (singular density)")
+    if vals.shape[-1] == 1:
+        return (1.0 / eigs)[..., None].astype(complex)
+    return np.linalg.inv(vals)

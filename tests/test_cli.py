@@ -294,6 +294,12 @@ BAD_CONFIGS = {
     "overflowing_functional": ("interpolate", "interpolate",
                                _setting("problem", "functional", "a", [[1e308]] * 3),
                                "problem.functional.a"),
+    **{f"energy_overflow_{command}_{a:.0e}": (
+        command, command, _setting("problem", "functional", "a", [[a]] * rows),
+        "problem.functional.a")
+       for command, rows, sizes in (("minimax", 1, (1e154, 1e200, 1e308)),
+                                    ("interpolate", 3, (1e154, 1e200)))
+       for a in sizes},
 }
 
 
@@ -311,6 +317,16 @@ def test_oracle_on_huge_densities_warns_nothing(tmp_path, capsys):
     assert (code, capsys.readouterr().err) == (0, "")
     rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
     assert [row["delta_L"] for row in rows] == HUGE_SCALE_TABLE
+
+
+@pytest.mark.parametrize("command", ["interpolate", "minimax"])
+def test_weights_of_1e150_still_run(command, tmp_path, capsys):
+    config = json.loads((CONFIGS / f"{command}.json").read_text())
+    rows = len(config["problem"]["functional"]["a"])
+    config["problem"]["functional"]["a"] = [[1e150]] * rows
+    code = main([command, "--config", str(write_config(tmp_path, config)),
+                 "--output-dir", str(tmp_path), "--quiet"])
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -639,6 +639,79 @@ def test_ee_fills_never_rise_with_the_multiplier(index, exponent, ulps):
         assert float(np.mean(fill(m2))) <= float(np.mean(fill(m1)))
 
 
+class TestEeDivisor:
+    """The ee fills divide by |chi|^2 = w |beta|^2; a problem where it is not positive and
+    finite at every node makes no ee candidate, so its fills can never be NaN."""
+
+    @staticmethod
+    def _ball_box(grid):
+        box = {"V": constant_density(grid, 0.2), "U": constant_density(grid, 0.6), "q": 0.35}
+        return DensityClassSpec(
+            FClassSpec("D1delta_2", {"f1": rational_density(grid, [1.0], [1.0, -0.4]),
+                                     "delta_k": [0.1]}), GClassSpec("DVU_2", box))
+
+    def test_a_zero_of_chi_makes_no_ee_candidate(self, grid1k, monkeypatch):
+        import gmi.classical
+
+        cls, fs, n = self._ball_box(grid1k), FunctionalSpec(N=0, a=np.array([[1.0]])), 1024
+        g_vals, shape = np.full((n, 1, 1), 0.4 + 0j), np.linspace(0.5, 1.5, n)
+        ctx = _Problem(cls, SPEC11, fs, grid1k)
+        assert ctx.wb is not None
+        assert minimax._ee_candidate_f(ctx, g_vals, shape) is not None
+        assert minimax._ee_candidate_g(ctx, g_vals, shape) is not None
+        chi_beta = gmi.classical._chi_beta
+
+        def zeroed(*args):
+            chi, beta = chi_beta(*args)
+            chi[300] = 0.0
+            return chi, beta
+
+        monkeypatch.setattr(gmi.classical, "_chi_beta", zeroed)
+        calls = count_calls(monkeypatch, minimax, "_bisect_decreasing")
+        ctx = _Problem(cls, SPEC11, fs, grid1k)
+        assert ctx.w[300] == 0.0 and ctx.wb is None
+        assert minimax._ee_candidate_f(ctx, g_vals, shape) is None
+        assert minimax._ee_candidate_g(ctx, g_vals, shape) is None
+        assert calls == []
+
+    def test_without_the_divisor_every_step_searches_the_line(self, grid1k, monkeypatch):
+        init = _Problem.__init__
+
+        def no_divisor(self, *args):
+            init(self, *args)
+            self.wb = None
+
+        monkeypatch.setattr(_Problem, "__init__", no_divisor)
+        calls = {name: count_calls(monkeypatch, minimax, name)
+                 for name in ("_bisect_decreasing", "_line_search")}
+        res = solve_minimax(self._ball_box(grid1k), FunctionalSpec(N=0, a=np.array([[1.0]])),
+                            SPEC11, grid1k, MinimaxOptions(max_iter=3, saddle_samples=0))
+        assert res.trace and all(t["step"] in ("line", "stall") for t in res.trace)
+        assert calls["_bisect_decreasing"] == [] and len(calls["_line_search"]) == len(res.trace)
+
+    def test_divisor_holds_on_every_shipped_config_and_seasonal_grid(self):
+        import json
+        from pathlib import Path
+
+        from gmi.cli import _gm_spec
+
+        cases = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+            config = json.loads(path.read_text())
+            cases.append((path.name, _gm_spec(config), config["problem"].get("grid", 4096)))
+        cases += [(f"s={s}", GMIncrementSpec((s,), (1,), (1,)), 2 ** k)
+                  for k in range(10, 17) for s in range(1, 25)]
+        fs = FunctionalSpec(N=0, a=np.array([[1.0]]))
+        missing = []
+        for name, spec, n in cases:
+            grid = FrequencyGrid(n)
+            cls = DensityClassSpec(FClassSpec("fixed", {"f1": constant_density(grid, 1.0)}),
+                                   GClassSpec("zero"))
+            if _Problem(cls, spec, fs, grid).wb is None:
+                missing.append((name, n))
+        assert len(cases) == 5 + 7 * 24 and missing == []
+
+
 class TestShiftClipTies:
     """The default (unstable) sort of _shift_clip gives the stable-sort result bit for bit."""
 

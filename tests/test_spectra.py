@@ -8,14 +8,18 @@ import pytest
 from brute import (
     chi_beta_power,
     combine,
+    inverse_by_eigenvalues,
     refined_min_modulus,
     refined_minimality_one_pass,
     structural_function,
+    validate_by_eigenvalues,
 )
 from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
 from gmi.spectra import (
+    INVERTIBILITY_FLOOR,
+    PSD_TOL,
     DensityGrid,
     FrequencyGrid,
     _check_unit_circle_roots,
@@ -23,6 +27,7 @@ from gmi.spectra import (
     _minimality,
     fm_density,
     hermitian_eigenvalues,
+    inverse_density,
     minimality_value,
     observed_spectrum,
     symbols,
@@ -141,6 +146,102 @@ class TestDensityGrid:
     def test_rational_unit_circle_root(self, grid1k):
         with pytest.raises(ValidationError):
             rational_density(grid1k, [1.0], [1.0, -1.0])
+
+
+def _outcome(run):
+    """The bytes of run()'s array (b"" for None), or the class and message of what it raised."""
+    try:
+        out = run()
+    except (ValidationError, SingularDensityError, ArithmeticError, np.linalg.LinAlgError,
+            RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return "ok", b"" if out is None else out.tobytes()
+
+
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """Nodes whose second half is the first's transposes in reverse: value(-l) = value(l)^T."""
+    return np.concatenate([half, half[::-1].transpose(0, 2, 1)])
+
+
+def _certificate_stacks(T: int, seed: int) -> dict:
+    """1024-node T x T stacks, each with the outcome that the eigenvalues give both checks."""
+    rng = np.random.default_rng(seed)
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = cnormal(512, T, T)
+    pd = a @ a.conj().transpose(0, 2, 1) / T + 0.1 * np.eye(T)
+    low = cnormal(512, T, T - 1)
+    stacks = {
+        "positive definite": (_mirrored(pd), "ok", "ok"),
+        "rank deficient": (_mirrored(low @ low.conj().transpose(0, 2, 1)), "ok", "singular"),
+        "all zero": (np.zeros((1024, T, T), dtype=complex), "ok", "singular"),
+    }
+    small = 0.5 * pd / np.max(np.abs(pd))  # max|value| stays below 1, so the scale is 1
+    q = np.linalg.qr(cnormal(T, T))[0]
+    for label, threshold in (("PSD", -PSD_TOL), ("floor", INVERTIBILITY_FLOOR)):
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            half = small.copy()
+            half[5] = q @ np.diag([factor * threshold] + [0.5] * (T - 1)) @ q.conj().T
+            below = factor * threshold < threshold
+            psd = "bad" if label == "PSD" and below else "ok"
+            inverse = "singular" if label == "PSD" or below else "ok"
+            stacks[f"{label} x {factor}"] = (_mirrored(half), psd, inverse)
+    skew = cnormal(512, T, T)
+    skew = 0.2 * PSD_TOL * (skew - skew.conj().transpose(0, 2, 1)) / np.max(np.abs(skew))
+    stacks["non-Hermitian within PSD_TOL"] = (_mirrored(pd + skew), "ok", "ok")
+    for bad in (np.nan, np.inf):
+        values = _mirrored(pd)
+        values[7, 0, T - 1] = bad
+        stacks[f"one {bad} entry"] = (values, "bad", None)  # the inverse is what inv makes of it
+    return stacks
+
+
+class TestCholeskyCertificate:
+    """The factor certificate decides as the eigenvalues do, and words every rejection alike."""
+
+    @pytest.mark.parametrize("T", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_checks_match_the_eigenvalue_forms(self, grid1k, T, seed):
+        for name, (values, psd, inverse) in _certificate_stacks(T, seed).items():
+            got = _outcome(lambda: DensityGrid.zero(grid1k, T)._validate(values))
+            assert got == _outcome(lambda: validate_by_eigenvalues(values)), name
+            assert (got[0] == "ok") == (psd == "ok"), name
+            p = DensityGrid(grid1k, values, validate=False)
+            got = _outcome(lambda: inverse_density(p))
+            assert got == _outcome(lambda: inverse_by_eigenvalues(values)), name
+            if inverse is not None:
+                assert got[0] == ("ok" if inverse == "ok" else SingularDensityError), name
+
+    def test_an_accepted_stack_computes_no_eigenvalues(self, grid1k, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(1) or eigvalsh(x))
+        stacks = _certificate_stacks(4, 0)
+        p = DensityGrid(grid1k, stacks["positive definite"][0])
+        inverse_density(p)
+        assert calls == []
+        singular = DensityGrid(grid1k, stacks["rank deficient"][0])  # PSD: certified too
+        assert calls == []
+        with pytest.raises(SingularDensityError):
+            inverse_density(singular)
+        assert calls == [1]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.3]], 2.0, [[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    [[-1.0]], [[1.0, 0.0], [0.0, -1e-3]], [[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.5j], [-0.5j, 1.0]],
+    [[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, 2.0, 3.0]],
+], ids=["scalar", "bare scalar", "positive definite", "rank deficient", "negative",
+        "negative eigenvalue", "non-Hermitian", "not its transpose", "nan", "inf", "not square"])
+def test_constant_density_validates_as_its_copies(grid1k, matrix):
+    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+
+    def copies():
+        return DensityGrid(grid1k, np.broadcast_to(m, (1024,) + m.shape).copy()).values
+
+    assert _outcome(lambda: DensityGrid.constant(grid1k, matrix).values) == _outcome(copies)
 
 
 def test_hermitian_eigenvalues_equal_eigvalsh_of_the_hermitian_part_bitwise():
