@@ -7,6 +7,12 @@ stderr.  Exit codes: 0 success, 2 validation error (a missing or malformed
 config value, named with its section, e.g. ``problem.functional.a``),
 3 numerical failure on valid input, 4 verification failure.  A command reads
 each key it uses once, through ``io._get``; defaults stay with their owners.
+
+Importing this module applies GMI_THREADS (it sets each unset BLAS/OpenMP
+thread variable to its value) and then loads numpy and the gmi modules
+errors, increments and io: all that classify and coeffs load.  interpolate
+also loads classical, spectra and _floatfmt; oracle-verify adds oracle to
+those, and minimax adds minimax.
 """
 
 from __future__ import annotations
@@ -20,16 +26,21 @@ from pathlib import Path
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
+if os.environ.get("GMI_THREADS"):  # numpy reads them when it is first imported, just below
+    for _var in _THREAD_VARS:
+        os.environ.setdefault(_var, os.environ["GMI_THREADS"])
 
-def _apply_thread_cap():
-    cap = os.environ.get("GMI_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
+import numpy as np
+
+from . import io
+from .errors import GmiError, ValidationError, VerificationError, WeightOverflowError
+from .increments import (FMIncrementSpec, GMIncrementSpec, classify_stationarity,
+                         expand_operator, frequency_set, gm_series, inverse_series)
+from .io import (REQUIRED, _count, _get, _int, _list, _must, _named, _object,
+                 _one_of, _present, _real, _reals)
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(prog="gmi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("interpolate", "oracle-verify", "minimax", "classify", "coeffs"):
@@ -41,13 +52,9 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    import numpy as np
-
-    from .errors import GmiError, WeightOverflowError
-
     try:
         code = _dispatch(args)
-    except WeightOverflowError as exc:  # raised where the problem is built; a names the weights
+    except WeightOverflowError as exc:  # the weights a overflow a product of the problem
         _emit_error(exc.code, f"problem.functional.a: {exc}")
         return exc.exit_code
     except GmiError as exc:
@@ -69,9 +76,6 @@ def _say(args, text: str):
 
 
 def _load_config(args) -> dict:
-    from .errors import ValidationError
-    from .io import _get, _int, _must, _object
-
     try:
         config = json.loads(Path(args.config).read_text())
         args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -91,8 +95,6 @@ def _load_config(args) -> dict:
 
 def _density_model(data: dict, where: str, dim=None):
     """The DensityModel of a density object; ``dim`` sizes a zero density without one."""
-    from .io import (_count, _get, _object, _one_of, _present, _real, _reals,
-                     increment_from_dict)
     from .spectra import DensityModel
 
     kind = _get(data, "kind", where, _one_of(("constant", "rational", "matrix_ma", "zero", "fm")))
@@ -107,15 +109,13 @@ def _density_model(data: dict, where: str, dim=None):
         params = {} if dim is None else {"dim": dim}
     else:
         spec = {**_get(data, "spec", where, _object), "type": "fm"}
-        params = {"spec": increment_from_dict(spec, f"{where}.spec"),
+        params = {"spec": io.increment_from_dict(spec, f"{where}.spec"),
                   "base": _density_model(_get(data, "base", where, _object), f"{where}.base")}
     return DensityModel(kind, params)
 
 
 def _density(section: dict, key: str, where: str, grid, dim=None, default=None):
     """The density object ``section[key]`` (or ``default``) evaluated on the grid."""
-    from .io import REQUIRED, _get, _named, _object
-
     at = f"{where}.{key}"
     model = _density_model(_get(section, key, where, _object, default or REQUIRED), at, dim)
     return _named(at, model.evaluate, grid)
@@ -123,8 +123,6 @@ def _density(section: dict, key: str, where: str, grid, dim=None, default=None):
 
 def _integer_part(spec):
     """GM operator of the positive integer orders of a fractional increment, or None."""
-    from .increments import GMIncrementSpec
-
     keep = [(s, r) for s, r in zip(*spec.integer_orders()) if r > 0]
     if not keep:
         return None
@@ -133,16 +131,11 @@ def _integer_part(spec):
 
 
 def _increment(config):
-    from .io import _get, _object, increment_from_dict
-
-    return increment_from_dict(_get(config["problem"], "increment", "problem", _object),
-                               "problem.increment")
+    return io.increment_from_dict(_get(config["problem"], "increment", "problem", _object),
+                                  "problem.increment")
 
 
 def _gm_spec(config):
-    from .errors import ValidationError
-    from .increments import GMIncrementSpec
-
     spec = _increment(config)
     gm = spec if isinstance(spec, GMIncrementSpec) else _integer_part(spec)
     if gm is None:
@@ -153,7 +146,6 @@ def _gm_spec(config):
 
 def _functional(config):
     from .classical import FunctionalSpec, PeriodicFunctionalSpec, lift_periodic
-    from .io import _count, _get, _named, _object, _one_of, _reals
 
     where = "problem.functional"
     data = _get(config["problem"], "functional", "problem", _object)
@@ -174,7 +166,6 @@ def _densities(config, grid):
 
 def _problem(config):
     """Grid, increment and functional of the config's problem."""
-    from .io import _get, _int, _must
     from .spectra import FrequencyGrid
 
     grid = _get(config["problem"], "grid", "problem", lambda n: _must(
@@ -192,14 +183,13 @@ def _dispatch(args) -> int:
 
 def _cmd_interpolate(args, config) -> int:
     from .classical import solve_interpolation
-    from .io import solution_to_dict, write_characteristic_csv, write_json
 
     grid, spec, fspec = _problem(config)
     f, g = _densities(config, grid)
     sol = solve_interpolation(spec, f, g, fspec)
-    write_json(args.output_dir / "solution.json", solution_to_dict(sol))
-    write_characteristic_csv(args.output_dir / "spectral_characteristic.csv",
-                             f.grid.nodes, sol.h)
+    io.write_json(args.output_dir / "solution.json", io.solution_to_dict(sol))
+    io.write_characteristic_csv(args.output_dir / "spectral_characteristic.csv",
+                                f.grid.nodes, sol.h)
     _say(args, f"interpolate: delta={sol.delta:.12g} "
                f"(routes differ by {abs(sol.delta - sol.delta_spectral):.3g}), "
                f"cond={sol.condition_number:.3g}")
@@ -208,8 +198,6 @@ def _cmd_interpolate(args, config) -> int:
 
 def _cmd_oracle(args, config) -> int:
     from .classical import Problem, _interpolate
-    from .errors import ValidationError, VerificationError
-    from .io import _count, _get, _list, _object, _real, write_convergence_csv, write_json
     from .oracle import DEFAULT_SCHEDULE, _table
 
     grid, spec, fspec = _problem(config)
@@ -233,8 +221,8 @@ def _cmd_oracle(args, config) -> int:
         "final_relative_gap": gap,
         "pass": gap <= tolerance,
     }
-    write_json(args.output_dir / "convergence.json", payload)
-    write_convergence_csv(args.output_dir / "convergence.csv", rows, sol.delta)
+    io.write_json(args.output_dir / "convergence.json", payload)
+    io.write_convergence_csv(args.output_dir / "convergence.csv", rows, sol.delta)
     _say(args, f"oracle-verify: delta={sol.delta:.12g}, L={rows[-1][0]} "
                f"gap={gap:.3e}, tolerance={tolerance:g}")
     if gap > tolerance:
@@ -245,7 +233,6 @@ def _cmd_oracle(args, config) -> int:
 
 def _class_spec(data: dict, grid):
     """Both sides of the minimax class: the densities of CLASS_PARAMS, and reals."""
-    from .io import REQUIRED, _get, _object, _one_of, _reals
     from .minimax import (CLASS_PARAMS, F_CLASS_PARAMS, G_CLASS_PARAMS, DensityClassSpec,
                           FClassSpec, GClassSpec)
 
@@ -263,8 +250,6 @@ def _class_spec(data: dict, grid):
 
 
 def _cmd_minimax(args, config) -> int:
-    from .io import (_count, _get, _object, _present, _real, complex_array, write_density_csv,
-                     write_json)
     from .minimax import MinimaxOptions, solve_minimax
 
     grid, spec, fspec = _problem(config)
@@ -278,17 +263,17 @@ def _cmd_minimax(args, config) -> int:
         "kind": "minimax_result",
         "delta0": result.delta0,
         "converged": result.converged,
-        "f0": complex_array(result.f0.values),
-        "g0": complex_array(result.g0.values),
-        "h0": complex_array(result.h0),
+        "f0": io.complex_array(result.f0.values),
+        "g0": io.complex_array(result.g0.values),
+        "h0": io.complex_array(result.h0),
         "multipliers": result.multipliers,
         "residual_report": _plain(result.residual_report),
         "saddle_report": _plain(result.saddle_report),
         "trace": _plain(result.trace),
     }
-    write_json(args.output_dir / "minimax.json", payload)
-    write_density_csv(args.output_dir / "least_favorable_signal.csv", result.f0)
-    write_density_csv(args.output_dir / "least_favorable_noise.csv", result.g0)
+    io.write_json(args.output_dir / "minimax.json", payload)
+    io.write_density_csv(args.output_dir / "least_favorable_signal.csv", result.f0)
+    io.write_density_csv(args.output_dir / "least_favorable_noise.csv", result.g0)
     _say(args, f"minimax: delta0={result.delta0:.12g} converged={result.converged} "
                f"iterations={len(result.trace)} "
                f"saddle_violation={result.saddle_report.get('max_violation', 0.0):.3e}")
@@ -296,8 +281,6 @@ def _cmd_minimax(args, config) -> int:
 
 
 def _plain(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -308,10 +291,6 @@ def _plain(obj):
 
 
 def _cmd_classify(args, config) -> int:
-    from .errors import ValidationError
-    from .increments import FMIncrementSpec, classify_stationarity
-    from .io import write_json
-
     spec = _increment(config)
     if not isinstance(spec, FMIncrementSpec):
         raise ValidationError("classify requires a fractional ('fm') increment")
@@ -333,7 +312,7 @@ def _cmd_classify(args, config) -> int:
         ],
         "invertible_frequencies": list(report.invertible_frequencies),
     }
-    write_json(args.output_dir / "classification.json", payload)
+    io.write_json(args.output_dir / "classification.json", payload)
     verdict = "stationary" if report.stationary else "NOT stationary"
     _say(args, f"classify: {verdict}; conditions: " + "; ".join(
         f"{c['condition']} [{'pass' if c['satisfied'] else 'fail'}]"
@@ -342,10 +321,6 @@ def _cmd_classify(args, config) -> int:
 
 
 def _cmd_coeffs(args, config) -> int:
-    from .increments import (GMIncrementSpec, expand_operator, frequency_set, gm_series,
-                             inverse_series)
-    from .io import _count, _get, _object, write_json
-
     spec = _increment(config)
     length = _get(_get(config, "coeffs", "", _object, {}), "length", "coeffs", _count, 32)
     payload = {"schema_version": 1, "kind": "coefficient_dump", "length": length}
@@ -359,7 +334,7 @@ def _cmd_coeffs(args, config) -> int:
     if gm is not None:
         payload["expansion"] = [int(x) for x in expand_operator(gm)]
         payload["inverse_series"] = [int(x) for x in inverse_series(gm, length)]
-    write_json(args.output_dir / "coefficients.json", payload)
+    io.write_json(args.output_dir / "coefficients.json", payload)
     _say(args, "coeffs: written coefficients.json")
     return 0
 

@@ -15,7 +15,7 @@ class ValidationError(GmiError):
 
 
 class WeightOverflowError(ValidationError):
-    """The functional weights overflow the differenced target weights."""
+    """The functional weights overflow a product the problem forms from them."""
 
 
 class DegenerateOperatorError(ValidationError):

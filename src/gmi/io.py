@@ -15,21 +15,21 @@ fraction is farther than 2^-30 from 1/2 and D is in [10^16, 10^17].
 Zeros are written as ``0``.  Every other value (ties and near ties,
 subnormals, |x| > 1e290) goes to ``_format_float`` on its own.  The full
 argument is in the ``_floatfmt`` module docstring.  That module is imported
-inside the two writers that use it, so commands that write no float array
-(``classify``, ``coeffs``) never compile it.
+inside the two writers that use it, and this module imports neither
+``classical`` nor ``spectra``, so commands that write no float array
+(``classify``, ``coeffs``) load none of the three.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .classical import InterpolationSolution
 from .errors import ValidationError
 from .increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
-from .spectra import DensityGrid
 
 
 def _format_float(x: float) -> str:
@@ -64,9 +64,7 @@ def _emit(obj, out: list[str]):
     elif isinstance(obj, (complex, np.complexfloating)):
         _emit([float(obj.real), float(obj.imag)], out)
     elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -231,7 +229,8 @@ def increment_from_dict(data: dict, where: str = "increment"):
                   D0=_get(data, "D0", where, _real, 0.0), factors=tuple(factors))
 
 
-def solution_to_dict(sol: InterpolationSolution) -> dict:
+def solution_to_dict(sol) -> dict:
+    """The JSON document of a ``classical.InterpolationSolution``."""
     return {
         "schema_version": 1,
         "kind": "interpolation_solution",
@@ -267,31 +266,26 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
     Path(path).write_bytes((",".join(header) + "\n").encode() + format_rows(table, tails))
 
 
-def write_characteristic_csv(path: Path, grid_nodes: np.ndarray, h: np.ndarray) -> None:
-    h = np.asarray(h, dtype=complex)
-    dim = h.shape[1]
-    header = ["lambda"]
-    for p in range(dim):
-        header += [f"h{p}_re", f"h{p}_im"]
-    table = np.empty((h.shape[0], 1 + 2 * dim))
-    table[:, 0] = grid_nodes
-    table[:, 1::2] = h.real
-    table[:, 2::2] = h.imag
-    _write_table(path, header, table)
-
-
-def write_density_csv(path: Path, density: DensityGrid) -> None:
-    dim = density.dim
-    header = ["lambda"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"f{i}{j}_re", f"f{i}{j}_im"]
-    values = density.values.reshape(density.grid.n_grid, dim * dim)
-    table = np.empty((density.grid.n_grid, 1 + 2 * dim * dim))
-    table[:, 0] = density.grid.nodes
+def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, names) -> None:
+    """CSV of the nodes as ``lambda`` and of each complex column as its Re/Im pair."""
+    header = ["lambda"] + [f"{name}_{part}" for name in names for part in ("re", "im")]
+    table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
+    table[:, 0] = nodes
     table[:, 1::2] = values.real
     table[:, 2::2] = values.imag
     _write_table(path, header, table)
+
+
+def write_characteristic_csv(path: Path, grid_nodes: np.ndarray, h: np.ndarray) -> None:
+    h = np.asarray(h, dtype=complex)
+    _write_complex_table(path, grid_nodes, h, [f"h{p}" for p in range(h.shape[1])])
+
+
+def write_density_csv(path: Path, density) -> None:
+    """CSV of a ``spectra.DensityGrid``, one Re/Im pair per matrix entry."""
+    n, dim = density.grid.n_grid, density.dim
+    _write_complex_table(path, density.grid.nodes, density.values.reshape(n, dim * dim),
+                         [f"f{i}{j}" for i in range(dim) for j in range(dim)])
 
 
 def write_convergence_csv(path: Path, rows: list, delta_classical: float) -> None:

@@ -30,7 +30,7 @@ from .classical import (
     _solve,
     mse_of_characteristic,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, WeightOverflowError
 from .increments import GMIncrementSpec
 from .spectra import DensityGrid, FrequencyGrid, hermitian_eigenvalues
 
@@ -843,7 +843,10 @@ def extremal_residuals(result: MinimaxResult) -> dict:
     report: dict = {"multipliers": {}}
     for side, fam, row, vals in zip("fg", (ctx.f, ctx.g), rows, (f0.values, g0.values)):
         if fam.bounds is not None:
-            rep, multipliers = fam.extremal(_norm2(row), shape, vals)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                rep, multipliers = fam.extremal(_norm2(row), shape, vals)
+            if not np.all(np.isfinite([*rep.values(), *multipliers.values()])):
+                raise WeightOverflowError("the extremal equations overflow at these weights")
             report[side] = {"kind": fam.kind, **rep}
             report["multipliers"].update(multipliers)
     report["approximate"] = [fam.kind for fam in (ctx.f, ctx.g) if fam.approximate]

@@ -7,7 +7,8 @@ of fractional densities are handled by ordinary averaging.
 
 At T > 1 one Cholesky factor of a stack's Hermitian part, shifted by PSD_TOL / 2 or by
 -2 INVERTIBILITY_FLOOR times max(1, max|value|), certifies PSD or invertibility; the
-margins dwarf its rounding, and only a stack that does not factor is decided by eigenvalues.
+margins dwarf its rounding, and only a stack that does not factor, or whose factor is not
+finite, is decided by eigenvalues.
 """
 
 from __future__ import annotations
@@ -74,16 +75,18 @@ def hermitian_eigenvalues(values: np.ndarray) -> np.ndarray:
 
 
 def _factors(values: np.ndarray, shift: float) -> bool:
-    """Whether cholesky(H - shift I) completes for each matrix; H is the Hermitian part."""
-    if not np.isfinite(shift):  # a non-finite entry makes one; NaN factors without error
+    """Whether cholesky(H - shift I) completes with a finite diagonal for each matrix; H is
+    the Hermitian part.  NaN, or a product that overflows, factors without error, and any
+    NaN or inf in the factor reaches its diagonal."""
+    if not np.isfinite(shift):  # a non-finite entry makes one
         return False
     h = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
     h -= shift * np.eye(values.shape[-1])
     try:
-        np.linalg.cholesky(h)
+        factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.all(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1))))
 
 
 def _chi_beta(
@@ -157,14 +160,19 @@ class DensityGrid:
         if not np.isfinite(top):  # NaN, and inf - inf, fail every comparison below
             raise ValidationError("density has a non-finite value")
         scale = max(1.0, top)
-        herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
+        with np.errstate(over="ignore"):  # near the largest double a difference or sum is inf
+            herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
+            sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
+            herm_finite = values.shape[-1] == 1 or top <= np.finfo(float).max / 2 or np.all(
+                np.isfinite(values + np.conj(np.swapaxes(values, -1, -2))))
         if herm_err > PSD_TOL * scale:
             raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
-        sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
         if sym_err > PSD_TOL * scale:
             raise ValidationError(
                 f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
             )
+        if not herm_finite:  # eigvalsh gives NaN for it, and NaN passes the PSD test
+            raise ValidationError("density has a Hermitian part that overflows")
         if values.shape[-1] == 1 or not _factors(values, -0.5 * PSD_TOL * scale):
             min_eig = float(np.min(hermitian_eigenvalues(values)))
             if min_eig < -PSD_TOL * scale:

@@ -291,6 +291,13 @@ BAD_CONFIGS = {
     "overflowing_class_budget": ("minimax", "minimax",
                                  _setting("minimax", "f_class", "delta_k", [1e308]),
                                  "f_class.delta_k"),
+    "overflowing_hermitian_part": (
+        "interpolate", "interpolate", _setting("problem", "signal_density", {
+            "kind": "constant", "matrix": [[1e308, 0.0], [0.0, -1e308]]}),
+        "problem.signal_density"),
+    "extremal_overflow_minimax_1e+152": (
+        "minimax", "minimax", _setting("problem", "functional", "a", [[1e152]]),
+        "problem.functional.a"),
     "overflowing_functional": ("interpolate", "interpolate",
                                _setting("problem", "functional", "a", [[1e308]] * 3),
                                "problem.functional.a"),
@@ -342,22 +349,89 @@ def test_bad_config_is_validation_error(case, tmp_path, capsys):
     assert key in envelope["message"]
 
 
-def test_commands_do_not_import_jsonschema(tmp_path):
-    script = (
-        "import sys\n"
-        "from gmi.cli import main\n"
-        "for command, name in (('interpolate', 'interpolate'), ('coeffs', 'coeffs')):\n"
-        f"    code = main([command, '--config', {str(CONFIGS)!r} + '/' + name + '.json',\n"
-        f"                 '--output-dir', {str(tmp_path)!r}, '--quiet'])\n"
-        "    assert code == 0, command\n"
-        "assert 'jsonschema' not in sys.modules\n"
-    )
+def _python(tmp_path, *args: str, **env_vars: str | None) -> str:
+    """The stdout of ``python *args`` run on ``src`` in a fresh interpreter.
+
+    A keyword sets (a string) or unsets (None) an environment variable.
+    """
     env = dict(os.environ)
+    for key, value in env_vars.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: the gmi modules each command loads on its shipped config (command, config name)
+BASE_MODULES = {"gmi", "gmi.cli", "gmi.errors", "gmi.increments", "gmi.io"}
+SOLVER_MODULES = BASE_MODULES | {"gmi.classical", "gmi.spectra", "gmi._floatfmt"}
+COMMAND_MODULES = {
+    ("classify", "classify"): BASE_MODULES,
+    ("coeffs", "coeffs"): BASE_MODULES,
+    ("interpolate", "interpolate"): SOLVER_MODULES,
+    ("oracle-verify", "interpolate"): SOLVER_MODULES | {"gmi.oracle"},
+    ("minimax", "minimax"): SOLVER_MODULES | {"gmi.minimax"},
+}
+
+
+def test_commands_do_not_import_jsonschema(tmp_path):
+    for (command, name), expected in COMMAND_MODULES.items():
+        script = (
+            "import sys\n"
+            "from gmi.cli import main\n"
+            f"code = main([{command!r}, '--config', {str(CONFIGS / f'{name}.json')!r},\n"
+            f"             '--output-dir', {str(tmp_path)!r}, '--quiet'])\n"
+            "assert code == 0, code\n"
+            "assert 'jsonschema' not in sys.modules\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gmi')))\n"
+        )
+        assert set(_python(tmp_path, "-c", script).split()) == expected, command
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+#: a sitecustomize that prints the thread variables as numpy is first imported
+THREAD_SPY = f"""\
+import os
+import sys
+
+
+class Spy:
+    seen = False
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not Spy.seen:
+            Spy.seen = True
+            print(*(f"{{var}}={{os.environ.get(var)}}" for var in {THREAD_VARS!r}))
+
+
+sys.meta_path.insert(0, Spy())
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "5"])
+@pytest.mark.parametrize("launch", ["main", "-m"])
+def test_gmi_threads_is_applied_before_numpy_loads(tmp_path, launch, preset):
+    """With GMI_THREADS=3, numpy first loads with each unset thread variable at 3."""
+    (tmp_path / "spy").mkdir()
+    (tmp_path / "spy" / "sitecustomize.py").write_text(THREAD_SPY)
+    argv = ["coeffs", "--config", str(CONFIGS / "coeffs.json"), "--output-dir", str(tmp_path),
+            "--quiet"]
+    args = ["-c", f"import sys\nfrom gmi.cli import main\nsys.exit(main({argv!r}))"] \
+        if launch == "main" else ["-m", "gmi.cli", *argv]
+    spy_path = os.pathsep.join([str(tmp_path / "spy"), os.environ.get("PYTHONPATH", "")])
+    env = {var: None for var in THREAD_VARS}
+    env.update(GMI_THREADS="3", OMP_NUM_THREADS=preset, PYTHONPATH=spy_path)
+    expected = {var: "3" for var in THREAD_VARS}
+    expected["OMP_NUM_THREADS"] = preset or "3"
+    assert _python(tmp_path, *args, **env).split() == [f"{k}={v}" for k, v in expected.items()]
 
 
 class TestClassify:

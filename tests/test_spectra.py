@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,31 @@ class TestDensityGrid:
         with pytest.raises(ValidationError, match="non-finite"):
             DensityGrid(grid1k, vals)
 
+    @pytest.mark.parametrize("diagonal", [(1e308, -1e308), (1e308, 1e308)])
+    def test_rejects_a_hermitian_part_that_overflows(self, grid1k, diagonal):
+        # v + v^H is inf there, and the NaN eigenvalues of an inf matrix pass the PSD test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="Hermitian part that overflows"):
+                DensityGrid.constant(grid1k, np.diag(diagonal))
+            with pytest.raises(ValidationError, match="Hermitian part that overflows"):
+                DensityGrid(grid1k, np.broadcast_to(np.diag(diagonal), (1024, 2, 2)))
+
+    def test_an_overflowing_hermitian_error_is_refused_without_a_warning(self, grid1k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"not Hermitian \(error inf\)"):
+                DensityGrid.constant(grid1k, [[1.0, 1e308], [-1e308, 1.0]])
+
+    def test_large_entries_with_a_finite_hermitian_part_reach_the_psd_test(self, grid1k):
+        big = 8e307 + 8e307j  # |big| is above half the largest double, big + big is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            DensityGrid.constant(grid1k, np.diag((8.9e307, 1.0)))
+            with pytest.raises(ValidationError, match="eigenvalue"):
+                DensityGrid(grid1k, _mirrored(np.broadcast_to(
+                    np.array([[1.0, big], [np.conj(big), 1.0]]), (512, 2, 2))))
+
     def test_rational_unit_circle_root(self, grid1k):
         with pytest.raises(ValidationError):
             rational_density(grid1k, [1.0], [1.0, -1.0])
@@ -191,6 +217,10 @@ def _certificate_stacks(T: int, seed: int) -> dict:
     skew = cnormal(512, T, T)
     skew = 0.2 * PSD_TOL * (skew - skew.conj().transpose(0, 2, 1)) / np.max(np.abs(skew))
     stacks["non-Hermitian within PSD_TOL"] = (_mirrored(pd + skew), "ok", "ok")
+    huge = np.zeros((512, T, T), dtype=complex)  # indefinite; its factor overflows to NaN
+    huge[:, 0, 0] = huge[:, 1, 1] = 1.0
+    huge[:, 0, 1], huge[:, 1, 0] = 8e307 + 8e307j, 8e307 - 8e307j
+    stacks["indefinite near the largest double"] = (_mirrored(huge), "bad", "singular")
     for bad in (np.nan, np.inf):
         values = _mirrored(pd)
         values[7, 0, T - 1] = bad
