@@ -197,6 +197,18 @@ class TestKernel:
         assert column_bytes([99999999999999999.0, 9.99999999999999999e-5]).split() == [
             b"1e+17", b"0.0001"]
 
+    def test_every_layout(self):
+        values = layout_values()
+        # no double has a one-digit %.17g at k = -5 or -6: each d 10^k is
+        # farther than half a unit of the 17th digit from its nearest double
+        assert set(map(decimal_layout, values)) == {
+            (k, m) for k in range(-6, 19) for m in range(1, 18)} - {(-6, 1), (-5, 1)}
+        values = np.concatenate([values, -values])
+        assert column_bytes(values) == column_loop(values)
+        doc = {str(len(shape)): values.reshape(shape)
+               for shape in [(850,), (50, 17), (2, 25, 17), (2, 5, 5, 17)]}
+        assert canonical_json(doc) == canonical_json_loop(doc)
+
     def test_exact_ties_take_the_fallback(self, monkeypatch):
         rng = np.random.default_rng(1)
         # n + 1/4 and n + 3/4 with 16 integer digits: 18 digits ending in 5
@@ -234,6 +246,30 @@ class TestKernel:
             assert (tmp_path / str(k) / "spectral_characteristic.csv").stat().st_size > 0
         assert len(ops) == 6
         assert calls == []
+
+
+def decimal_layout(x: float) -> tuple[int, int]:
+    """(k, m): the decimal exponent of x and its significant digits in %.17g."""
+    mantissa, exponent = f"{x:.16e}".split("e")
+    return int(exponent), len(mantissa.strip("-").replace(".", "").rstrip("0"))
+
+
+def layout_values() -> np.ndarray:
+    """For each decimal exponent k in -6..18 and each count m of significant
+    digits in 1..17, the double nearest D 10^(k-16), D having m significant
+    digits, for the first of 400 seeded D whose double shows exactly (k, m)."""
+    rng = np.random.default_rng(19)
+    values = []
+    for k in range(-6, 19):
+        for m in range(1, 18):
+            for _ in range(400):
+                body = rng.integers(0, 10, max(m - 2, 0)).tolist()
+                digits = [rng.integers(1, 10), *body, rng.integers(1, 10)][:m]
+                x = float(f"{''.join(map(str, digits))}e{k - m + 1}")
+                if decimal_layout(x) == (k, m):
+                    break
+            values.append(x)
+    return np.array(values)
 
 
 def doc_values(rng, shape):
