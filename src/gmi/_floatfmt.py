@@ -27,12 +27,17 @@ it writes a float array, so commands that write none never load it.
   Every other value (exact ties and near ties, exact powers of ten,
   subnormals, |x| > 1e290) is written by ``io._format_float`` on its own, so
   the output is exact by construction.
-* Layout.  Each value becomes a fixed-width record of bytes: sign, then the
-  digits under the %g rules (scientific when k < -4 or k >= 17, trailing
-  zeros and a bare point dropped, an exponent of at least two digits),
-  then the tail of its column (a comma, a newline or JSON brackets).
-  Unused bytes are NUL, and dropping them joins the records.  Tables are
-  done in blocks of rows, so the buffers stay a few MB.
+* Layout.  Each value becomes a fixed-width record of bytes: a prefix with
+  the sign and, for k = -1..-4, the "0." and zeros before the digits (a
+  zero is written there as "0"), then 18 body bytes, then the exponent of
+  the scientific form (k < -4 or k >= 17, at least two digits), then the
+  tail of its column (a comma, a newline or JSON brackets).  The body is
+  built from position-major rows, one per digit, each row n bytes long:
+  body row j holds digit j before the point, the point at row pt, and digit
+  j - 1 after it, chosen by uint8 multiplies against comparisons of j with
+  each value's pt and length, so trailing zeros and a bare point fall
+  outside the length.  Unused bytes are NUL, and dropping them joins the
+  records.  Tables are done in blocks of rows, so the buffers stay a few MB.
 """
 
 from __future__ import annotations
@@ -52,9 +57,8 @@ _RESCALE_Q, _RESCALE_BITS = 280, 200
 _D_LO, _D_HI = 10 ** 16, 10 ** 17
 _K_OFFSET = 330                   # row k + _K_OFFSET of the exponent table
 _BLOCK_VALUES = 2 ** 15           # values formatted per block
-_WIDTH = 24                       # sign and at most 23 characters per value
-# columns of a value's source row that the layouts pick bytes from
-_DOT, _ZERO, _NUL, _EXP, _SIGN, _SOURCE = 17, 18, 19, 20, 25, 26
+_PREFIX, _BODY, _EXP = 6, 18, 5   # record bytes: sign and "0.000", digits and point, exponent
+_ROWS = np.arange(_BODY, dtype=np.uint8)[:, None]
 
 
 @functools.cache
@@ -81,28 +85,12 @@ def _exponents() -> np.ndarray:
 
 
 @functools.cache
-def _layouts() -> np.ndarray:
-    """Source column of each output byte, one row per layout.
-
-    Row 17 form + kept - 1 for the forms fixed k = -4..16 (form k + 4) and
-    scientific (form 21) with ``kept`` significant digits before the
-    trailing zeros; the last row writes a zero.
-    """
-    rows = []
-    for form in range(22):
-        k = form - 4
-        for kept in range(1, 18):
-            if form == 21:
-                body = [0] + ([_DOT, *range(1, kept)] if kept > 1 else [])
-                body += [*range(_EXP, _EXP + 5)]
-            elif k < 0:
-                body = [_ZERO, _DOT] + [_ZERO] * (-k - 1) + [*range(kept)]
-            else:
-                kept = max(kept, k + 1)
-                body = [*range(k + 1)] + ([_DOT, *range(k + 1, kept)] if kept > k + 1 else [])
-            rows.append([_SIGN] + body + [_NUL] * (_WIDTH - 1 - len(body)))
-    rows.append([_SIGN, _ZERO] + [_NUL] * (_WIDTH - 2))
-    return np.array(rows, dtype=np.intp)
+def _prefixes() -> np.ndarray:
+    """Sign and "0.000" bytes, NUL-padded to _PREFIX, at row 6 sign + kind:
+    kind -k for the fixed forms k = -1..-4, 5 for a zero, else 0."""
+    text = b"".join((sign + lead).ljust(_PREFIX, b"\0") for sign in (b"", b"-")
+                    for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000", b"0"))
+    return np.frombuffer(text, np.uint8).reshape(-1, _PREFIX)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +132,21 @@ def _digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, k, ok
 
 
-def _digit_chars(d: np.ndarray) -> np.ndarray:
-    """(n, 17) ASCII digits of D < 10^17, in two 32-bit halves."""
-    out = np.empty((d.size, 17), np.uint8)
-    upper, lower = np.divmod(d, 10 ** 9)
-    for half, cols in ((lower.astype(np.uint32), range(16, 7, -1)),
-                       (upper.astype(np.uint32), range(7, -1, -1))):
-        for c in cols:
-            half, out[:, c] = np.divmod(half, np.uint32(10))
-    out += ord("0")
-    return out
+def _digit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of D < 10^17 in rows 1..17 of a (19, n) array whose rows 0
+    and 18 are NUL, and the count of digits before the trailing zeros."""
+    rows = np.zeros((_BODY + 1, d.size), np.uint8)
+    kept = np.zeros(d.size, np.uint8)
+    upper = d // 10 ** 9
+    for half, js in (((d - upper * 10 ** 9).astype(np.uint32), range(17, 8, -1)),
+                     (upper.astype(np.uint32), range(8, 0, -1))):
+        for j in js:
+            quotient = half // 10
+            rows[j] = half - quotient * 10
+            np.maximum(kept, np.uint8(j) * (rows[j] != 0), out=kept)
+            half = quotient
+    rows[1:_BODY] += ord("0")
+    return rows, kept
 
 
 def _format_block(block: np.ndarray, tails: np.ndarray) -> bytes:
@@ -163,29 +156,29 @@ def _format_block(block: np.ndarray, tails: np.ndarray) -> bytes:
     fast = (ax >= _NORMAL_MIN) & (ax <= _FAST_MAX)
     d, k, ok = _digits(np.where(fast, ax, 1.0))
     zero = x == 0.0
-    digits = _digit_chars(d)
-    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    form = np.where((k < -4) | (k > 16), 21, k + 4)
-    layout = np.where(zero, 22 * 17, form * 17 + kept - 1)
+    digits, kept = _digit_rows(d)
+    sci = (k < -4) | (k > 16)
+    # the point goes before digit pt (18: none, k < 0 has it in the prefix);
+    # fixed k >= 0 shows at least its k + 1 integer digits, and a zero none
+    pt = np.where(sci, 1, np.where(k < 0, _BODY, k + 1)).astype(np.uint8)
+    shown = np.maximum(kept, pt % _BODY) * ~zero
+    length = shown + (shown > pt)
+    body = digits[1:] * (_ROWS < pt) + digits[:-1] * (_ROWS > pt)
+    body += (_ROWS == pt) * np.uint8(ord("."))
+    body *= _ROWS < length
 
-    source = np.empty((n, _SOURCE), np.uint8)
-    source[:, :17] = digits
-    source[:, _DOT] = ord(".")
-    source[:, _ZERO] = ord("0")
-    source[:, _NUL] = 0
-    source[:, _EXP:_SIGN] = _exponents()[k + _K_OFFSET]
-    source[:, _SIGN] = np.where(x < 0, ord("-"), 0)  # -0.0 < 0 is False
-
-    pick = _layouts().take(layout, axis=0)
-    pick += (np.arange(n) * _SOURCE)[:, None]
-    rec = np.empty((n, _WIDTH + tails.shape[1]), np.uint8)
-    rec[:, :_WIDTH] = source.reshape(-1).take(pick)
-    rec.reshape(block.shape[0], -1, rec.shape[1])[:, :, _WIDTH:] = tails
+    width = _PREFIX + _BODY + _EXP
+    rec = np.zeros((n, width + tails.shape[1]), np.uint8)
+    kind = np.where((k < 0) & ~sci, -k, 5 * zero)
+    rec[:, :_PREFIX] = _prefixes().take(6 * (x < 0) + kind, axis=0)  # -0.0 < 0 is False
+    rec[:, _PREFIX:_PREFIX + _BODY] = body.T
+    rec[sci, _PREFIX + _BODY:width] = _exponents()[k[sci] + _K_OFFSET]
+    rec.reshape(block.shape[0], -1, rec.shape[1])[:, :, width:] = tails
     for j in np.flatnonzero(~((fast & ok) | zero)):
         text = io._format_float(float(x[j])).encode()
-        rec[j, :_WIDTH] = 0
+        rec[j, :width] = 0
         rec[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return rec[rec != 0].tobytes()
+    return rec.tobytes().translate(None, b"\0")
 
 
 def format_rows(table: np.ndarray, tails: np.ndarray) -> bytes:

@@ -312,18 +312,23 @@ def _solve(prob: Problem, f: DensityGrid, g: DensityGrid) -> tuple[FourierBlocks
     return blocks, solve_system(blocks, prob.b, prob.a_mu)
 
 
-def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
-                    c: np.ndarray | None = None):
-    """(h, h1, h2) from the split c = c1 - c2, or h alone rebuilt from c if given."""
-    grid = g.grid
+def _terms(prob: Problem, g: DensityGrid, p_inv: np.ndarray):
+    """The target and noise terms of h, and the map from a c to its C-term."""
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
     noise_term = (np.einsum("nt,nts->ns", prob.A, _nodewise(g.values, p_inv))
                   * np.conj(prob.beta)[:, None])
     c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
 
     def c_term(cc: np.ndarray) -> np.ndarray:
-        return np.einsum("nt,nts->ns", _row_polynomial(cc, grid), p_inv) * c_weight
+        return np.einsum("nt,nts->ns", _row_polynomial(cc, g.grid), p_inv) * c_weight
 
+    return target_term, noise_term, c_term
+
+
+def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
+                    c: np.ndarray | None = None):
+    """(h, h1, h2) from the split c = c1 - c2, or h alone rebuilt from c if given."""
+    target_term, noise_term, c_term = _terms(prob, g, p_inv)
     if c is not None:
         return target_term - noise_term - c_term(np.asarray(c))
     h1 = target_term - c_term(sol.c1)
@@ -344,8 +349,9 @@ def spectral_characteristic(
     C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).
     """
     blocks, sol = _solve(prob, f, g)
-    _, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)
-    return _characteristic(prob, g, blocks.spectrum.p_inv, sol, c), h1, h2
+    target_term, noise_term, c_term = _terms(prob, g, blocks.spectrum.p_inv)
+    h = target_term - noise_term - c_term(np.asarray(c))
+    return h, target_term - c_term(sol.c1), noise_term - c_term(sol.c2)
 
 
 def _error_rows(prob: Problem, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

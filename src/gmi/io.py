@@ -263,7 +263,9 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
 
     tails = np.full((table.shape[1], 1), ord(","), np.uint8)
     tails[-1] = ord("\n")
-    Path(path).write_bytes((",".join(header) + "\n").encode() + format_rows(table, tails))
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        out.write(format_rows(table, tails))
 
 
 def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, names) -> None:

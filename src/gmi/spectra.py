@@ -178,11 +178,6 @@ class DensityGrid:
             if min_eig < -PSD_TOL * scale:
                 raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
-    def scalar(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ValidationError("scalar() requires a 1x1 density")
-        return self.values[:, 0, 0].real
-
     @classmethod
     def constant(cls, grid: FrequencyGrid, matrix) -> "DensityGrid":
         """n_grid copies of one matrix, validated once: equal copies have one copy's maxima."""

@@ -1,9 +1,10 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
-observed indices of a window in natural order, the combined density and its lag covariances, a seeded spectral sampler, the
-error functional of a fixed characteristic, a least favorable search, the
-plain extremal-equation bisection, the stable-sort box shift, the per-sample
-saddle check, the value-by-value JSON emitter, and the density checks decided
-by eigenvalues alone."""
+observed indices of a window in natural order, the values of a scalar
+density, the combined density and its lag covariances, a seeded spectral
+sampler, the error functional of a fixed characteristic, a least favorable
+search, the plain extremal-equation bisection, the stable-sort box shift,
+the per-sample saddle check, the value-by-value JSON emitter, and the
+density checks decided by eigenvalues alone."""
 
 from dataclasses import dataclass
 
@@ -219,6 +220,12 @@ def simulate_path(
     if n_samples == 1:
         return SimulatedPath(increments=increments[..., 0], noise=noise[..., 0])
     return SimulatedPath(increments=increments, noise=noise)
+
+
+def scalar_values(density: DensityGrid) -> np.ndarray:
+    """The real values of a 1x1 density, node by node."""
+    assert density.dim == 1
+    return density.values[:, 0, 0].real
 
 
 def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGrid:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import coeffs_a_mu_loop, fourier_blocks_loop, transform_b_loop, v_coeffs_loop
+from brute import (
+    coeffs_a_mu_loop,
+    fourier_blocks_loop,
+    scalar_values,
+    transform_b_loop,
+    v_coeffs_loop,
+)
 from conftest import (
     constant_density,
     count_calls,
@@ -373,7 +379,7 @@ class TestSpectralCharacteristic:
         B = np.exp(1j * np.outer(lam, np.arange(2))) @ b.astype(complex)
         C = np.exp(1j * np.outer(lam, np.arange(3))) @ sol.c.astype(complex)
         expected = B * (chi / beta)[:, None] - C * (np.conj(beta) / np.conj(chi))[:, None] \
-            / f.scalar()[:, None]
+            / scalar_values(f)[:, None]
         assert np.max(np.abs(sol.h - expected)) < 1e-10 * np.max(np.abs(expected))
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -233,6 +234,20 @@ class TestKernel:
         odd = fallbacks(monkeypatch, values)
         assert np.all(special_cases(odd) | ties(odd) | powers_of_ten(odd))
         assert np.count_nonzero(special_cases(odd)) == np.count_nonzero(special_cases(values))
+
+    def test_peak_memory_stays_near_the_output(self):
+        # a characteristic table at grid 2^17: nodes and one Re/Im pair
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((2 ** 17, 2)) * 10.0 ** rng.integers(-8, 3, (2 ** 17, 2))
+        table = np.column_stack([FrequencyGrid(2 ** 17).nodes, h])
+        tails = np.array([[ord(",")], [ord(",")], [ord("\n")]], np.uint8)
+        tracemalloc.start()
+        try:
+            size = len(format_rows(table, tails))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * size
 
     def test_classical_large_tables_take_no_fallback(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))

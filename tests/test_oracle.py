@@ -9,6 +9,7 @@ from brute import (
     gram_loop,
     pinv_table,
     quadrature_covariance,
+    scalar_values,
     simulate_path,
     structural_function,
     window_indices,
@@ -86,7 +87,7 @@ class TestGram:
         # direct: E[H conj(w(j))] with H = chi zeta(0) and only the f part alive
         lam = grid2k.nodes
         chi, beta = _chi_beta((1,), (1,), (1,), lam)
-        weight = np.abs(chi) ** 2 / np.abs(beta) ** 2 * f.scalar()
+        weight = np.abs(chi) ** 2 / np.abs(beta) ** 2 * scalar_values(f)
         for pos, j in enumerate(gs.indices):
             direct = np.mean(weight * np.exp(-1j * j * lam))
             assert gs.cross[pos] == pytest.approx(np.conj(direct), abs=1e-12)

@@ -12,6 +12,7 @@ from brute import (
     inverse_by_eigenvalues,
     refined_min_modulus,
     refined_minimality_one_pass,
+    scalar_values,
     structural_function,
     validate_by_eigenvalues,
 )
@@ -319,14 +320,14 @@ class TestFmDensity:
         out = fm_density(spec, base, grid1k)
         chi, beta = _chi_beta((1, 2), (1, 1), (1, 1), grid1k.nodes)
         expected = np.abs(beta) ** 2 / np.abs(chi) ** 2 * 2.0
-        assert np.allclose(out.scalar(), expected, rtol=1e-12)
+        assert np.allclose(scalar_values(out), expected, rtol=1e-12)
 
     def test_pure_fractional_difference_identity(self, grid1k):
         D = 0.3
         spec = FMIncrementSpec(R0=0, D0=D, factors=())
         out = fm_density(spec, constant_density(grid1k, 1.0), grid1k)
         expected = np.abs(1 - np.exp(-1j * grid1k.nodes)) ** (-2 * D)
-        assert np.allclose(out.scalar(), expected, rtol=1e-10)
+        assert np.allclose(scalar_values(out), expected, rtol=1e-10)
 
     def test_interior_singularity_slope(self, grid4k):
         # at an interior frequency the log-log slope is -2 * Dtilde
@@ -337,7 +338,7 @@ class TestFmDensity:
         lam = grid4k.nodes
         mask = (np.abs(lam - nu) < 0.1) & (np.abs(lam - nu) > 1e-12)
         x = np.log(np.abs(lam[mask] - nu))
-        y = np.log(out.scalar()[mask])
+        y = np.log(scalar_values(out)[mask])
         slope = np.polyfit(x, y, 1)[0]
         assert slope == pytest.approx(-2 * 0.2, abs=0.05)
 
@@ -369,7 +370,7 @@ class TestCombine:
         f = DensityGrid.zero(grid1k, 1)
         g = constant_density(grid1k, 1.0)
         p = combine(f, g, SPEC11)
-        assert np.allclose(p.scalar(), grid1k.nodes ** 2, rtol=1e-12)
+        assert np.allclose(scalar_values(p), grid1k.nodes ** 2, rtol=1e-12)
 
     def test_seasonal_weight(self, grid1k):
         spec = GMIncrementSpec((2,), (1,), (1,))
@@ -378,7 +379,7 @@ class TestCombine:
         p = combine(f, g, spec)
         lam = grid1k.nodes
         expected = 0.7 + np.abs(lam * (lam - np.pi) * (lam + np.pi)) ** 2 * 0.4
-        assert np.allclose(p.scalar(), expected, rtol=1e-12)
+        assert np.allclose(scalar_values(p), expected, rtol=1e-12)
 
 
 class TestStructuralFunction:
