@@ -133,18 +133,17 @@ def _digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _digit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII digits of D < 10^17 in rows 1..17 of a (19, n) array whose rows 0
-    and 18 are NUL, and the count of digits before the trailing zeros."""
+    """Digits of D < 10^17 in rows 1..17 of a (19, n) array whose rows 0 and
+    18 are NUL, as ASCII, and the count of digits before the trailing zeros."""
     rows = np.zeros((_BODY + 1, d.size), np.uint8)
-    kept = np.zeros(d.size, np.uint8)
     upper = d // 10 ** 9
     for half, js in (((d - upper * 10 ** 9).astype(np.uint32), range(17, 8, -1)),
                      (upper.astype(np.uint32), range(8, 0, -1))):
         for j in js:
             quotient = half // 10
-            rows[j] = half - quotient * 10
-            np.maximum(kept, np.uint8(j) * (rows[j] != 0), out=kept)
+            np.subtract(half, quotient * 10, out=rows[j], casting="unsafe")
             half = quotient
+    kept = ((rows[1:_BODY] != 0) * _ROWS[1:]).max(axis=0)
     rows[1:_BODY] += ord("0")
     return rows, kept
 

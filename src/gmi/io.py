@@ -263,9 +263,10 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
 
     tails = np.full((table.shape[1], 1), ord(","), np.uint8)
     tails[-1] = ord("\n")
+    body = format_rows(table, tails)  # raises on a non-finite value before the file opens
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode())
-        out.write(format_rows(table, tails))
+        out.write(body)
 
 
 def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, names) -> None:

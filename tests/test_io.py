@@ -355,6 +355,11 @@ class TestConvergenceCsv:
         with pytest.raises(ValidationError, match="non-finite"):
             write_convergence_csv(tmp_path / "c.csv", [(1, 0.5)], 0.0)
 
+    def test_refused_table_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_convergence_csv(tmp_path / "c.csv", [(1, 0.5), (2, math.nan)], 0.5)
+        assert not (tmp_path / "c.csv").exists()
+
 
 def test_commands_without_float_arrays_never_load_the_kernel(tmp_path):
     config = ROOT / "configs" / "coeffs.json"
