@@ -367,6 +367,23 @@ class TestSpectralCharacteristic:
         sol = solve_interpolation(SPEC11, f, g, fs)
         assert np.max(np.abs(sol.h1 - sol.h2 - sol.h)) < 1e-12 * max(1.0, np.max(np.abs(sol.h)))
 
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_matches_the_solved_split(self, grid1k, T):
+        # spectral_characteristic rebuilds h from c; its split is the pipeline's, bit for bit
+        if T == 1:
+            spec = GMIncrementSpec((2,), (1,), (1,))
+            f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
+            g = constant_density(grid1k, 0.5)
+        else:
+            spec = SPEC11
+            f = matrix_ma_density(grid1k, [[[2.0, 0.3], [0.1, 1.8]], [[0.4, 0.0], [0.2, 0.3]]])
+            g = constant_density(grid1k, [[0.4, 0.1], [0.1, 0.5]])
+        fs = FunctionalSpec(N=2, a=np.random.default_rng(T).standard_normal((3, T)))
+        sol = solve_interpolation(spec, f, g, fs)
+        h, h1, h2 = spectral_characteristic(Problem(spec, fs, grid1k), f, g, sol.c)
+        assert h1.tobytes() == sol.h1.tobytes() and h2.tobytes() == sol.h2.tobytes()
+        assert np.max(np.abs(h - sol.h)) <= 1e-12 * np.max(np.abs(sol.h))
+
     def test_zero_noise_reduction(self, grid1k):
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = DensityGrid.zero(grid1k, 1)
