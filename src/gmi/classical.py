@@ -25,10 +25,10 @@ from .spectra import (
     DensityGrid,
     FrequencyGrid,
     MinimalityReport,
-    ObservedSpectrum,
     _chi_beta,
+    _combine,
     _minimality,
-    observed_spectrum,
+    inverse_density,
 )
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -152,15 +152,13 @@ class Problem:
 
 @dataclass
 class FourierBlocks:
-    """Stacked block matrices of the projection equations."""
+    """Stacked block matrices of the projection equations, with the densities they came from."""
 
     P: np.ndarray  # ((N+ng+1)T, (N+ng+1)T) Hermitian
     T: np.ndarray  # ((N+ng+1)T, (N+ng+1)T)
     Q: np.ndarray  # ((N+1)T, (N+1)T) Hermitian
-    N: int
-    n_gamma: int
-    dim: int
-    spectrum: ObservedSpectrum = field(repr=False)  # the samples the blocks came from
+    p: DensityGrid = field(repr=False)  # observed density f + |beta|^2 g
+    p_inv: np.ndarray = field(repr=False)  # (n_grid, T, T), p^{-1} node by node
 
 
 def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index,
@@ -207,14 +205,15 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
     ng = spec.n_gamma()
     dim = f.dim
     size = N + ng + 1
-    obs = observed_spectrum(f, g, prob.beta2)
+    p = _combine(f, g, prob.beta2)
+    p_inv = inverse_density(p)
     w = prob.w_inv[:, None, None]
 
-    kern = np.empty((3,) + obs.p_inv.shape, dtype=complex)
-    np.multiply(w, obs.p_inv, out=kern[0])
-    _nodewise(f.values, obs.p_inv, out=kern[1])  # Q's f p^{-1}, in the T slot until T
+    kern = np.empty((3,) + p_inv.shape, dtype=complex)
+    np.multiply(w, p_inv, out=kern[0])
+    _nodewise(f.values, p_inv, out=kern[1])  # Q's f p^{-1}, in the T slot until T
     _nodewise(kern[1], g.values, out=kern[2])
-    _nodewise(g.values, obs.p_inv, out=kern[1])
+    _nodewise(g.values, p_inv, out=kern[1])
     kern[1] *= (-1.0 if spec.total_order() % 2 else 1.0) * w
 
     if not np.all(np.isfinite(kern)):
@@ -227,7 +226,7 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
     P = _block_toeplitz(coeffs[:, 0].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
     T = _block_toeplitz(coeffs[:, 1].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
     Q = _block_toeplitz(coeffs[ng:len(offsets) - ng, 2], N + 1, dim, lambda j, k: j - k)
-    return FourierBlocks(P=P, T=T, Q=Q, N=N, n_gamma=ng, dim=dim, spectrum=obs)
+    return FourierBlocks(P=P, T=T, Q=Q, p=p, p_inv=p_inv)
 
 
 def padded_b(b: np.ndarray, n_gamma: int) -> np.ndarray:
@@ -252,9 +251,9 @@ def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> Syst
     """Solve P c = [b]_+ - T a_mu; reports conditioning and residual.
 
     One solve with the two right-hand sides [b]_+ and T a_mu gives the
-    parts c1 and c2 of c = c1 - c2.
+    parts c1 and c2 of c = c1 - c2, each of the shape (N+ng+1, T) of a_mu.
     """
-    parts = np.stack([padded_b(b, blocks.n_gamma),
+    parts = np.stack([padded_b(b, len(a_mu) - len(b)),
                       blocks.T @ a_mu.reshape(-1).astype(complex)], axis=1)
     rhs = parts[:, 0] - parts[:, 1]
     # P is Hermitian: its singular values are the moduli of its eigenvalues
@@ -275,14 +274,13 @@ def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> Syst
         raise NumericalError("singular projection matrix P") from exc
     c_flat = c12[:, 0] - c12[:, 1]
     residual = float(np.linalg.norm(blocks.P @ c_flat - rhs))
-    shape = (blocks.N + blocks.n_gamma + 1, blocks.dim)
     return SystemSolution(
-        c=c_flat.reshape(shape),
+        c=c_flat.reshape(a_mu.shape),
         rhs=rhs,
         condition_number=cond,
         residual=residual,
-        c1=c12[:, 0].reshape(shape),
-        c2=c12[:, 1].reshape(shape),
+        c1=c12[:, 0].reshape(a_mu.shape),
+        c2=c12[:, 1].reshape(a_mu.shape),
     )
 
 
@@ -312,23 +310,26 @@ def _solve(prob: Problem, f: DensityGrid, g: DensityGrid) -> tuple[FourierBlocks
     return blocks, solve_system(blocks, prob.b, prob.a_mu)
 
 
-def _terms(prob: Problem, g: DensityGrid, p_inv: np.ndarray):
-    """The target and noise terms of h, and the map from a c to its C-term."""
+def _characteristic(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray, sol: SystemSolution,
+                    c: np.ndarray | None = None):
+    """Frequency response h of the optimal estimate, with its two-part split.
+
+    h^T = B^T chi/beta - A^T g conj(beta) p^{-1}
+          - C^T (conj(beta)/conj(chi)) p^{-1}
+
+    Returns (h, h1, h2) with h = h1 - h2 nodewise; h1 carries the
+    differenced-target part, h2 the noise part, each with its share of the
+    C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).  Given c,
+    returns h alone, with its C-term formed from c.
+    """
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
-    noise_term = (np.einsum("nt,nts->ns", prob.A, _nodewise(g.values, p_inv))
+    noise_term = (np.einsum("nt,nts->ns", prob.A, _nodewise(g_vals, p_inv))
                   * np.conj(prob.beta)[:, None])
     c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
 
     def c_term(cc: np.ndarray) -> np.ndarray:
-        return np.einsum("nt,nts->ns", _row_polynomial(cc, g.grid), p_inv) * c_weight
+        return np.einsum("nt,nts->ns", _row_polynomial(cc, prob.grid), p_inv) * c_weight
 
-    return target_term, noise_term, c_term
-
-
-def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: SystemSolution,
-                    c: np.ndarray | None = None):
-    """(h, h1, h2) from the split c = c1 - c2, or h alone rebuilt from c if given."""
-    target_term, noise_term, c_term = _terms(prob, g, p_inv)
     if c is not None:
         return target_term - noise_term - c_term(np.asarray(c))
     h1 = target_term - c_term(sol.c1)
@@ -339,19 +340,10 @@ def _characteristic(prob: Problem, g: DensityGrid, p_inv: np.ndarray, sol: Syste
 def spectral_characteristic(
     prob: Problem, f: DensityGrid, g: DensityGrid, c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency response h of the optimal estimate, with its two-part split.
-
-    h^T = B^T chi/beta - A^T g conj(beta) p^{-1}
-          - C^T (conj(beta)/conj(chi)) p^{-1}
-
-    Returns (h, h1, h2) with h = h1 - h2 nodewise; h1 carries the
-    differenced-target part, h2 the noise part, each with its share of the
-    C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).
-    """
+    """``_characteristic`` of the solved densities (f, g): h rebuilt from c, and the split."""
     blocks, sol = _solve(prob, f, g)
-    target_term, noise_term, c_term = _terms(prob, g, blocks.spectrum.p_inv)
-    h = target_term - noise_term - c_term(np.asarray(c))
-    return h, target_term - c_term(sol.c1), noise_term - c_term(sol.c2)
+    _, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
+    return _characteristic(prob, g.values, blocks.p_inv, sol, c), h1, h2
 
 
 def _error_rows(prob: Problem, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,8 +427,8 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
         raise ValidationError("functional dimension does not match the densities")
     _check_weight_scale(prob, f, g)
     blocks, sol = _solve(prob, f, g)
-    minimality = _minimality(spec, prob.w_inv, blocks.spectrum)
-    h, h1, h2 = _characteristic(prob, g, blocks.spectrum.p_inv, sol)
+    minimality = _minimality(spec, prob.w_inv, blocks.p, blocks.p_inv)
+    h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
     # the algebraic error next to the spectral one: they must agree to 1e-6 relative
     spectral = mse_of_characteristic(prob, f, g, h)
     delta_alg = _algebraic_mse(blocks, sol, fspec.a)

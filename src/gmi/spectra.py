@@ -322,24 +322,6 @@ def _combine(f: DensityGrid, g: DensityGrid, beta2: np.ndarray) -> DensityGrid:
 
 
 @dataclass(frozen=True)
-class ObservedSpectrum:
-    """Density p = f + |beta|^2 g of the observed sequence and its nodewise inverse."""
-
-    p: DensityGrid
-    p_inv: np.ndarray
-
-
-def observed_spectrum(f: DensityGrid, g: DensityGrid, beta2: np.ndarray) -> ObservedSpectrum:
-    """Observed density p = f + |beta|^2 g and its inverse; raises if p is singular.
-
-    beta2 is |beta|^2 on the grid of f, formed once per problem
-    (``classical.Problem.beta2``).
-    """
-    p = _combine(f, g, beta2)
-    return ObservedSpectrum(p=p, p_inv=inverse_density(p))
-
-
-@dataclass(frozen=True)
 class MinimalityReport:
     value: float
     refined_value: float
@@ -371,15 +353,15 @@ def minimality_value(spec: GMIncrementSpec, f: DensityGrid, g: DensityGrid) -> M
     """
     chi, beta = _chi_beta(spec.s, spec.mu, spec.d, f.grid.nodes)
     beta2 = np.abs(beta) ** 2
-    return _minimality(spec, beta2 / np.abs(chi) ** 2, observed_spectrum(f, g, beta2))
+    p = _combine(f, g, beta2)
+    return _minimality(spec, beta2 / np.abs(chi) ** 2, p, inverse_density(p))
 
 
-def _minimality(spec: GMIncrementSpec, weight: np.ndarray,
-                obs: ObservedSpectrum) -> MinimalityReport:
+def _minimality(spec: GMIncrementSpec, weight: np.ndarray, p: DensityGrid,
+                p_inv: np.ndarray) -> MinimalityReport:
     """The minimality report for the weight |beta|^2 / |chi|^2 sampled on the grid of p."""
-    p = obs.p
     lam = p.grid.nodes
-    integrand = weight * np.trace(obs.p_inv, axis1=1, axis2=2).real
+    integrand = weight * np.trace(p_inv, axis1=1, axis2=2).real
     value = float(np.mean(integrand))
 
     # refined midpoints sit at +-Delta/4 around each node

@@ -42,7 +42,7 @@ from gmi.spectra import (
     _chi_beta,
     _combine,
     hermitian_eigenvalues,
-    observed_spectrum,
+    inverse_density,
 )
 
 
@@ -238,7 +238,7 @@ def fourier_blocks_loop(prob: Problem, f: DensityGrid, g: DensityGrid):
     """(P, T, Q) of ``classical.fourier_blocks`` with each kernel formed and transformed alone."""
     spec, N, dim = prob.spec, prob.fspec.N, f.dim
     size = N + spec.n_gamma() + 1
-    p_inv = observed_spectrum(f, g, prob.beta2).p_inv
+    p_inv = inverse_density(_combine(f, g, prob.beta2))
     w = prob.w_inv[:, None, None]
     sign = -1.0 if spec.total_order() % 2 else 1.0
     kernels = (w * p_inv, sign * w * (g.values @ p_inv), f.values @ p_inv @ g.values)
@@ -257,10 +257,10 @@ def refined_min_modulus(den: np.ndarray, grid: FrequencyGrid) -> float:
     return float(np.min(np.abs(np.polyval(den[::-1], np.exp(-1j * lam)))))
 
 
-def refined_minimality_one_pass(weight_of, obs) -> float:
-    """The refined value of ``spectra._minimality`` with both halves of the refined
-    grid formed and inverted in one pass; weight_of(lam) is |beta|^2 / |chi|^2."""
-    p = obs.p
+def refined_minimality_one_pass(weight_of, p: DensityGrid) -> float:
+    """The refined value of ``spectra._minimality`` on the observed density p, with both
+    halves of the refined grid formed and inverted in one pass; weight_of(lam) is
+    |beta|^2 / |chi|^2."""
     lam, delta = p.grid.nodes, 2.0 * np.pi / p.grid.n_grid
     p_fine = np.concatenate([0.75 * p.values + 0.25 * np.roll(p.values, shift, axis=0)
                              for shift in (1, -1)])

@@ -42,7 +42,7 @@ from gmi.classical import (
 )
 from gmi.errors import NumericalError
 from gmi.increments import GMIncrementSpec
-from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, observed_spectrum
+from gmi.spectra import DensityGrid, FrequencyGrid, _chi_beta, _combine
 
 SPEC11 = GMIncrementSpec((1,), (1,), (1,))
 
@@ -294,11 +294,11 @@ class TestKernelBuffer:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_infinite_noise_names_the_t_kernel(self, monkeypatch, grid1k):
         # an infinite g also makes p non-finite (P fails first), so the
-        # observed spectrum is taken from the finite g it replaced
+        # observed density is taken from the finite g it replaced
         f, g = self.densities(grid1k, 1, "g", np.inf)
         prob = Problem(SPEC11, FunctionalSpec(N=1, a=np.ones((2, 1))), grid1k)
-        finite = observed_spectrum(f, constant_density(grid1k, 0.5), prob.beta2)
-        monkeypatch.setattr(classical, "observed_spectrum", lambda *args: finite)
+        finite = _combine(f, constant_density(grid1k, 0.5), prob.beta2)
+        monkeypatch.setattr(classical, "_combine", lambda *args: finite)
         message = "non-finite T integrand at node 700 (lambda=1.156622)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             fourier_blocks(prob, f, g)

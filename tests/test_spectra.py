@@ -26,12 +26,12 @@ from gmi.spectra import (
     FrequencyGrid,
     _check_unit_circle_roots,
     _chi_beta,
+    _combine,
     _minimality,
     fm_density,
     hermitian_eigenvalues,
     inverse_density,
     minimality_value,
-    observed_spectrum,
     symbols,
 )
 
@@ -437,7 +437,7 @@ class TestMinimality:
 
     @staticmethod
     def _inputs(grid, dim):
-        """(weight function, observed spectrum) of an MA signal in white noise."""
+        """(weight function, observed density p, p^{-1}) of an MA signal in white noise."""
         rng = np.random.default_rng(dim)
         f = matrix_ma_density(grid, [np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)),
                                      0.3 * rng.standard_normal((dim, dim))])
@@ -447,21 +447,22 @@ class TestMinimality:
             chi, beta = _chi_beta(SPEC11.s, SPEC11.mu, SPEC11.d, lam)
             return np.abs(beta) ** 2 / np.abs(chi) ** 2
 
-        return weight_of, observed_spectrum(f, constant_density(grid, 0.3 * np.eye(dim)), beta2)
+        p = _combine(f, constant_density(grid, 0.3 * np.eye(dim)), beta2)
+        return weight_of, p, inverse_density(p)
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_refined_value_equals_one_pass(self, grid1k, dim):
-        weight_of, obs = self._inputs(grid1k, dim)
-        report = _minimality(SPEC11, weight_of(grid1k.nodes), obs)
-        assert report.refined_value == refined_minimality_one_pass(weight_of, obs)
+        weight_of, p, p_inv = self._inputs(grid1k, dim)
+        report = _minimality(SPEC11, weight_of(grid1k.nodes), p, p_inv)
+        assert report.refined_value == refined_minimality_one_pass(weight_of, p)
 
     def test_refined_value_inverts_one_half_at_a_time(self):
         grid = FrequencyGrid(1 << 13)
-        weight_of, obs = self._inputs(grid, 4)
+        weight_of, p, p_inv = self._inputs(grid, 4)
         weight = weight_of(grid.nodes)
         tracemalloc.start()
         try:
-            _minimality(SPEC11, weight, obs)
+            _minimality(SPEC11, weight, p, p_inv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
