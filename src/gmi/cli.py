@@ -206,11 +206,14 @@ def _cmd_oracle(args, config) -> int:
     schedule = _get(opts, "schedule", "oracle", _list(_count), DEFAULT_SCHEDULE)
     if not schedule:
         raise ValidationError("oracle.schedule must not be empty")
-    tolerance = _get(opts, "tolerance", "oracle", _real, 0.02)
+    tolerance = _get(opts, "tolerance", "oracle",
+                     lambda v: float(_must(_real(v) >= 0, v, "a non-negative real number")), 0.02)
     prob = Problem(spec, fspec, f.grid)
     sol = _interpolate(prob, f, g)
+    if not sol.delta:  # every gap of the table is relative to it
+        raise ValidationError("problem.functional.a: the weights give a classical error of 0")
     rows = _table(prob, f, g, schedule)
-    gap = abs(rows[-1][1] - sol.delta) / sol.delta if sol.delta else float("inf")
+    gap = abs(rows[-1][1] - sol.delta) / sol.delta
     payload = {
         "schema_version": 1,
         "kind": "oracle_convergence",

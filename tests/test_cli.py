@@ -244,6 +244,12 @@ BAD_CONFIGS = {
                          "oracle.tolerance"),
     "nan_tolerance": ("oracle-verify", "interpolate",
                       _setting("oracle", "tolerance", float("nan")), "oracle.tolerance"),
+    "negative_tolerance": ("oracle-verify", "interpolate", _setting("oracle", "tolerance", -1),
+                           "oracle.tolerance"),
+    **{f"zero_weights_oracle_{name}": (
+        "oracle-verify", name, lambda c: c["problem"]["functional"].update(
+            a=np.zeros_like(c["problem"]["functional"]["a"]).tolist()),
+        "problem.functional.a") for name in ("interpolate", "periodic")},
     "empty_coefficients": (
         "interpolate", "periodic", _setting("problem", "signal_density", "coefficients", []),
         "signal_density.coefficients"),
@@ -347,6 +353,7 @@ def test_bad_config_is_validation_error(case, tmp_path, capsys):
     envelope = json.loads(capsys.readouterr().err.strip())
     assert envelope["code"] == "validation_error"
     assert key in envelope["message"]
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # no artifact written
 
 
 def _python(tmp_path, *args: str, **env_vars: str | None) -> str:
