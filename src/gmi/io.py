@@ -5,9 +5,9 @@ Floats are always written as ``"%.17g"`` writes them, with negative zero as
 runs byte-identical.  Complex values are two-element [re, im] arrays in
 JSON and paired Re/Im columns in CSV.
 
-Float arrays (every CSV table and every float or complex ndarray in a JSON
-document) are written by one vectorized kernel, ``_floatfmt.format_rows``,
-exact by construction.  It forms the 17 digits D = round(|x| 10^(16-k)),
+Float arrays (every CSV table, a block of rows at a time, and every float or
+complex ndarray in a JSON document) are written by one vectorized kernel,
+``_floatfmt``, exact by construction.  It forms the 17 digits D = round(|x| 10^(16-k)),
 k = floor(log10 |x|) corrected once, in double-double arithmetic (10^q as
 a rounded hi + lo pair, Dekker's two-product) with an absolute error below
 2^-46, and it writes a value only where that certifies the rounding: the
@@ -258,15 +258,15 @@ def solution_to_dict(sol) -> dict:
 
 
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
-    """CSV of a real table, every value in the ``_format_float`` form."""
-    from ._floatfmt import format_rows
+    """CSV of a real table, every value in the ``_format_float`` form, one block at a time."""
+    from ._floatfmt import format_blocks
 
     tails = np.full((table.shape[1], 1), ord(","), np.uint8)
     tails[-1] = ord("\n")
-    body = format_rows(table, tails)  # raises on a non-finite value before the file opens
+    blocks = format_blocks(table, tails)  # raises on a non-finite value before the file opens
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode())
-        out.write(body)
+        out.writelines(blocks)
 
 
 def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, names) -> None:

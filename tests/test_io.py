@@ -235,11 +235,15 @@ class TestKernel:
         assert np.all(special_cases(odd) | ties(odd) | powers_of_ten(odd))
         assert np.count_nonzero(special_cases(odd)) == np.count_nonzero(special_cases(values))
 
-    def test_peak_memory_stays_near_the_output(self):
-        # a characteristic table at grid 2^17: nodes and one Re/Im pair
+    @staticmethod
+    def characteristic_table() -> np.ndarray:
+        """A characteristic table at grid 2^17: nodes and one Re/Im pair."""
         rng = np.random.default_rng(3)
         h = rng.standard_normal((2 ** 17, 2)) * 10.0 ** rng.integers(-8, 3, (2 ** 17, 2))
-        table = np.column_stack([FrequencyGrid(2 ** 17).nodes, h])
+        return np.column_stack([FrequencyGrid(2 ** 17).nodes, h])
+
+    def test_peak_memory_stays_near_the_output(self):
+        table = self.characteristic_table()
         tails = np.array([[ord(",")], [ord(",")], [ord("\n")]], np.uint8)
         tracemalloc.start()
         try:
@@ -248,6 +252,17 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * size
+
+    def test_csv_writer_holds_about_one_block(self, tmp_path):
+        # the table streams to the file: its bytes are never held all at once
+        table = self.characteristic_table()
+        tracemalloc.start()
+        try:
+            io._write_table(tmp_path / "h.csv", ["lambda", "h0_re", "h0_im"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * (tmp_path / "h.csv").stat().st_size
 
     def test_classical_large_tables_take_no_fallback(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
