@@ -5,6 +5,8 @@ weights, assemble the block Fourier matrices of the projection equations,
 solve for the polynomial coefficients c, evaluate the spectral characteristic
 h on the grid, and compute the error by two independent routes (a quadratic
 form in the solved system, and direct quadrature of the error spectra).
+``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
+once per pair and keeps them on its ``FourierBlocks`` for the later stages.
 
 Row/column convention: the projection equations are naturally row-vector
 equations; the stacked linear system stores their transposes, so the P and T

@@ -3,7 +3,9 @@
 All integrals use the convention (1/2pi) * integral over [-pi, pi), which on
 the midpoint grid reduces to a plain average over nodes.  The midpoint grid
 never touches 0, +-pi or any seasonal frequency, so integrable singularities
-of fractional densities are handled by ordinary averaging.
+of fractional densities are handled by ordinary averaging.  ``_combine`` forms the
+observed density p = f + |beta|^2 g and ``inverse_density`` p^{-1}; a solve keeps both
+on its ``classical.FourierBlocks``, and ``minimality_value`` forms its own pair.
 
 At T > 1 one Cholesky factor of a stack's Hermitian part, shifted by PSD_TOL / 2 or by
 -2 INVERTIBILITY_FLOOR times max(1, max|value|), certifies PSD or invertibility; the
