@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MseInconsistencyError, NumericalError, ValidationError, WeightOverflowError
+from .errors import MseInconsistencyError, NumericalError, ValidationError, WeightScaleError
 from .increments import GMIncrementSpec, expand_operator, inverse_series
 from .spectra import (
     DensityGrid,
@@ -88,7 +88,7 @@ def transform_b(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.triu(d_mu[np.abs(k[None, :] - k[:, None])]) @ fspec.a
     if not np.all(np.isfinite(b)):
-        raise WeightOverflowError("the differenced target weights overflow")
+        raise WeightScaleError("the differenced target weights overflow")
     return b
 
 
@@ -372,16 +372,22 @@ def _error_energy(rows, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
     term_f = np.einsum("nt,nts,ns->n", r_f, f_vals, np.conj(r_f))
     term_g = np.einsum("nt,nts,ns->n", r_g, g_vals, np.conj(r_g))
     total = np.mean(term_f + term_g)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
+    if abs(total.imag) > 1e-8 * abs(total.real):
         raise NumericalError(f"error energy has non-negligible imaginary part {total.imag:.3e}")
     return float(total.real)
 
 
 def _check_weight_scale(prob: Problem, f: DensityGrid, g: DensityGrid) -> None:
-    """Refuse weights whose error energy on (f, g) overflows at h = 0 (the target's variance)."""
+    """Refuse weights whose squares underflow, or whose error energy on (f, g) overflows at
+    h = 0 (the target's variance).  The underflow bound is the one absolute bound of the
+    checks: every error is formed from squares of the weights, and below the smallest
+    normal double those are subnormal and lose their digits."""
+    top = float(np.max(np.abs(prob.fspec.a)))
+    if 0 < top and top * top < np.finfo(float).tiny:
+        raise WeightScaleError("the squares of the weights underflow")
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(mse_of_characteristic(prob, f, g, 0.0)):
-            raise WeightOverflowError("the error energy of the weights overflows")
+            raise WeightScaleError("the error energy of the weights overflows")
 
 
 def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) -> float:
@@ -435,7 +441,7 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
     spectral = mse_of_characteristic(prob, f, g, h)
     delta_alg = _algebraic_mse(blocks, sol, fspec.a)
     scale, difference = max(abs(delta_alg), abs(spectral), 1e-300), abs(delta_alg - spectral)
-    if difference > MSE_CONSISTENCY_RTOL * scale and difference > 1e-12:
+    if difference > MSE_CONSISTENCY_RTOL * scale:
         raise MseInconsistencyError(
             f"MSE routes disagree: algebraic {delta_alg!r} vs spectral {spectral!r}")
     if delta_alg < -1e-10 * scale:

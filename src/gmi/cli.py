@@ -33,10 +33,10 @@ if os.environ.get("GMI_THREADS"):  # numpy reads them when it is first imported,
 import numpy as np
 
 from . import io
-from .errors import GmiError, ValidationError, VerificationError, WeightOverflowError
+from .errors import GmiError, ValidationError, VerificationError, WeightScaleError
 from .increments import (FMIncrementSpec, GMIncrementSpec, classify_stationarity,
                          expand_operator, frequency_set, gm_series, inverse_series)
-from .io import (REQUIRED, _count, _get, _int, _list, _must, _named, _object,
+from .io import (REQUIRED, _count, _get, _int, _list, _must, _named, _nonnegative, _object,
                  _one_of, _present, _real, _reals)
 
 
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
 
     try:
         code = _dispatch(args)
-    except WeightOverflowError as exc:  # the weights a overflow a product of the problem
+    except WeightScaleError as exc:  # the weights a over- or underflow
         _emit_error(exc.code, f"problem.functional.a: {exc}")
         return exc.exit_code
     except GmiError as exc:
@@ -206,8 +206,7 @@ def _cmd_oracle(args, config) -> int:
     schedule = _get(opts, "schedule", "oracle", _list(_count), DEFAULT_SCHEDULE)
     if not schedule:
         raise ValidationError("oracle.schedule must not be empty")
-    tolerance = _get(opts, "tolerance", "oracle",
-                     lambda v: float(_must(_real(v) >= 0, v, "a non-negative real number")), 0.02)
+    tolerance = _get(opts, "tolerance", "oracle", _nonnegative, 0.02)
     prob = Problem(spec, fspec, f.grid)
     sol = _interpolate(prob, f, g)
     if not sol.delta:  # every gap of the table is relative to it
@@ -257,7 +256,7 @@ def _cmd_minimax(args, config) -> int:
 
     grid, spec, fspec = _problem(config)
     data = _get(config, "minimax", "", _object, {})
-    options = MinimaxOptions(**_present(data, "minimax", tol=_real, max_iter=_count,
+    options = MinimaxOptions(**_present(data, "minimax", tol=_nonnegative, max_iter=_count,
                                         saddle_samples=_count),
                              **_present(config["problem"], "problem", seed=_count))
     result = solve_minimax(_class_spec(data, grid), fspec, spec, grid, options)

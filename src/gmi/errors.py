@@ -14,8 +14,9 @@ class ValidationError(GmiError):
     code = "validation_error"
 
 
-class WeightOverflowError(ValidationError):
-    """The functional weights overflow a product the problem forms from them."""
+class WeightScaleError(ValidationError):
+    """The functional weights overflow a product the problem forms from them, or their
+    squares underflow."""
 
 
 class DegenerateOperatorError(ValidationError):

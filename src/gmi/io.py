@@ -1,4 +1,4 @@
-"""Canonical JSON / CSV output and increment specs to and from dicts.
+"""Canonical JSON / CSV output, config readers and increment specs from dicts.
 
 Floats are always written as ``"%.17g"`` writes them, with negative zero as
 ``0``: 17 significant digits round-trip doubles exactly and keep repeated
@@ -126,19 +126,6 @@ def complex_array(values: np.ndarray) -> np.ndarray:
     return np.stack([arr.real, arr.imag], axis=-1)
 
 
-def increment_to_dict(spec) -> dict:
-    if isinstance(spec, GMIncrementSpec):
-        return {"type": "gm", "s": list(spec.s), "mu": list(spec.mu), "d": list(spec.d)}
-    if isinstance(spec, FMIncrementSpec):
-        return {
-            "type": "fm",
-            "R0": spec.R0,
-            "D0": spec.D0,
-            "factors": [{"s": f.s, "R": f.R, "D": f.D} for f in spec.factors],
-        }
-    raise ValidationError("unknown increment spec")
-
-
 # --- config values ----------------------------------------------------------
 
 REQUIRED = object()  # the default of a key that must be present
@@ -186,6 +173,10 @@ def _real(value) -> float:
     return float(_must(ok, value, "a finite real number"))
 
 
+def _nonnegative(value) -> float:
+    return float(_must(_real(value) >= 0, value, "a non-negative real number"))
+
+
 def _list(read):
     """Converter of a list whose items pass ``read``, to a tuple."""
     return lambda value: tuple(map(read, _must(isinstance(value, list), value, "a list")))
@@ -230,11 +221,12 @@ def increment_from_dict(data: dict, where: str = "increment"):
 
 
 def solution_to_dict(sol) -> dict:
-    """The JSON document of a ``classical.InterpolationSolution``."""
+    """The JSON document of a ``classical.InterpolationSolution``, whose spec is a GM one."""
+    spec = sol.spec
     return {
         "schema_version": 1,
         "kind": "interpolation_solution",
-        "increment": increment_to_dict(sol.spec),
+        "increment": {"type": "gm", "s": list(spec.s), "mu": list(spec.mu), "d": list(spec.d)},
         "functional": {"N": sol.fspec.N, "a": sol.fspec.a.tolist()},
         "grid": sol.grid.n_grid,
         "c": complex_array(sol.c),

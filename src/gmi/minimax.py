@@ -30,7 +30,7 @@ from .classical import (
     _solve,
     mse_of_characteristic,
 )
-from .errors import NumericalError, ValidationError, WeightOverflowError
+from .errors import NumericalError, ValidationError, WeightScaleError
 from .increments import GMIncrementSpec
 from .spectra import DensityGrid, FrequencyGrid, hermitian_eigenvalues
 
@@ -321,7 +321,7 @@ class _Floor(_Family):
         self.spend = self.free if m.name == "matrix" else np.maximum(self.free, 0.0)
 
     def start(self):
-        if self.m.below(self.free) > FEASIBILITY_TOL:
+        if self.m.below(self.free) > FEASIBILITY_TOL * float(np.max(np.abs(self.budget))):
             raise ValidationError("infeasible noise class: budget below the floor mass")
         return self.floor + self.m.flat(self.spend)
 
@@ -432,7 +432,7 @@ CLASS_PARAMS = {
 
 def _hermitian_pd(value) -> bool:
     m = np.asarray(value, dtype=complex)
-    return np.max(np.abs(m - m.conj().T)) <= 1e-10 * max(1.0, float(np.max(np.abs(m)))) \
+    return np.max(np.abs(m - m.conj().T)) <= 1e-10 * float(np.max(np.abs(m))) \
         and float(np.min(hermitian_eigenvalues(m))) > 0
 
 
@@ -543,7 +543,7 @@ def validate_class_spec(class_spec: DensityClassSpec, dim: int) -> None:
                 raise ValidationError(f"{side.side}_class.{key}: must be {condition}")
     pg = class_spec.g.params
     if "V" in pg and "U" in pg and _psd_violation(pg["U"].values - pg["V"].values) > \
-            1e-10 * max(float(np.max(np.abs(pg["U"].values))), 1.0):
+            1e-10 * float(np.max(np.abs(pg["U"].values))):
         raise ValidationError("box bounds require V <= U in the PSD order pointwise")
 
 
@@ -551,7 +551,7 @@ def feasible_start(ctx: _Problem) -> tuple[DensityGrid, DensityGrid]:
     """The starting pair of the run's class; raises if it is not feasible."""
     f_vals, g_vals = ctx.f.start(), ctx.g.start()
     rep = feasibility_report(ctx, f_vals, g_vals)
-    if rep["max_residual"] > 1e-6:
+    if rep["max_residual"] > 1e-6 * max(float(np.max(np.abs(x))) for x in (f_vals, g_vals)):
         raise ValidationError(f"could not construct a feasible starting pair: {rep}")
     return (DensityGrid(ctx.grid, f_vals, validate=False),
             DensityGrid(ctx.grid, g_vals, validate=False))
@@ -584,7 +584,7 @@ def _vertex_pair(ctx, f_vals, g_vals, rows, delta):
 def _waterfill_traces(rate: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget_mean: float):
     """Maximize mean(rate * t) over lo <= t <= hi with mean(t) = budget: bang-bang by rate."""
     remaining = budget_mean * len(rate) - float(np.sum(lo))
-    if remaining < -1e-9 * max(abs(budget_mean) * len(rate), 1.0):
+    if remaining < -1e-9 * abs(budget_mean) * len(rate):
         raise ValidationError("infeasible box budget")
     order = np.argsort(-rate)
     room = (hi - lo)[order]
@@ -720,10 +720,11 @@ def _bisect_decreasing(fun, target, lo, hi, iters=200):
 
 def _ee_fill(fill, shape, target: float, lo: float, hi: float) -> np.ndarray:
     """fill(m) at the multiplier m whose mean fill is target, bisected in
-    max(shape) * [lo, hi / target]."""
-    scale = max(float(np.max(shape)), 1e-300)
+    max(shape) / target * [lo, hi]: the multiplier has the units of shape / target, so
+    the bracket scales with the weights and not with the densities."""
+    scale = max(float(np.max(shape)), 1e-300) / max(target, 1e-300)
     return fill(_bisect_decreasing(lambda m: float(np.mean(fill(m))), target,
-                                   scale * lo, scale * hi / max(target, 1e-300)))
+                                   scale * lo, scale * hi))
 
 
 def _ee_candidate_f(ctx: _Problem, g_vals, shape):
@@ -805,7 +806,7 @@ def solve_minimax(class_spec: DensityClassSpec, fspec: FunctionalSpec,
             trace.append({"iter": it, "delta": new_delta, "step": kind,
                           "eta": eta if kind == "line" else 1.0, "gap": gap})
             change, delta = abs(new_delta - delta), new_delta
-            if change <= options.tol * max(1.0, abs(delta)):
+            if change <= options.tol * abs(delta):
                 stopped = True
                 break
 
@@ -845,7 +846,7 @@ def extremal_residuals(result: MinimaxResult) -> dict:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
                 rep, multipliers = fam.extremal(_norm2(row), shape, vals)
             if not np.all(np.isfinite([*rep.values(), *multipliers.values()])):
-                raise WeightOverflowError("the extremal equations overflow at these weights")
+                raise WeightScaleError("the extremal equations overflow at these weights")
             report[side] = {"kind": fam.kind, **rep}
             report["multipliers"].update(multipliers)
     report["approximate"] = [fam.kind for fam in (ctx.f, ctx.g) if fam.approximate]

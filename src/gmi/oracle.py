@@ -124,8 +124,7 @@ def projection_mse(gs: GramSystem) -> float:
     if gs.gram.shape[0] == 0:
         return gs.target_var
     s, u = np.linalg.eigh(gs.gram)
-    scale = max(1.0, float(np.max(np.abs(gs.gram))))
-    if s[0] < -1e-8 * scale:
+    if s[0] < -1e-8 * float(np.max(np.abs(gs.gram))):
         raise NumericalError(
             f"observation covariance not PSD (min eigenvalue {s[0]:.3e}); "
             "quadrature too coarse"

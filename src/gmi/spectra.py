@@ -8,9 +8,10 @@ observed density p = f + |beta|^2 g and ``inverse_density`` p^{-1}; a solve keep
 on its ``classical.FourierBlocks``, and ``minimality_value`` forms its own pair.
 
 At T > 1 one Cholesky factor of a stack's Hermitian part, shifted by PSD_TOL / 2 or by
--2 INVERTIBILITY_FLOOR times max(1, max|value|), certifies PSD or invertibility; the
-margins dwarf its rounding, and only a stack that does not factor, or whose factor is not
-finite, is decided by eigenvalues.
+-2 INVERTIBILITY_FLOOR times max|value|, certifies PSD or invertibility; the margins dwarf
+its rounding, and only a stack that does not factor, or whose factor is not finite, is
+decided by eigenvalues.  Every tolerance is relative to the stack's own max|value|, so a
+stack scaled by a power of two gets the same verdict.
 """
 
 from __future__ import annotations
@@ -161,23 +162,22 @@ class DensityGrid:
         top = float(np.max(np.abs(values)))
         if not np.isfinite(top):  # NaN, and inf - inf, fail every comparison below
             raise ValidationError("density has a non-finite value")
-        scale = max(1.0, top)
         with np.errstate(over="ignore"):  # near the largest double a difference or sum is inf
             herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
             sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
             herm_finite = values.shape[-1] == 1 or top <= np.finfo(float).max / 2 or np.all(
                 np.isfinite(values + np.conj(np.swapaxes(values, -1, -2))))
-        if herm_err > PSD_TOL * scale:
+        if herm_err > PSD_TOL * top:
             raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
-        if sym_err > PSD_TOL * scale:
+        if sym_err > PSD_TOL * top:
             raise ValidationError(
                 f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
             )
         if not herm_finite:  # eigvalsh gives NaN for it, and NaN passes the PSD test
             raise ValidationError("density has a Hermitian part that overflows")
-        if values.shape[-1] == 1 or not _factors(values, -0.5 * PSD_TOL * scale):
+        if values.shape[-1] == 1 or not _factors(values, -0.5 * PSD_TOL * top):
             min_eig = float(np.min(hermitian_eigenvalues(values)))
-            if min_eig < -PSD_TOL * scale:
+            if min_eig < -PSD_TOL * top:
                 raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
     @classmethod
@@ -256,15 +256,16 @@ def _check_unit_circle_roots(den: np.ndarray, grid: FrequencyGrid):
 
     The refined-grid modulus check alone misses roots sitting exactly at
     seasonal frequencies (midpoint grids dodge them), so the companion
-    matrix roots are checked as well.  Returns the smallest modulus on the
-    refined grid, whose points go in blocks of 2^13 to keep temporaries small.
+    matrix roots are checked as well.  The smallest modulus on the refined
+    grid, which it returns, is compared with sum|den|, a bound of |den| on the
+    circle; the points go in blocks of 2^13 to keep temporaries small.
     """
     n, block, smallest = min(16 * grid.n_grid, 1 << 20), 1 << 13, np.inf
     for start in range(0, n, block):
         lam = -np.pi + (np.arange(start, min(start + block, n)) + 0.5) * (2 * np.pi / n)
         vals = np.polyval(den[::-1], np.exp(-1j * lam))
         smallest = min(smallest, float(np.min(np.abs(vals))))
-    if smallest <= 1e-8:
+    if smallest <= 1e-8 * float(np.sum(np.abs(den))):
         raise ValidationError("rational density denominator has a root on the unit circle")
     if len(den) > 1 and np.any(den[1:] != 0):
         roots = np.roots(den[::-1])
@@ -333,7 +334,7 @@ class MinimalityReport:
 def inverse_density(p: DensityGrid) -> np.ndarray:
     """Nodewise inverse of p with a singularity check."""
     vals = p.values
-    scale = max(float(np.max(np.abs(vals))), 1.0)
+    scale = float(np.max(np.abs(vals)))
     if p.dim == 1 or not _factors(vals, 2.0 * INVERTIBILITY_FLOOR * scale):
         eigs = hermitian_eigenvalues(vals)
         if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:

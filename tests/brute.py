@@ -498,23 +498,22 @@ def validate_by_eigenvalues(values: np.ndarray) -> None:
     top = float(np.max(np.abs(values)))
     if not np.isfinite(top):
         raise ValidationError("density has a non-finite value")
-    scale = max(1.0, top)
     herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
-    if herm_err > PSD_TOL * scale:
+    if herm_err > PSD_TOL * top:
         raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
     sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
-    if sym_err > PSD_TOL * scale:
+    if sym_err > PSD_TOL * top:
         raise ValidationError(
             f"density violates value(-l) = value(l)^T (error {sym_err:.3e})"
         )
     min_eig = float(np.min(hermitian_eigenvalues(values)))
-    if min_eig < -PSD_TOL * scale:
+    if min_eig < -PSD_TOL * top:
         raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
 
 def inverse_by_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """``inverse_density`` with its singularity test decided by the eigenvalues alone."""
-    scale = max(float(np.max(np.abs(vals))), 1.0)
+    scale = float(np.max(np.abs(vals)))
     eigs = hermitian_eigenvalues(vals)
     if float(np.min(eigs)) <= INVERTIBILITY_FLOOR * scale:
         raise SingularDensityError("minimality violated (singular density)")

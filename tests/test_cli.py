@@ -254,6 +254,7 @@ BAD_CONFIGS = {
         "interpolate", "periodic", _setting("problem", "signal_density", "coefficients", []),
         "signal_density.coefficients"),
     "null_tol": ("minimax", "minimax", _setting("minimax", "tol", None), "minimax.tol"),
+    "negative_tol": ("minimax", "minimax", _setting("minimax", "tol", -1), "minimax.tol"),
     "string_max_iter": ("minimax", "minimax", _setting("minimax", "max_iter", "x"),
                         "minimax.max_iter"),
     "negative_saddle_samples": (
@@ -313,6 +314,12 @@ BAD_CONFIGS = {
        for command, rows, sizes in (("minimax", 1, (1e154, 1e200, 1e308)),
                                     ("interpolate", 3, (1e154, 1e200)))
        for a in sizes},
+    **{f"energy_underflow_{command}_{a:.0e}": (
+        command, name, _setting("problem", "functional", "a", [[a]] * rows),
+        "problem.functional.a")
+       for command, name, rows in (("interpolate", "interpolate", 3),
+                                   ("oracle-verify", "interpolate", 3), ("minimax", "minimax", 1))
+       for a in (1e-160, 1e-200)},
 }
 
 

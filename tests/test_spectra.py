@@ -204,13 +204,17 @@ def _certificate_stacks(T: int, seed: int) -> dict:
         "positive definite": (_mirrored(pd), "ok", "ok"),
         "rank deficient": (_mirrored(low @ low.conj().transpose(0, 2, 1)), "ok", "singular"),
         "all zero": (np.zeros((1024, T, T), dtype=complex), "ok", "singular"),
+        # max|value| is 2^-40; the smallest eigenvalues, near 1e-14, are 1e-2 of that scale
+        "positive definite x 2^-40": (_mirrored(2.0 ** -40 * pd / np.max(np.abs(pd))),
+                                      "ok", "ok"),
     }
-    small = 0.5 * pd / np.max(np.abs(pd))  # max|value| stays below 1, so the scale is 1
+    small = 0.5 * pd / np.max(np.abs(pd))  # max|value|, the scale of each check, is 0.5
     q = np.linalg.qr(cnormal(T, T))[0]
     for label, threshold in (("PSD", -PSD_TOL), ("floor", INVERTIBILITY_FLOOR)):
         for factor in (1.0 - 1e-3, 1.0 + 1e-3):
             half = small.copy()
-            half[5] = q @ np.diag([factor * threshold] + [0.5] * (T - 1)) @ q.conj().T
+            half[5] = q @ np.diag([0.5 * factor * threshold] + [0.5] * (T - 1)) @ q.conj().T
+            assert np.max(np.abs(half)) == 0.5  # the probe sits at the stack's own scale
             below = factor * threshold < threshold
             psd = "bad" if label == "PSD" and below else "ok"
             inverse = "singular" if label == "PSD" or below else "ok"
