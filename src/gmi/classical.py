@@ -83,7 +83,7 @@ def lift_periodic(p: PeriodicFunctionalSpec) -> FunctionalSpec:
 
 def transform_b(spec: GMIncrementSpec, fspec: FunctionalSpec) -> np.ndarray:
     """Differenced-target weights b(k) = sum_{m>=k} d_mu(m-k) a(m), which must be finite."""
-    d_mu = inverse_series(spec, fspec.N).astype(float)
+    d_mu = np.asarray(inverse_series(spec, fspec.N), dtype=float)
     k = np.arange(fspec.N + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.triu(d_mu[np.abs(k[None, :] - k[:, None])]) @ fspec.a
@@ -98,7 +98,7 @@ def _operator_correlation(spec: GMIncrementSpec, x: np.ndarray) -> np.ndarray:
     x(l), l = 0 .. N, are the rows of ``x``; row m + n_gamma of the result
     holds m = -n_gamma .. N.
     """
-    e = expand_operator(spec).astype(float)
+    e = np.asarray(expand_operator(spec), dtype=float)
     ng = spec.n_gamma()
     lag = np.arange(x.shape[0])[None, :] - np.arange(-ng, x.shape[0])[:, None]
     inside = (lag >= 0) & (lag <= ng)
@@ -378,16 +378,19 @@ def _error_energy(rows, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
 
 
 def _check_weight_scale(prob: Problem, f: DensityGrid, g: DensityGrid) -> None:
-    """Refuse weights whose squares underflow, or whose error energy on (f, g) overflows at
-    h = 0 (the target's variance).  The underflow bound is the one absolute bound of the
-    checks: every error is formed from squares of the weights, and below the smallest
-    normal double those are subnormal and lose their digits."""
+    """Refuse weights whose squares underflow, or whose error energy on (f, g) at h = 0 (the
+    target's variance) overflows or is subnormal.  These two underflow bounds are the only
+    absolute ones of the checks: below the smallest normal double an error loses its digits.
+    A zero energy is left to the solve, which calls zero densities singular."""
     top = float(np.max(np.abs(prob.fspec.a)))
     if 0 < top and top * top < np.finfo(float).tiny:
         raise WeightScaleError("the squares of the weights underflow")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(mse_of_characteristic(prob, f, g, 0.0)):
-            raise WeightScaleError("the error energy of the weights overflows")
+        energy = mse_of_characteristic(prob, f, g, 0.0)
+    if not np.isfinite(energy):
+        raise WeightScaleError("the error energy of the weights overflows")
+    if 0 < energy < np.finfo(float).tiny:
+        raise WeightScaleError("the error energy of the weights underflows")
 
 
 def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) -> float:

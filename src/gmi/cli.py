@@ -9,10 +9,10 @@ config value, named with its section, e.g. ``problem.functional.a``),
 each key it uses once, through ``io._get``; defaults stay with their owners.
 
 Importing this module applies GMI_THREADS (it sets each unset BLAS/OpenMP
-thread variable to its value) and then loads numpy and the gmi modules
-errors, increments and io: all that classify and coeffs load.  interpolate
-also loads classical, spectra and _floatfmt; oracle-verify adds oracle to
-those, and minimax adds minimax.
+thread variable to its value) and loads the gmi modules errors, increments
+and io, but not numpy: classify, coeffs on a GM increment and --help never
+load it.  interpolate loads numpy, classical, spectra and _floatfmt;
+oracle-verify adds oracle to those, and minimax adds minimax.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from pathlib import Path
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
-if os.environ.get("GMI_THREADS"):  # numpy reads them when it is first imported, just below
+if os.environ.get("GMI_THREADS"):  # numpy reads them when a command first imports it
     for _var in _THREAD_VARS:
         os.environ.setdefault(_var, os.environ["GMI_THREADS"])
-
-import numpy as np
 
 from . import io
 from .errors import GmiError, ValidationError, VerificationError, WeightScaleError
@@ -60,10 +58,16 @@ def main(argv=None) -> int:
     except GmiError as exc:
         _emit_error(exc.code, str(exc))
         return exc.exit_code
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # numerical library failures
+    except _numerical_errors() as exc:  # numerical library failures
         _emit_error("numerical_error", f"{type(exc).__name__}: {exc}")
         return 3
     return code
+
+
+def _numerical_errors() -> tuple:
+    """ArithmeticError, and numpy's LinAlgError once numpy is loaded: none exists before."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (ArithmeticError,) if linalg is None else (ArithmeticError, linalg.LinAlgError)
 
 
 def _emit_error(code: str, message: str):
@@ -283,6 +287,7 @@ def _cmd_minimax(args, config) -> int:
 
 
 def _plain(obj):
+    import numpy as np
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -334,8 +339,8 @@ def _cmd_coeffs(args, config) -> int:
         payload["series_plus"] = [float(x) for x in gm_series(fset, "plus", length)]
         payload["series_minus"] = [float(x) for x in gm_series(fset, "minus", length)]
     if gm is not None:
-        payload["expansion"] = [int(x) for x in expand_operator(gm)]
-        payload["inverse_series"] = [int(x) for x in inverse_series(gm, length)]
+        payload["expansion"] = expand_operator(gm)
+        payload["inverse_series"] = inverse_series(gm, length)
     io.write_json(args.output_dir / "coefficients.json", payload)
     _say(args, "coeffs: written coefficients.json")
     return 0

@@ -6,8 +6,8 @@ This module expands such operators into lag polynomials, inverts them as
 power series, handles the fractional-order variant through Gegenbauer
 coefficient streams, and classifies stationarity of the fractional part.
 
-All functions are pure; integer-order expansions are exact (Python ints),
-fractional streams are double precision.
+All functions are pure; integer-order expansions are exact (lists of
+Python ints, without numpy), fractional streams are numpy double arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DegenerateOperatorError, ValidationError
 
@@ -135,18 +133,18 @@ class FrequencySet:
     entries: tuple[FrequencyEntry, ...]
 
 
-def _as_int64(coeffs: list[int]) -> np.ndarray:
-    if any(abs(c) > np.iinfo(np.int64).max for c in coeffs):
+def _check_int64(coeffs: list[int]) -> list[int]:
+    if any(abs(c) > 2 ** 63 - 1 for c in coeffs):
         raise ValidationError("integer coefficients exceed the int64 range")
-    return np.asarray(coeffs, dtype=np.int64)
+    return coeffs
 
 
-def expand_operator(spec: GMIncrementSpec) -> np.ndarray:
+def expand_operator(spec: GMIncrementSpec) -> list[int]:
     """Expand prod_i (1 - x^{mu_i s_i})^{d_i} into exact lag coefficients.
 
     Returns
     -------
-    (n_gamma + 1,) int64 array with leading coefficient 1.
+    n_gamma + 1 Python ints in the int64 range, with leading coefficient 1.
     """
     coeffs = [1] + [0] * spec.n_gamma()
     for s, mu, d in zip(spec.s, spec.mu, spec.d):
@@ -154,14 +152,14 @@ def expand_operator(spec: GMIncrementSpec) -> np.ndarray:
         for _ in range(d):  # times (1 - x^step), from the top down
             for k in range(len(coeffs) - 1, step - 1, -1):
                 coeffs[k] -= coeffs[k - step]
-    return _as_int64(coeffs)
+    return _check_int64(coeffs)
 
 
-def inverse_series(spec: GMIncrementSpec, length: int) -> np.ndarray:
+def inverse_series(spec: GMIncrementSpec, length: int) -> list[int]:
     """Power-series coefficients of prod_i (1 - x^{mu_i s_i})^{-d_i}.
 
     Equivalently the coefficients of prod_i (sum_j x^{mu_i s_i j})^{d_i},
-    truncated at degree ``length``.  Exact integers.
+    truncated at degree ``length``: length + 1 Python ints in the int64 range.
     """
     if length < 0:
         raise ValidationError("length must be non-negative")
@@ -171,7 +169,7 @@ def inverse_series(spec: GMIncrementSpec, length: int) -> np.ndarray:
         for _ in range(d):  # over (1 - x^step): a running sum, from the bottom up
             for k in range(step, length + 1):
                 out[k] += out[k - step]
-    return _as_int64(out)
+    return _check_int64(out)
 
 
 def gegenbauer(d: float, u: float, n: int) -> float:
@@ -204,6 +202,7 @@ def gegenbauer_series(d: float, u: float, length: int) -> np.ndarray:
     Uses the stable three-term recurrence; agrees with :func:`gegenbauer`
     term by term.
     """
+    import numpy as np
     if length < 0:
         raise ValidationError("length must be non-negative")
     c = np.empty(length + 1)
@@ -256,6 +255,7 @@ def gm_series(fset: FrequencySet, sign: str, length: int = DEFAULT_SERIES_LENGTH
     the operator itself.  The per-frequency Gegenbauer streams are
     convolved and truncated at ``length``.
     """
+    import numpy as np
     if sign not in ("plus", "minus"):
         raise ValidationError("sign must be 'plus' or 'minus'")
     if length < 0:

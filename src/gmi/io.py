@@ -14,10 +14,10 @@ a rounded hi + lo pair, Dekker's two-product) with an absolute error below
 fraction is farther than 2^-30 from 1/2 and D is in [10^16, 10^17].
 Zeros are written as ``0``.  Every other value (ties and near ties,
 subnormals, |x| > 1e290) goes to ``_format_float`` on its own.  The full
-argument is in the ``_floatfmt`` module docstring.  That module is imported
-inside the two writers that use it, and this module imports neither
-``classical`` nor ``spectra``, so commands that write no float array
-(``classify``, ``coeffs``) load none of the three.
+argument is in the ``_floatfmt`` module docstring.  numpy and that module
+are imported inside the functions that use them, and this module imports
+neither ``classical`` nor ``spectra``, so ``classify`` loads none of them
+and ``coeffs`` loads numpy only for a fractional increment's float series.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ValidationError
 from .increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
@@ -57,11 +55,11 @@ def _emit(obj, out: list[str]):
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(_format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
+    elif isinstance(obj, complex):
         _emit([float(obj.real), float(obj.imag)], out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -74,20 +72,23 @@ def _emit(obj, out: list[str]):
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 0:
-        _emit(obj.item(), out)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size and obj.ndim:
-        out.append(_json_array(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for i, item in enumerate(seq):
+        for i, item in enumerate(obj):
             if i:
                 out.append(",")
             _emit(item, out)
         out.append("]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    else:  # only a document that holds a numpy value loads numpy
+        import numpy as np
+        if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.size and obj.ndim:
+            out.append(_json_array(obj))
+        elif isinstance(obj, np.ndarray):  # of a 0-d array, tolist() is its item
+            _emit(obj.tolist(), out)
+        elif isinstance(obj, np.number):  # numpy's integer, float and complex scalars
+            _emit({"f": float, "c": complex}.get(obj.dtype.kind, int)(obj), out)
+        else:
+            raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
 def _json_array(arr: np.ndarray) -> str:
@@ -97,6 +98,7 @@ def _json_array(arr: np.ndarray) -> str:
     c again after its comma; the last value's tail is cut back to one "]"
     less than the dimension count, and the outer "]" closes the array.
     """
+    import numpy as np
     from ._floatfmt import format_rows
 
     if arr.dtype.kind == "c":
@@ -122,6 +124,7 @@ def write_json(path: Path, obj) -> None:
 
 def complex_array(values: np.ndarray) -> np.ndarray:
     """Stacked (..., 2) [re, im] pairs of a complex array."""
+    import numpy as np
     arr = np.asarray(values, dtype=complex)
     return np.stack([arr.real, arr.imag], axis=-1)
 
@@ -190,6 +193,7 @@ def _one_of(choices):
 def _reals(*ndims):
     """Converter to a non-empty float array of finite reals, of a rank in ``ndims`` if given."""
     def read(value) -> np.ndarray:
+        import numpy as np
         arr = np.asarray(value)
         rank = f" (rank {' or '.join(map(str, ndims))})" if ndims else ""
         _must(arr.dtype.kind in "iuf" and arr.size and (not ndims or arr.ndim in ndims)
@@ -251,6 +255,7 @@ def solution_to_dict(sol) -> dict:
 
 def _write_table(path: Path, header: list, table: np.ndarray) -> None:
     """CSV of a real table, every value in the ``_format_float`` form, one block at a time."""
+    import numpy as np
     from ._floatfmt import format_blocks
 
     tails = np.full((table.shape[1], 1), ord(","), np.uint8)
@@ -263,6 +268,7 @@ def _write_table(path: Path, header: list, table: np.ndarray) -> None:
 
 def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, names) -> None:
     """CSV of the nodes as ``lambda`` and of each complex column as its Re/Im pair."""
+    import numpy as np
     header = ["lambda"] + [f"{name}_{part}" for name in names for part in ("re", "im")]
     table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
     table[:, 0] = nodes
@@ -272,7 +278,6 @@ def _write_complex_table(path: Path, nodes: np.ndarray, values: np.ndarray, name
 
 
 def write_characteristic_csv(path: Path, grid_nodes: np.ndarray, h: np.ndarray) -> None:
-    h = np.asarray(h, dtype=complex)
     _write_complex_table(path, grid_nodes, h, [f"h{p}" for p in range(h.shape[1])])
 
 
@@ -284,6 +289,7 @@ def write_density_csv(path: Path, density) -> None:
 
 
 def write_convergence_csv(path: Path, rows: list, delta_classical: float) -> None:
+    import numpy as np
     table = np.array(rows, dtype=float).reshape(-1, 2)
     if delta_classical:
         gap = (table[:, 1] - delta_classical) / delta_classical

@@ -131,7 +131,7 @@ def chi_beta_power(s, mu, d, lam):
 
 def transform_b_loop(spec, fspec) -> np.ndarray:
     """b(k) = sum_{m>=k} d_mu(m-k) a(m), one dot product per k."""
-    d_mu = inverse_series(spec, fspec.N).astype(float)
+    d_mu = np.asarray(inverse_series(spec, fspec.N), dtype=float)
     N = fspec.N
     b = np.zeros_like(fspec.a)
     for k in range(N + 1):
@@ -141,7 +141,7 @@ def transform_b_loop(spec, fspec) -> np.ndarray:
 
 def coeffs_a_mu_loop(spec, fspec) -> np.ndarray:
     """a_mu(m) = sum_{l=max(m,0)}^{min(m+n_gamma, N)} e(l-m) a(l), term by term."""
-    e = expand_operator(spec).astype(float)
+    e = np.asarray(expand_operator(spec), dtype=float)
     ng = spec.n_gamma()
     N = fspec.N
     out = np.zeros((N + ng + 1, fspec.dim))
@@ -153,7 +153,7 @@ def coeffs_a_mu_loop(spec, fspec) -> np.ndarray:
 
 def v_coeffs_loop(spec, b) -> np.ndarray:
     """v(k) = sum_{l=0}^{min(N, k+n_gamma)} e(l-k) b(l) for k = -1 .. -n_gamma, term by term."""
-    e = expand_operator(spec).astype(float)
+    e = np.asarray(expand_operator(spec), dtype=float)
     ng = spec.n_gamma()
     N = b.shape[0] - 1
     v = np.zeros((ng, b.shape[1]))

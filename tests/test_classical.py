@@ -166,7 +166,7 @@ class TestWeightTransforms:
         fs = FunctionalSpec(N=N, a=rng.standard_normal((N + 1, T)))
         b = transform_b(spec, fs)
         v = v_coeffs(spec, b)
-        e = expand_operator(spec).astype(float)
+        e = np.asarray(expand_operator(spec), dtype=float)
         zeta = {k: rng.standard_normal(T) for k in range(-ng, N + 1)}
 
         lhs = 0.0

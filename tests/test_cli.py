@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
+from gmi import classical
 from gmi.cli import main
 from gmi.io import canonical_json, complex_array
 from readback import parse_complex_array, solution_from_dict
@@ -34,6 +35,13 @@ def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+def _raising(error):
+    """A stand-in for a library call that raises ``error``."""
+    def fail(*args, **kwargs):
+        raise error("the solve failed")
+    return fail
 
 
 class TestInterpolate:
@@ -97,6 +105,23 @@ class TestExitCodes:
         assert code == 3
         envelope = json.loads(capsys.readouterr().err.strip())
         assert "singular" in envelope["message"]
+
+    def test_linalg_error_is_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(classical, "solve_system", _raising(np.linalg.LinAlgError))
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        code = main(["interpolate", "--config", str(cfg),
+                     "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # the envelope alone, no traceback
+        assert json.loads(err) == {"code": "numerical_error",
+                                   "message": "LinAlgError: the solve failed"}
+
+    def test_value_error_is_not_a_numerical_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classical, "solve_system", _raising(ValueError))
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(ValueError, match="the solve failed"):
+            main(["interpolate", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
 
     def test_minimax_missing_class_parameter_is_2(self, tmp_path, capsys):
         config = json.loads((CONFIGS / "minimax.json").read_text())
@@ -190,6 +215,14 @@ def _fm_signal_without_spec(config):
 
 def _float_grid(config):
     config["problem"]["grid"] = 1024.0
+
+
+def _subnormal_error(config):
+    """Weights whose squares are normal, on densities times 2^-40: the error is subnormal."""
+    problem = config["problem"]
+    problem["functional"]["a"] = [[1e-150], [5e-151], [2.5e-151]]
+    problem["signal_density"]["scale"] = 2.0 ** -40
+    problem["noise_density"]["matrix"] = [[0.5 * 2.0 ** -40]]
 
 
 def _setting(*path):
@@ -320,6 +353,9 @@ BAD_CONFIGS = {
        for command, name, rows in (("interpolate", "interpolate", 3),
                                    ("oracle-verify", "interpolate", 3), ("minimax", "minimax", 1))
        for a in (1e-160, 1e-200)},
+    **{f"energy_underflow_{command}_subnormal_error": (
+        command, "interpolate", _subnormal_error, "problem.functional.a")
+       for command in ("interpolate", "oracle-verify")},
 }
 
 
@@ -382,12 +418,13 @@ def _python(tmp_path, *args: str, **env_vars: str | None) -> str:
     return done.stdout
 
 
-#: the gmi modules each command loads on its shipped config (command, config name)
+#: the gmi modules, and numpy if it is loaded, of a command on a config (command, config name)
 BASE_MODULES = {"gmi", "gmi.cli", "gmi.errors", "gmi.increments", "gmi.io"}
-SOLVER_MODULES = BASE_MODULES | {"gmi.classical", "gmi.spectra", "gmi._floatfmt"}
+SOLVER_MODULES = BASE_MODULES | {"numpy", "gmi.classical", "gmi.spectra", "gmi._floatfmt"}
 COMMAND_MODULES = {
     ("classify", "classify"): BASE_MODULES,
     ("coeffs", "coeffs"): BASE_MODULES,
+    ("coeffs", "classify"): BASE_MODULES | {"numpy"},  # np.convolve of the fractional series
     ("interpolate", "interpolate"): SOLVER_MODULES,
     ("oracle-verify", "interpolate"): SOLVER_MODULES | {"gmi.oracle"},
     ("minimax", "minimax"): SOLVER_MODULES | {"gmi.minimax"},
@@ -403,9 +440,32 @@ def test_commands_do_not_import_jsonschema(tmp_path):
             f"             '--output-dir', {str(tmp_path)!r}, '--quiet'])\n"
             "assert code == 0, code\n"
             "assert 'jsonschema' not in sys.modules\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gmi')))\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.split('.')[0] == 'gmi' or m == 'numpy')))\n"
         )
-        assert set(_python(tmp_path, "-c", script).split()) == expected, command
+        assert set(_python(tmp_path, "-c", script).split()) == expected, (command, name)
+
+
+def test_classify_coeffs_and_help_do_not_load_numpy(tmp_path):
+    """classify on every shipped config, coeffs on the GM ones and --help, in one process."""
+    shipped = ("interpolate", "periodic", "minimax", "classify", "coeffs")
+    runs = [[command, "--config", str(CONFIGS / f"{name}.json"), "--output-dir", str(tmp_path),
+             "--quiet"] for command in ("classify", "coeffs") for name in shipped
+            if (command, name) != ("coeffs", "classify")] + [["--help"]]
+    script = (
+        "import contextlib, sys\n"
+        "from gmi.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(sys.stderr):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+    )
+    codes = [2, 2, 2, 0, 2] + [0] * 4 + [0]  # classify refuses a GM increment
+    expected = [f"{argv[0]} {code} False" for argv, code in zip(runs, codes)]
+    assert _python(tmp_path, "-c", script).splitlines() == expected
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -436,7 +496,8 @@ def test_gmi_threads_is_applied_before_numpy_loads(tmp_path, launch, preset):
     """With GMI_THREADS=3, numpy first loads with each unset thread variable at 3."""
     (tmp_path / "spy").mkdir()
     (tmp_path / "spy" / "sitecustomize.py").write_text(THREAD_SPY)
-    argv = ["coeffs", "--config", str(CONFIGS / "coeffs.json"), "--output-dir", str(tmp_path),
+    # coeffs on a fractional increment is the lightest run that loads numpy
+    argv = ["coeffs", "--config", str(CONFIGS / "classify.json"), "--output-dir", str(tmp_path),
             "--quiet"]
     args = ["-c", f"import sys\nfrom gmi.cli import main\nsys.exit(main({argv!r}))"] \
         if launch == "main" else ["-m", "gmi.cli", *argv]
