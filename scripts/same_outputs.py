@@ -4,13 +4,17 @@
 Usage: python scripts/same_outputs.py PARENT_DIR
 
 Runs every ``gmi`` command (interpolate, oracle-verify, minimax, classify,
-coeffs) on every config in this checkout's ``configs/``, and then
-``scripts/minimax_study.py``, once from PARENT_DIR and once from this
-checkout.  Each side runs in a fresh interpreter with its own ``src`` first
-on PYTHONPATH, in its own empty working directory, and both sides read the
-same config files.  The exit code, stdout, stderr and every file a run
-writes are compared; each difference is printed, and the exit status is 1
-if there is any, 0 otherwise.
+coeffs) on every config in this checkout's ``configs/``, then
+``scripts/minimax_study.py``, then the six ``classical-large`` operations of
+this checkout's ``perfbench/workloads.py`` at seeds 107 and 311, each of
+which writes its ``solution.json`` and ``spectral_characteristic.csv`` (no
+shipped config reaches their T = 4 grid, where the solve's kernels are
+transformed in passes).  Every run goes once from PARENT_DIR and once from
+this checkout.  Each side runs in a fresh interpreter with its own ``src``
+first on PYTHONPATH, in its own empty working directory, and both sides read
+the same config files and workload definitions.  The exit code, stdout,
+stderr and every file a run writes are compared; each difference is printed,
+and the exit status is 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +28,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("interpolate", "oracle-verify", "minimax", "classify", "coeffs")
 STUDY = "scripts/minimax_study.py"
+SEEDS = (107, 311)
+# argv: the perfbench directory and a seed; one directory of artifacts per operation
+CLASSICAL_LARGE = """\
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+for op in workloads.ClassicalLarge(Path(), int(sys.argv[2]), tiny=False)._build(shrink=0):
+    Path(op.name).mkdir()
+    op.run(Path(op.name))
+"""
 
 
 def runs(configs: list[Path]) -> dict[str, list[str]]:
@@ -33,6 +48,9 @@ def runs(configs: list[Path]) -> dict[str, list[str]]:
                                         "--output-dir", "out"]
            for command in COMMANDS for config in configs}
     out[STUDY] = [f"{{checkout}}/{STUDY}"]
+    for seed in SEEDS:
+        out[f"classical-large seed {seed}"] = ["-c", CLASSICAL_LARGE, str(ROOT / "perfbench"),
+                                               str(seed)]
     return out
 
 

@@ -6,7 +6,9 @@ solve for the polynomial coefficients c, evaluate the spectral characteristic
 h on the grid, and compute the error by two independent routes (a quadratic
 form in the solved system, and direct quadrature of the error spectra).
 ``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
-once per pair and keeps them on its ``FourierBlocks`` for the later stages.
+once per pair and keeps them on its ``FourierBlocks`` for the later stages,
+and transforms the three kernels in passes of at most ``_PASS_BYTES`` where
+they fit, so that no one large transient raises the allocator's mmap threshold.
 
 Row/column convention: the projection equations are naturally row-vector
 equations; the stacked linear system stores their transposes, so the P and T
@@ -35,6 +37,7 @@ from .spectra import (
 
 CONDITION_WARN_THRESHOLD = 1e12
 MSE_CONSISTENCY_RTOL = 1e-6
+_PASS_BYTES = 2 ** 23  # kernel bytes that one in-place FFT pass of fourier_blocks holds
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,15 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
         P: (|beta|^2 / |chi|^2) p^{-1}
         T: (-1)^{sum d} (|beta|^2 / |chi|^2) g p^{-1}
         Q: f p^{-1} g
-    All three are sampled nodewise into one (3, n, T, T) buffer, whose
-    single FFT runs in place; blocks depend on the index offset only.  The
-    symbols come from the problem; the observed density p and p^{-1} are
-    kept on the result for the later stages.
+    They are sampled nodewise into (k, n, T, T) buffers, as many per buffer
+    as fit in _PASS_BYTES (at least one), each checked for finite values in
+    P, T, Q order and transformed by one FFT in place; blocks depend on the
+    index offset only.  One buffer holds all three except on large grids
+    (from 2^18 at T = 1, 2^14 at T = 4), where one large transient, once
+    freed, would raise glibc's mmap threshold and keep every later array
+    below it on the heap.
+    The symbols come from the problem; the observed density p and p^{-1}
+    are kept on the result for the later stages.
     """
     grid, spec, N = f.grid, prob.spec, prob.fspec.N
     ng = spec.n_gamma()
@@ -210,24 +218,29 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
     p = _combine(f, g, prob.beta2)
     p_inv = inverse_density(p)
     w = prob.w_inv[:, None, None]
-
-    kern = np.empty((3,) + p_inv.shape, dtype=complex)
-    np.multiply(w, p_inv, out=kern[0])
-    _nodewise(f.values, p_inv, out=kern[1])  # Q's f p^{-1}, in the T slot until T
-    _nodewise(kern[1], g.values, out=kern[2])
-    _nodewise(g.values, p_inv, out=kern[1])
-    kern[1] *= (-1.0 if spec.total_order() % 2 else 1.0) * w
-
-    if not np.all(np.isfinite(kern)):
-        which, bad = np.argwhere(~np.isfinite(kern))[0][:2]
-        raise NumericalError(f"non-finite {'PTQ'[which]} integrand at node {bad} "
-                             f"(lambda={grid.nodes[bad]:.6f})")
-
+    sign = -1.0 if spec.total_order() % 2 else 1.0
     offsets = np.arange(-(size - 1), size)
-    coeffs = grid.fourier(kern.transpose(1, 0, 2, 3), offsets, in_place=True)
-    P = _block_toeplitz(coeffs[:, 0].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
-    T = _block_toeplitz(coeffs[:, 1].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
-    Q = _block_toeplitz(coeffs[ng:len(offsets) - ng, 2], N + 1, dim, lambda j, k: j - k)
+    per_pass, coeffs = max(1, _PASS_BYTES // p_inv.nbytes), []
+    for first in range(0, 3, per_pass):
+        kern = np.empty((min(per_pass, 3 - first),) + p_inv.shape, dtype=complex)
+        slot = dict(zip(range(first, 3), kern))
+        if 0 in slot:
+            np.multiply(w, p_inv, out=slot[0])
+        if 2 in slot:  # Q's f p^{-1} is parked in the T slot when T shares the pass
+            _nodewise(_nodewise(f.values, p_inv, out=slot.get(1)), g.values, out=slot[2])
+        if 1 in slot:
+            _nodewise(g.values, p_inv, out=slot[1])
+            slot[1] *= sign * w
+        if not np.all(np.isfinite(kern)):
+            which, bad = np.argwhere(~np.isfinite(kern))[0][:2]
+            raise NumericalError(f"non-finite {'PTQ'[first + which]} integrand at node {bad} "
+                                 f"(lambda={grid.nodes[bad]:.6f})")
+        done = grid.fourier(kern.transpose(1, 0, 2, 3), offsets, in_place=True)
+        coeffs += [done[:, k] for k in range(len(kern))]
+        del kern, slot  # before the next pass allocates its own
+    P = _block_toeplitz(coeffs[0].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    T = _block_toeplitz(coeffs[1].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    Q = _block_toeplitz(coeffs[2][ng:len(offsets) - ng], N + 1, dim, lambda j, k: j - k)
     return FourierBlocks(P=P, T=T, Q=Q, p=p, p_inv=p_inv)
 
 

@@ -209,7 +209,14 @@ class TestFourierBlocks:
 
 
 class TestKernelBuffer:
-    """The three kernels share one buffer, checked once and transformed once in place."""
+    """The three kernels share one buffer, checked once and transformed once in place, unless
+    the buffer would exceed ``classical._PASS_BYTES``: then they go in passes of as many as fit."""
+
+    BLOCK_CASES = [((1,), 0, 1), ((2,), 2, 1), ((12,), 3, 1), ((1,), 2, 2), ((3,), 1, 3)]
+
+    @staticmethod
+    def one_kernel_per_pass(monkeypatch):
+        monkeypatch.setattr(classical, "_PASS_BYTES", 1)
 
     def test_one_fourier_call_per_solve(self, monkeypatch, grid1k):
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
@@ -218,8 +225,7 @@ class TestKernelBuffer:
         blocks_of(GMIncrementSpec((2,), (1,), (1,)), f, g, N=2)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("s, N, T", [((1,), 0, 1), ((2,), 2, 1), ((12,), 3, 1),
-                                         ((1,), 2, 2), ((3,), 1, 3)])
+    @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
     def test_blocks_match_one_kernel_at_a_time(self, grid1k, s, N, T):
         spec = GMIncrementSpec(s, (1,), (1,))
         if T == 1:
@@ -235,11 +241,32 @@ class TestKernelBuffer:
         for got, want in zip((blocks.P, blocks.T, blocks.Q), fourier_blocks_loop(prob, f, g)):
             assert got.tobytes() == want.tobytes()
 
-    def test_peak_is_p_its_inverse_and_the_buffer(self):
-        # p, p^{-1} and the (3, n, T, T) buffer are five kernel sizes, the
-        # finite mask of the buffer 3/16 of one; three separate kernels and
-        # one transform reach six, the buffer beside its own transform eight
-        T, grid = 4, FrequencyGrid(2 ** 13)
+    @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
+    def test_blocks_match_one_kernel_at_a_time_in_passes(self, monkeypatch, grid1k, s, N, T):
+        self.one_kernel_per_pass(monkeypatch)
+        self.test_blocks_match_one_kernel_at_a_time(grid1k, s, N, T)
+
+    @pytest.mark.parametrize("fit, passes", [(1, 3), (2, 2), (3, 1)])
+    def test_passes_hold_as_many_kernels_as_fit(self, monkeypatch, grid1k, fit, passes):
+        # T = 2 reaches Q alone (fit 2), where its f p^{-1} has no T slot to park in
+        rng = np.random.default_rng(2)
+        f = matrix_ma_density(grid1k, [(np.eye(2) + 0.2 * rng.standard_normal((2, 2))).tolist(),
+                                       (0.3 * rng.standard_normal((2, 2))).tolist()])
+        g = constant_density(grid1k, 0.4 * np.eye(2) + 0.05)
+        prob = Problem(GMIncrementSpec((3,), (1,), (1,)), FunctionalSpec(N=2, a=np.ones((3, 2))),
+                       grid1k)
+        whole = fourier_blocks(prob, f, g)
+        monkeypatch.setattr(classical, "_PASS_BYTES", fit * grid1k.n_grid * 2 * 2 * 16)
+        calls = count_calls(monkeypatch, FrequencyGrid, "fourier")
+        blocks = fourier_blocks(prob, f, g)
+        assert len(calls) == passes
+        for got, want in zip((blocks.P, blocks.T, blocks.Q), (whole.P, whole.T, whole.Q)):
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def t4_peak(grid: FrequencyGrid) -> int:
+        """``tracemalloc`` peak of a warm T = 4 ``fourier_blocks`` on the grid."""
+        T = 4
         rng = np.random.default_rng(4)
         f = matrix_ma_density(grid, [(np.eye(T) + 0.1 * rng.standard_normal((T, T))).tolist(),
                                      (0.2 * rng.standard_normal((T, T))).tolist()])
@@ -249,10 +276,27 @@ class TestKernelBuffer:
         tracemalloc.start()
         try:
             fourier_blocks(prob, f, g)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_is_p_its_inverse_and_the_buffer(self):
+        # p, p^{-1} and the (3, n, T, T) buffer are five kernel sizes, the
+        # finite mask of the buffer 3/16 of one; three separate kernels and
+        # one transform reach six, the buffer beside its own transform eight
+        T, grid = 4, FrequencyGrid(2 ** 13)
+        peak = self.t4_peak(grid)
         assert peak < 5.5 * grid.n_grid * T * T * 16
+
+    @pytest.mark.parametrize("fit", [1, 2])
+    def test_peak_in_passes_is_p_its_inverse_and_two_kernels(self, monkeypatch, fit):
+        # p, p^{-1} and the pass buffer, with Q's f p^{-1} beside it when Q
+        # has a pass of its own, are four kernel sizes if no buffer outlives
+        # its pass; three kernels in one buffer read 5.19 here
+        T, grid = 4, FrequencyGrid(2 ** 13)
+        monkeypatch.setattr(classical, "_PASS_BYTES", fit * grid.n_grid * T * T * 16)
+        peak = self.t4_peak(grid)
+        assert peak < 4.5 * grid.n_grid * T * T * 16
 
     def test_scalar_nodewise_is_matmul_bitwise(self):
         # densities and their inverses are nonnegative, so no zero changes sign
@@ -302,6 +346,18 @@ class TestKernelBuffer:
         message = "non-finite T integrand at node 700 (lambda=1.156622)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             fourier_blocks(prob, f, g)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("T, value, kernel", [(1, np.nan, "P"), (2, np.inf, "Q")])
+    def test_first_bad_kernel_and_node_are_named_in_passes(self, monkeypatch, grid1k, T, value,
+                                                           kernel):
+        self.one_kernel_per_pass(monkeypatch)
+        self.test_first_bad_kernel_and_node_are_named(grid1k, T, value, kernel)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_noise_names_the_t_kernel_in_passes(self, monkeypatch, grid1k):
+        self.one_kernel_per_pass(monkeypatch)
+        self.test_infinite_noise_names_the_t_kernel(monkeypatch, grid1k)
 
 
 class TestSolveSystem:

@@ -21,11 +21,16 @@ def test_script_exits_cleanly(script):
     assert done.returncode == 0, done.stderr
 
 
-def test_same_outputs_names_each_difference():
+def _same_outputs():
     spec = importlib.util.spec_from_file_location("same_outputs",
                                                   ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_same_outputs_names_each_difference():
+    same_outputs = _same_outputs()
     parent = {"exit code": b"0", "stdout": b"delta=1\n", "file out/a.csv": b"1\n"}
     assert same_outputs.differences(parent, dict(parent)) == []
     change = {"exit code": b"0", "stdout": b"delta=2\n", "file out/b.csv": b"1\n"}
@@ -33,4 +38,19 @@ def test_same_outputs_names_each_difference():
         "file out/a.csv: only in the parent", "file out/b.csv: only in the change",
         "stdout: differs (8 and 8 bytes)"]
     configs = [ROOT / "configs" / name for name in ("a.json", "b.json")]
-    assert len(same_outputs.runs(configs)) == 2 * len(same_outputs.COMMANDS) + 1
+    assert len(same_outputs.runs(configs)) == (2 * len(same_outputs.COMMANDS) + 1
+                                               + len(same_outputs.SEEDS))
+
+
+def test_same_outputs_runs_every_classical_large_operation(tmp_path):
+    same_outputs = _same_outputs()
+    todo = same_outputs.runs([])
+    assert [name for name in todo if name.startswith("classical-large")] == [
+        "classical-large seed 107", "classical-large seed 311"]
+    result = same_outputs.outcome(ROOT, todo["classical-large seed 107"], tmp_path / "run")
+    assert result["exit code"] == b"0", result["stderr"].decode()
+    operations = ["T2-lifted-g15", "T4-lifted-g15", "fm-long-g15", "s12-long-g15",
+                  "s12-long-g16", "s1x12-whitened-g17"]
+    assert sorted(key for key in result if key.startswith("file ")) == sorted(
+        f"file {op}/{name}" for op in operations
+        for name in ("solution.json", "spectral_characteristic.csv"))
