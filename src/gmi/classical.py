@@ -7,8 +7,9 @@ h on the grid, and compute the error by two independent routes (a quadratic
 form in the solved system, and direct quadrature of the error spectra).
 ``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
 once per pair and keeps them on its ``FourierBlocks`` for the later stages,
-and transforms the three kernels in passes of at most ``_PASS_BYTES`` where
-they fit, so that no one large transient raises the allocator's mmap threshold.
+and transforms the three kernels in passes of at most ``spectra._PASS_BYTES`` where
+they fit, so that no one large transient raises the allocator's mmap threshold.  Q's
+f p^{-1} g and h's noise term go in ``spectra.node_blocks``; sums and FFTs stay whole.
 
 Row/column convention: the projection equations are naturally row-vector
 equations; the stacked linear system stores their transposes, so the P and T
@@ -28,16 +29,17 @@ from .increments import GMIncrementSpec, expand_operator, inverse_series
 from .spectra import (
     DensityGrid,
     FrequencyGrid,
+    _PASS_BYTES,
     MinimalityReport,
     _chi_beta,
     _combine,
     _minimality,
     inverse_density,
+    node_blocks,
 )
 
 CONDITION_WARN_THRESHOLD = 1e12
 MSE_CONSISTENCY_RTOL = 1e-6
-_PASS_BYTES = 2 ** 23  # kernel bytes that one in-place FFT pass of fourier_blocks holds
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,10 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
         if 0 in slot:
             np.multiply(w, p_inv, out=slot[0])
         if 2 in slot:  # Q's f p^{-1} is parked in the T slot when T shares the pass
-            _nodewise(_nodewise(f.values, p_inv, out=slot.get(1)), g.values, out=slot[2])
+            for nodes in node_blocks(len(p_inv), p_inv[0].nbytes):
+                park = slot[1][nodes] if 1 in slot else None
+                fp = _nodewise(f.values[nodes], p_inv[nodes], out=park)
+                _nodewise(fp, g.values[nodes], out=slot[2][nodes])
         if 1 in slot:
             _nodewise(g.values, p_inv, out=slot[1])
             slot[1] *= sign * w
@@ -338,8 +343,11 @@ def _characteristic(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray, sol: S
     returns h alone, with its C-term formed from c.
     """
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
-    noise_term = (np.einsum("nt,nts->ns", prob.A, _nodewise(g_vals, p_inv))
-                  * np.conj(prob.beta)[:, None])
+    noise_term = np.empty(prob.A.shape, dtype=complex)
+    for nodes in node_blocks(len(p_inv), p_inv[0].nbytes):
+        np.einsum("nt,nts->ns", prob.A[nodes], _nodewise(g_vals[nodes], p_inv[nodes]),
+                  out=noise_term[nodes])
+    noise_term *= np.conj(prob.beta)[:, None]
     c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
 
     def c_term(cc: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ At T > 1 one Cholesky factor of a stack's Hermitian part, shifted by PSD_TOL / 2
 its rounding, and only a stack that does not factor, or whose factor is not finite, is
 decided by eigenvalues.  Every tolerance is relative to the stack's own max|value|, so a
 stack scaled by a power of two gets the same verdict.
+
+Each per-node stage of an (n, T, T) stack runs in ``node_blocks`` of ``_BLOCK_BYTES``, an
+eighth of the ``_PASS_BYTES`` of ``classical.fourier_blocks``, so its temporaries are a
+block's; node-wise arithmetic, per-matrix LAPACK and BLAS calls, max, min and all do not
+depend on the block.  ``_combine`` needs none, as numpy elides its sum into its product.
+Sums and means over nodes, FFTs and ``_chi_beta`` stay whole: numpy elides temporaries of
+256 KiB or more, which reorders a complex product.
 """
 
 from __future__ import annotations
@@ -30,6 +37,16 @@ PSD_TOL = 1e-10
 INVERTIBILITY_FLOOR = 1e-12
 #: enforced bounds for base densities entering the fractional product form
 BASE_DENSITY_BOUNDS = (1e-6, 1e6)
+#: stack bytes of one in-place FFT pass of classical.fourier_blocks; a node block is an eighth
+_PASS_BYTES = 2 ** 23
+_BLOCK_BYTES = _PASS_BYTES // 8
+
+
+def node_blocks(n: int, node_bytes: int) -> list[slice]:
+    """Slices covering nodes 0 .. n-1 in order, each of as many nodes as fit in
+    _BLOCK_BYTES at node_bytes a node, and at least one."""
+    step = max(1, _BLOCK_BYTES // node_bytes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -83,13 +100,16 @@ def _factors(values: np.ndarray, shift: float) -> bool:
     NaN or inf in the factor reaches its diagonal."""
     if not np.isfinite(shift):  # a non-finite entry makes one
         return False
-    h = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
-    h -= shift * np.eye(values.shape[-1])
-    try:
-        factor = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1))))
+    for nodes in node_blocks(len(values), values[0].nbytes):
+        h = 0.5 * (values[nodes] + np.conj(np.swapaxes(values[nodes], -1, -2)))
+        h -= shift * np.eye(values.shape[-1])
+        try:
+            factor = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1))):
+            return False
+    return True
 
 
 def _chi_beta(
@@ -159,14 +179,19 @@ class DensityGrid:
 
     def _validate(self, values=None):
         values = self.values if values is None else values
-        top = float(np.max(np.abs(values)))
+        n, blocks = len(values), node_blocks(len(values), values[0].nbytes)
+        top = float(np.max([np.max(np.abs(values[nodes])) for nodes in blocks]))
         if not np.isfinite(top):  # NaN, and inf - inf, fail every comparison below
             raise ValidationError("density has a non-finite value")
+        herm_err, sym_err, herm_finite = 0.0, 0.0, True
         with np.errstate(over="ignore"):  # near the largest double a difference or sum is inf
-            herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
-            sym_err = np.max(np.abs(values[::-1] - values.transpose(0, 2, 1)))
-            herm_finite = values.shape[-1] == 1 or top <= np.finfo(float).max / 2 or np.all(
-                np.isfinite(values + np.conj(np.swapaxes(values, -1, -2))))
+            for nodes in blocks:  # the mirror of the block pairs node j with n - 1 - j
+                block, mirror = values[nodes], values[n - nodes.stop:n - nodes.start][::-1]
+                herm_err = max(herm_err, np.max(np.abs(block - block.conj().transpose(0, 2, 1))))
+                sym_err = max(sym_err, np.max(np.abs(mirror - block.transpose(0, 2, 1))))
+                herm_finite = herm_finite and (
+                    values.shape[-1] == 1 or top <= np.finfo(float).max / 2
+                    or np.all(np.isfinite(block + np.conj(np.swapaxes(block, -1, -2)))))
         if herm_err > PSD_TOL * top:
             raise ValidationError(f"density is not Hermitian (error {herm_err:.3e})")
         if sym_err > PSD_TOL * top:
@@ -176,7 +201,8 @@ class DensityGrid:
         if not herm_finite:  # eigvalsh gives NaN for it, and NaN passes the PSD test
             raise ValidationError("density has a Hermitian part that overflows")
         if values.shape[-1] == 1 or not _factors(values, -0.5 * PSD_TOL * top):
-            min_eig = float(np.min(hermitian_eigenvalues(values)))
+            min_eig = float(np.min([np.min(hermitian_eigenvalues(values[nodes]))
+                                    for nodes in blocks]))
             if min_eig < -PSD_TOL * top:
                 raise ValidationError(f"density has eigenvalue {min_eig:.3e} below tolerance")
 
@@ -244,10 +270,11 @@ class DensityModel:
             T = coeffs[0].shape[0]
             if any(c.shape != (T, T) for c in coeffs):
                 raise ValidationError("matrix_ma coefficients must be square and of one size")
-            H = np.zeros((grid.n_grid, T, T), dtype=complex)
-            for k, ck in enumerate(coeffs):
-                H += (z ** k)[:, None, None] * ck
-            return DensityGrid(grid, H @ H.conj().transpose(0, 2, 1))
+            values = np.empty((grid.n_grid, T, T), dtype=complex)
+            for nodes in node_blocks(grid.n_grid, values[0].nbytes):
+                H = sum((z[nodes] ** k)[:, None, None] * ck for k, ck in enumerate(coeffs))
+                np.matmul(H, H.conj().transpose(0, 2, 1), out=values[nodes])
+            return DensityGrid(grid, values)
         raise ValidationError(f"unknown density model kind {self.kind!r}")
 
 
@@ -258,13 +285,12 @@ def _check_unit_circle_roots(den: np.ndarray, grid: FrequencyGrid):
     seasonal frequencies (midpoint grids dodge them), so the companion
     matrix roots are checked as well.  The smallest modulus on the refined
     grid, which it returns, is compared with sum|den|, a bound of |den| on the
-    circle; the points go in blocks of 2^13 to keep temporaries small.
+    circle; the points go in node blocks, at about eight complex temporaries a point.
     """
-    n, block, smallest = min(16 * grid.n_grid, 1 << 20), 1 << 13, np.inf
-    for start in range(0, n, block):
-        lam = -np.pi + (np.arange(start, min(start + block, n)) + 0.5) * (2 * np.pi / n)
-        vals = np.polyval(den[::-1], np.exp(-1j * lam))
-        smallest = min(smallest, float(np.min(np.abs(vals))))
+    n, smallest = min(16 * grid.n_grid, 1 << 20), np.inf
+    for points in node_blocks(n, 8 * 16):
+        lam = -np.pi + (np.arange(points.start, points.stop) + 0.5) * (2 * np.pi / n)
+        smallest = min(smallest, float(np.min(np.abs(np.polyval(den[::-1], np.exp(-1j * lam))))))
     if smallest <= 1e-8 * float(np.sum(np.abs(den))):
         raise ValidationError("rational density denominator has a root on the unit circle")
     if len(den) > 1 and np.any(den[1:] != 0):
@@ -374,10 +400,13 @@ def _minimality(spec: GMIncrementSpec, weight: np.ndarray, p: DensityGrid,
     weight_fine = np.abs(beta_f) ** 2 / np.abs(chi_f) ** 2
 
     def trace_inv(shift: int) -> np.ndarray:  # one half of the refined points at a time
-        half = 0.75 * p.values + 0.25 * np.roll(p.values, shift, axis=0)
-        if p.dim == 1:
-            return 1.0 / half[:, 0, 0].real
-        return np.trace(np.linalg.inv(half), axis1=1, axis2=2).real
+        n, out = p.grid.n_grid, np.empty(p.grid.n_grid)
+        for nodes in node_blocks(n, p.values[0].nbytes):  # node j - shift is rolled onto j
+            half = 0.75 * p.values[nodes] + 0.25 * p.values[
+                (np.arange(nodes.start, nodes.stop) - shift) % n]
+            out[nodes] = (1.0 / half[:, 0, 0].real if p.dim == 1
+                          else np.trace(np.linalg.inv(half), axis1=1, axis2=2).real)
+        return out
 
     fine = float(np.mean(weight_fine * np.concatenate([trace_inv(1), trace_inv(-1)])))
 

@@ -42,6 +42,21 @@ def matrix_ma_density(grid, coefficients):
     return DensityModel("matrix_ma", {"coefficients": coefficients}).evaluate(grid)
 
 
+def bits(*arrays) -> list:
+    """Each array's bytes as uint64 words: equal lists are equal bit for bit."""
+    return [np.ascontiguousarray(a).view(np.uint64).tolist() for a in arrays]
+
+
+def ma_pair(grid, T):
+    """(f, g): matrix_ma densities that change from node to node, f with three coefficients."""
+    rng = np.random.default_rng(10 + T)
+    f = matrix_ma_density(grid, [np.eye(T) + 0.2 * rng.standard_normal((T, T)),
+                                 0.3 * rng.standard_normal((T, T)),
+                                 0.1 * rng.standard_normal((T, T))])
+    g = matrix_ma_density(grid, [0.5 * np.eye(T), 0.2 * rng.standard_normal((T, T))])
+    return f, g
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Record each call of owner.name, patched in every loaded gmi module that holds it
     (on the class itself when owner is a class, for a method)."""

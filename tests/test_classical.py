@@ -15,20 +15,24 @@ from brute import (
     v_coeffs_loop,
 )
 from conftest import (
+    bits,
     constant_density,
     count_calls,
+    ma_pair,
     matrix_ma_density,
     pchi_one_density,
     rational_density,
 )
-from gmi import classical
+from gmi import classical, spectra
 from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
     Problem,
     _block_toeplitz,
+    _characteristic,
     _nodewise,
     _row_polynomial,
+    _solve,
     coeffs_a_mu,
     fourier_blocks,
     lift_periodic,
@@ -454,6 +458,32 @@ class TestSpectralCharacteristic:
         expected = B * (chi / beta)[:, None] - C * (np.conj(beta) / np.conj(chi))[:, None] \
             / scalar_values(f)[:, None]
         assert np.max(np.abs(sol.h - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+class TestNodeBlocks:
+    """The solve's per-node products give the same bits when every node block holds one node;
+    the 1024-node stacks here fit in one block otherwise."""
+
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    @pytest.mark.parametrize("pass_bytes", [None, 1], ids=["one buffer", "one kernel a pass"])
+    def test_blocks_and_characteristic_match_in_one_node_blocks(self, monkeypatch, grid1k, T,
+                                                                pass_bytes):
+        f, g = ma_pair(grid1k, T)
+        fs = FunctionalSpec(N=3, a=np.random.default_rng(T).standard_normal((4, T)))
+        prob = Problem(GMIncrementSpec((2,), (1,), (1,)), fs, grid1k)
+        blocks, sol = _solve(prob, f, g)
+
+        def stages():
+            again = fourier_blocks(prob, f, g)
+            h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
+            return bits(again.P, again.T, again.Q, again.p_inv, h, h1, h2)
+
+        whole = stages()
+        assert whole[:3] == bits(blocks.P, blocks.T, blocks.Q)
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", 1)
+        if pass_bytes is not None:  # Q in a pass of its own takes its f p^{-1} g in blocks
+            monkeypatch.setattr(classical, "_PASS_BYTES", pass_bytes)
+        assert stages() == whole
 
 
 class TestMse:

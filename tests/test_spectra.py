@@ -16,7 +16,15 @@ from brute import (
     structural_function,
     validate_by_eigenvalues,
 )
-from conftest import constant_density, matrix_ma_density, pchi_one_density, rational_density
+from conftest import (
+    bits,
+    constant_density,
+    ma_pair,
+    matrix_ma_density,
+    pchi_one_density,
+    rational_density,
+)
+from gmi import spectra
 from gmi.errors import SingularDensityError, ValidationError
 from gmi.increments import FMIncrementSpec, GMIncrementSpec, SeasonalFactor
 from gmi.spectra import (
@@ -27,6 +35,7 @@ from gmi.spectra import (
     _check_unit_circle_roots,
     _chi_beta,
     _combine,
+    _factors,
     _minimality,
     fm_density,
     hermitian_eigenvalues,
@@ -315,6 +324,127 @@ class TestUnitCircleRootCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (1 << 13) * 16  # eight complex blocks; one pass takes about 56 MB
+
+
+def one_node_blocks(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK_BYTES", 1)
+
+
+def refused_stacks(T: int) -> dict:
+    """1024-node stacks by a part of the message that ``_validate`` refuses each with; the
+    defects have several sizes at several nodes, so the error reported is a max or min."""
+    f, _ = ma_pair(FrequencyGrid(1024), T)
+    stacks, nodes = {}, [100, 300, 700]
+    skew = np.zeros((T, T), dtype=complex)
+    skew[0, T - 1] += 1j  # at T = 1 an imaginary value, above it an anti-Hermitian pair
+    skew[T - 1, 0] += 1j
+    stacks["not Hermitian (error"] = f.values.copy()
+    stacks["not Hermitian (error"][nodes] += np.multiply.outer([1e-6, 3e-6, 2e-6], skew)
+    stacks["value(-l) = value(l)^T (error"] = f.values.copy()
+    stacks["value(-l) = value(l)^T (error"][nodes] += np.multiply.outer([1e-6, 3e-6, 2e-6],
+                                                                        np.eye(T))
+    stacks["below tolerance"] = f.values.copy()
+    for node, depth in zip(nodes, [0.5, 2.0, 1.0]):
+        stacks["below tolerance"][[node, 1023 - node]] = -depth * np.eye(T)
+    if T > 1:  # a 1 x 1 Hermitian part is the real part, which cannot overflow
+        stacks["Hermitian part that overflows"] = f.values.copy()
+        stacks["Hermitian part that overflows"][[300, 723]] = np.diag([1e308] * T)
+    return stacks
+
+
+class TestNodeBlocks:
+    """Each per-node stage gives the same bits in node blocks as whole: here every block
+    holds one node, and the 1024-node stacks fit in one block otherwise."""
+
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    def test_density_stages_match_in_one_node_blocks(self, monkeypatch, grid1k, T):
+        def stages():
+            f, g = ma_pair(grid1k, T)
+            beta2 = np.abs(_chi_beta((2,), (1,), (1,), grid1k.nodes)[1]) ** 2
+            p = _combine(f, g, beta2)
+            p_inv = inverse_density(p)
+            weight = beta2 / np.abs(_chi_beta((2,), (1,), (1,), grid1k.nodes)[0]) ** 2
+            report = _minimality(GMIncrementSpec((2,), (1,), (1,)), weight, p, p_inv)
+            factors = [_factors(v, shift) for v in (f.values, p.values) for shift in (0.0, 1e3)]
+            return bits(f.values, g.values, p.values, p_inv,
+                        np.array([report.value, report.refined_value])), report, factors
+
+        whole = stages()
+        assert whole[2] == [True, False, True, False]
+        one_node_blocks(monkeypatch)
+        assert stages() == whole
+
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    def test_every_refusal_reads_alike_in_one_node_blocks(self, monkeypatch, grid1k, T):
+        def outcomes():
+            return {name: _outcome(lambda: DensityGrid.zero(grid1k, T)._validate(values))
+                    for name, values in refused_stacks(T).items()}
+
+        whole = outcomes()
+        assert all(kind is ValidationError and part in message
+                   for part, (kind, message) in whole.items())
+        one_node_blocks(monkeypatch)
+        assert outcomes() == whole
+
+    @pytest.mark.parametrize("T", [2, 4])
+    def test_certificate_verdicts_match_in_one_node_blocks(self, monkeypatch, grid1k, T):
+        def outcomes():
+            got = []
+            for values, _, _ in _certificate_stacks(T, 0).values():
+                p = DensityGrid(grid1k, values, validate=False)
+                got += [_outcome(lambda: DensityGrid.zero(grid1k, T)._validate(values)),
+                        _outcome(lambda: inverse_density(p))]
+                with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf stacks
+                    got.append(_factors(values, 0.0))
+            return got
+
+        whole = outcomes()
+        one_node_blocks(monkeypatch)
+        assert outcomes() == whole
+
+    def test_unit_circle_minimum_matches_in_one_node_blocks(self, monkeypatch, grid1k):
+        dens = [np.array(den) for den in TestUnitCircleRootCheck.DENOMINATORS]
+        whole = [_check_unit_circle_roots(den, grid1k) for den in dens]
+        one_node_blocks(monkeypatch)
+        assert [_check_unit_circle_roots(den, grid1k) for den in dens] == whole
+
+    @staticmethod
+    def added_peak(run) -> int:
+        """``tracemalloc`` peak of run() above what is allocated when it starts."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def sixteenth(self, monkeypatch):
+        """A T = 4 stack on 2^13 nodes (2 MiB) and blocks of a sixteenth of it, the share that
+        the default budget gives a 2^16-node stack; the output size in bytes is returned."""
+        grid = FrequencyGrid(2 ** 13)
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", grid.n_grid * 4 * 4 * 16 // 16,
+                            raising=False)
+        return grid, grid.n_grid * 4 * 4 * 16
+
+    def test_matrix_ma_peaks_near_its_output(self, sixteenth):
+        grid, size = sixteenth
+        rng = np.random.default_rng(4)
+        coefficients = [np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
+                        0.2 * rng.standard_normal((4, 4))]
+        matrix_ma_density(grid, coefficients)
+        # the whole-grid form reads 4.1: H, each term, H^H and the product
+        assert self.added_peak(lambda: matrix_ma_density(grid, coefficients)) < 1.5 * size
+
+    @pytest.mark.parametrize("stage", ["_validate", "_factors"])
+    def test_validation_adds_a_few_blocks(self, sixteenth, stage):
+        grid, size = sixteenth
+        f, _ = ma_pair(grid, 4)
+        run = f._validate if stage == "_validate" else lambda: _factors(f.values, 0.0)
+        run()
+        # the whole-grid forms add 2.0 output sizes each
+        assert self.added_peak(run) < 0.5 * size
 
 
 class TestFmDensity:
