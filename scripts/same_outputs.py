@@ -8,13 +8,15 @@ coeffs) on every config in this checkout's ``configs/``, then
 ``scripts/minimax_study.py``, then the six ``classical-large`` operations of
 this checkout's ``perfbench/workloads.py`` at seeds 107 and 311, each of
 which writes its ``solution.json`` and ``spectral_characteristic.csv`` (no
-shipped config reaches their T = 4 grid, where the solve's kernels are
-transformed in passes).  Every run goes once from PARENT_DIR and once from
-this checkout.  Each side runs in a fresh interpreter with its own ``src``
-first on PYTHONPATH, in its own empty working directory, and both sides read
-the same config files and workload definitions.  The exit code, stdout,
+shipped config reaches their grids, where the solve's stacks span several
+node blocks).  Every run goes once from PARENT_DIR and once from this
+checkout.  Each side runs in a fresh interpreter with its own ``src`` first
+on PYTHONPATH, in its own empty working directory, and both sides read the
+same config files and workload definitions.  The exit code, stdout,
 stderr and every file a run writes are compared; each difference is printed,
-and the exit status is 1 if there is any, 0 otherwise.
+and the exit status is 1 if there is any, 0 otherwise.  After the summary
+line comes the line count of ``src/gmi`` in both checkouts and its change,
+which does not affect the exit status.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]
     return lines
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's ``src/gmi``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src" / "gmi").rglob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "src" / "gmi").is_dir():
         print("usage: python scripts/same_outputs.py PARENT_DIR", file=sys.stderr)
@@ -101,6 +109,8 @@ def main(argv: list[str]) -> int:
             for line in lines:
                 print(f"  {line}")
     print(f"{found} of {len(todo)} runs differ")
+    before, after = source_lines(parent), source_lines(ROOT)
+    print(f"src/gmi lines: {before} in the parent, {after} here ({after - before:+d})")
     return 1 if found else 0
 
 

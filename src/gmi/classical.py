@@ -7,9 +7,9 @@ h on the grid, and compute the error by two independent routes (a quadratic
 form in the solved system, and direct quadrature of the error spectra).
 ``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
 once per pair and keeps them on its ``FourierBlocks`` for the later stages,
-and transforms the three kernels in passes of at most ``spectra._PASS_BYTES`` where
-they fit, so that no one large transient raises the allocator's mmap threshold.  Q's
-f p^{-1} g and h's noise term go in ``spectra.node_blocks``; sums and FFTs stay whole.
+and transforms the three kernels one at a time in one reused buffer, so that no large
+transient raises the allocator's mmap threshold.  Q's f p^{-1} g and h's noise term go
+in ``spectra.node_blocks``; sums and FFTs stay whole.
 
 Row/column convention: the projection equations are naturally row-vector
 equations; the stacked linear system stores their transposes, so the P and T
@@ -29,7 +29,6 @@ from .increments import GMIncrementSpec, expand_operator, inverse_series
 from .spectra import (
     DensityGrid,
     FrequencyGrid,
-    _PASS_BYTES,
     MinimalityReport,
     _chi_beta,
     _combine,
@@ -203,13 +202,12 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
         P: (|beta|^2 / |chi|^2) p^{-1}
         T: (-1)^{sum d} (|beta|^2 / |chi|^2) g p^{-1}
         Q: f p^{-1} g
-    They are sampled nodewise into (k, n, T, T) buffers, as many per buffer
-    as fit in _PASS_BYTES (at least one), each checked for finite values in
-    P, T, Q order and transformed by one FFT in place; blocks depend on the
-    index offset only.  One buffer holds all three except on large grids
-    (from 2^18 at T = 1, 2^14 at T = 4), where one large transient, once
-    freed, would raise glibc's mmap threshold and keep every later array
-    below it on the heap.
+    Each is sampled nodewise into one (n, T, T) buffer in P, T, Q order,
+    checked for finite values and transformed by one FFT in place; the
+    coefficients are a copy, so the buffer takes the next kernel.  Blocks
+    depend on the index offset only.  No transient outgrows a kernel: one
+    large transient, once freed, would raise glibc's mmap threshold and keep
+    every later array below it on the heap.
     The symbols come from the problem; the observed density p and p^{-1}
     are kept on the result for the later stages.
     """
@@ -222,30 +220,24 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
     w = prob.w_inv[:, None, None]
     sign = -1.0 if spec.total_order() % 2 else 1.0
     offsets = np.arange(-(size - 1), size)
-    per_pass, coeffs = max(1, _PASS_BYTES // p_inv.nbytes), []
-    for first in range(0, 3, per_pass):
-        kern = np.empty((min(per_pass, 3 - first),) + p_inv.shape, dtype=complex)
-        slot = dict(zip(range(first, 3), kern))
-        if 0 in slot:
-            np.multiply(w, p_inv, out=slot[0])
-        if 2 in slot:  # Q's f p^{-1} is parked in the T slot when T shares the pass
-            for nodes in node_blocks(len(p_inv), p_inv[0].nbytes):
-                park = slot[1][nodes] if 1 in slot else None
-                fp = _nodewise(f.values[nodes], p_inv[nodes], out=park)
-                _nodewise(fp, g.values[nodes], out=slot[2][nodes])
-        if 1 in slot:
-            _nodewise(g.values, p_inv, out=slot[1])
-            slot[1] *= sign * w
+    kern = np.empty(p_inv.shape, dtype=complex)
+
+    def transform(name: str) -> np.ndarray:
         if not np.all(np.isfinite(kern)):
-            which, bad = np.argwhere(~np.isfinite(kern))[0][:2]
-            raise NumericalError(f"non-finite {'PTQ'[first + which]} integrand at node {bad} "
+            bad = np.argwhere(~np.isfinite(kern))[0][0]
+            raise NumericalError(f"non-finite {name} integrand at node {bad} "
                                  f"(lambda={grid.nodes[bad]:.6f})")
-        done = grid.fourier(kern.transpose(1, 0, 2, 3), offsets, in_place=True)
-        coeffs += [done[:, k] for k in range(len(kern))]
-        del kern, slot  # before the next pass allocates its own
-    P = _block_toeplitz(coeffs[0].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
-    T = _block_toeplitz(coeffs[1].transpose(0, 2, 1), size, dim, lambda j, k: k - j)
-    Q = _block_toeplitz(coeffs[2][ng:len(offsets) - ng], N + 1, dim, lambda j, k: j - k)
+        return grid.fourier(kern, offsets, in_place=True)
+
+    np.multiply(w, p_inv, out=kern)
+    P = _block_toeplitz(transform("P").transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    _nodewise(g.values, p_inv, out=kern)
+    kern *= sign * w
+    T = _block_toeplitz(transform("T").transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    for nodes in node_blocks(len(p_inv), p_inv[0].nbytes):  # numpy buffers an overlapping out
+        fp = _nodewise(f.values[nodes], p_inv[nodes], out=kern[nodes])
+        _nodewise(fp, g.values[nodes], out=fp)
+    Q = _block_toeplitz(transform("Q")[ng:len(offsets) - ng], N + 1, dim, lambda j, k: j - k)
     return FourierBlocks(P=P, T=T, Q=Q, p=p, p_inv=p_inv)
 
 
@@ -430,8 +422,6 @@ class InterpolationSolution:
     c: np.ndarray                 # (N+ng+1, T)
     v: np.ndarray                 # (ng, T), rows are k = -1 .. -ng
     h: np.ndarray                 # (n_grid, T)
-    h1: np.ndarray
-    h2: np.ndarray
     delta: float
     delta_spectral: float
     b: np.ndarray                 # (N+1, T)
@@ -460,7 +450,7 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
     _check_weight_scale(prob, f, g)
     blocks, sol = _solve(prob, f, g)
     minimality = _minimality(spec, prob.w_inv, blocks.p, blocks.p_inv)
-    h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
+    h = _characteristic(prob, g.values, blocks.p_inv, sol)[0]
     # the algebraic error next to the spectral one: they must agree to 1e-6 relative
     spectral = mse_of_characteristic(prob, f, g, h)
     delta_alg = _algebraic_mse(blocks, sol, fspec.a)
@@ -476,8 +466,6 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
         c=sol.c,
         v=v_coeffs(spec, prob.b),
         h=h,
-        h1=h1,
-        h2=h2,
         delta=max(delta_alg, 0.0),
         delta_spectral=spectral,
         b=prob.b,

@@ -280,9 +280,11 @@ def _cmd_minimax(args, config) -> int:
     io.write_json(args.output_dir / "minimax.json", payload)
     io.write_density_csv(args.output_dir / "least_favorable_signal.csv", result.f0)
     io.write_density_csv(args.output_dir / "least_favorable_noise.csv", result.g0)
+    report = result.saddle_report
+    saddle = (f"saddle_violation={report['max_violation']:.3e}" if report["n_samples"]
+              else "saddle=not checked")
     _say(args, f"minimax: delta0={result.delta0:.12g} converged={result.converged} "
-               f"iterations={len(result.trace)} "
-               f"saddle_violation={result.saddle_report.get('max_violation', 0.0):.3e}")
+               f"iterations={len(result.trace)} {saddle}")
     return 0
 
 

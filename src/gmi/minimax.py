@@ -869,7 +869,8 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     (random 10% node jitter projected back onto the class) must not beat
     delta0.  Left side: alternative valid characteristics (observation-band
     perturbations of h0) must not do better at the least favorable pair.
-    A pass needs an admissible sample whenever samples were asked for.
+    A pass needs an admissible sample; with no samples nothing is checked, and
+    the report says only that it does not pass.
 
     The samples go in blocks of SADDLE_BLOCK: a (b, 2, n) uniform draw is the
     stream of 2 b draws of n, and the projections and the feasibility report
@@ -878,7 +879,7 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     energies go sample by sample: numpy's batched einsum is slower here.
     """
     if n_samples <= 0:
-        return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
+        return {"n_samples": 0, "pass": False}
     rng = np.random.default_rng(seed)
     ctx, f0, g0, h0, delta0 = result.problem, result.f0, result.g0, result.h0, result.delta0
     n = ctx.grid.n_grid

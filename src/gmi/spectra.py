@@ -13,12 +13,13 @@ its rounding, and only a stack that does not factor, or whose factor is not fini
 decided by eigenvalues.  Every tolerance is relative to the stack's own max|value|, so a
 stack scaled by a power of two gets the same verdict.
 
-Each per-node stage of an (n, T, T) stack runs in ``node_blocks`` of ``_BLOCK_BYTES``, an
-eighth of the ``_PASS_BYTES`` of ``classical.fourier_blocks``, so its temporaries are a
-block's; node-wise arithmetic, per-matrix LAPACK and BLAS calls, max, min and all do not
-depend on the block.  ``_combine`` needs none, as numpy elides its sum into its product.
-Sums and means over nodes, FFTs and ``_chi_beta`` stay whole: numpy elides temporaries of
-256 KiB or more, which reorders a complex product.
+Each per-node stage of an (n, T, T) stack runs in ``node_blocks`` of ``_BLOCK_BYTES``
+(1 MiB), so its temporaries are a block's; node-wise arithmetic, per-matrix LAPACK and
+BLAS calls, max, min and all do not depend on the block.  ``_combine`` needs none, as
+numpy elides its sum into its product.  Sums and means over nodes, FFTs and ``_chi_beta``
+stay whole: numpy elides temporaries of 256 KiB or more, which reorders a complex product.
+``classical.fourier_blocks`` transforms its three kernels whole, one at a time, in one
+reused buffer.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ PSD_TOL = 1e-10
 INVERTIBILITY_FLOOR = 1e-12
 #: enforced bounds for base densities entering the fractional product form
 BASE_DENSITY_BOUNDS = (1e-6, 1e6)
-#: stack bytes of one in-place FFT pass of classical.fourier_blocks; a node block is an eighth
-_PASS_BYTES = 2 ** 23
-_BLOCK_BYTES = _PASS_BYTES // 8
+#: stack bytes of one node block of a per-node stage
+_BLOCK_BYTES = 2 ** 20
 
 
 def node_blocks(n: int, node_bytes: int) -> list[slice]:

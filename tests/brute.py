@@ -413,7 +413,7 @@ def shift_clip_stable(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float
 def saddle_check_loop(result, n_samples: int, seed: int = 0) -> dict:
     """The saddle check with one draw, projection and energy per sample."""
     if n_samples <= 0:
-        return {"n_samples": 0, "max_violation": 0.0, "pass": True, "left_min_margin": 0.0}
+        return {"n_samples": 0, "pass": False}
     rng = np.random.default_rng(seed)
     ctx, f0, g0, h0, delta0 = result.problem, result.f0, result.g0, result.h0, result.delta0
     n = ctx.grid.n_grid

@@ -17,7 +17,6 @@ from brute import (
 from conftest import (
     bits,
     constant_density,
-    count_calls,
     ma_pair,
     matrix_ma_density,
     pchi_one_density,
@@ -213,21 +212,9 @@ class TestFourierBlocks:
 
 
 class TestKernelBuffer:
-    """The three kernels share one buffer, checked once and transformed once in place, unless
-    the buffer would exceed ``classical._PASS_BYTES``: then they go in passes of as many as fit."""
+    """The three kernels take one buffer in turn, each checked and transformed in place."""
 
     BLOCK_CASES = [((1,), 0, 1), ((2,), 2, 1), ((12,), 3, 1), ((1,), 2, 2), ((3,), 1, 3)]
-
-    @staticmethod
-    def one_kernel_per_pass(monkeypatch):
-        monkeypatch.setattr(classical, "_PASS_BYTES", 1)
-
-    def test_one_fourier_call_per_solve(self, monkeypatch, grid1k):
-        f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
-        g = constant_density(grid1k, 0.3)
-        calls = count_calls(monkeypatch, FrequencyGrid, "fourier")
-        blocks_of(GMIncrementSpec((2,), (1,), (1,)), f, g, N=2)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
     def test_blocks_match_one_kernel_at_a_time(self, grid1k, s, N, T):
@@ -243,28 +230,6 @@ class TestKernelBuffer:
         prob = Problem(spec, FunctionalSpec(N=N, a=np.ones((N + 1, T))), grid1k)
         blocks = fourier_blocks(prob, f, g)
         for got, want in zip((blocks.P, blocks.T, blocks.Q), fourier_blocks_loop(prob, f, g)):
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
-    def test_blocks_match_one_kernel_at_a_time_in_passes(self, monkeypatch, grid1k, s, N, T):
-        self.one_kernel_per_pass(monkeypatch)
-        self.test_blocks_match_one_kernel_at_a_time(grid1k, s, N, T)
-
-    @pytest.mark.parametrize("fit, passes", [(1, 3), (2, 2), (3, 1)])
-    def test_passes_hold_as_many_kernels_as_fit(self, monkeypatch, grid1k, fit, passes):
-        # T = 2 reaches Q alone (fit 2), where its f p^{-1} has no T slot to park in
-        rng = np.random.default_rng(2)
-        f = matrix_ma_density(grid1k, [(np.eye(2) + 0.2 * rng.standard_normal((2, 2))).tolist(),
-                                       (0.3 * rng.standard_normal((2, 2))).tolist()])
-        g = constant_density(grid1k, 0.4 * np.eye(2) + 0.05)
-        prob = Problem(GMIncrementSpec((3,), (1,), (1,)), FunctionalSpec(N=2, a=np.ones((3, 2))),
-                       grid1k)
-        whole = fourier_blocks(prob, f, g)
-        monkeypatch.setattr(classical, "_PASS_BYTES", fit * grid1k.n_grid * 2 * 2 * 16)
-        calls = count_calls(monkeypatch, FrequencyGrid, "fourier")
-        blocks = fourier_blocks(prob, f, g)
-        assert len(calls) == passes
-        for got, want in zip((blocks.P, blocks.T, blocks.Q), (whole.P, whole.T, whole.Q)):
             assert got.tobytes() == want.tobytes()
 
     @staticmethod
@@ -285,22 +250,12 @@ class TestKernelBuffer:
             tracemalloc.stop()
 
     def test_peak_is_p_its_inverse_and_the_buffer(self):
-        # p, p^{-1} and the (3, n, T, T) buffer are five kernel sizes, the
-        # finite mask of the buffer 3/16 of one; three separate kernels and
-        # one transform reach six, the buffer beside its own transform eight
+        # p, p^{-1} and the one-kernel buffer are three kernel sizes, and a
+        # 1 MiB node block of Q's f p^{-1} is half of one here; three kernels
+        # in one buffer read 5.19, and a second kernel of any kind reaches four
         T, grid = 4, FrequencyGrid(2 ** 13)
         peak = self.t4_peak(grid)
-        assert peak < 5.5 * grid.n_grid * T * T * 16
-
-    @pytest.mark.parametrize("fit", [1, 2])
-    def test_peak_in_passes_is_p_its_inverse_and_two_kernels(self, monkeypatch, fit):
-        # p, p^{-1} and the pass buffer, with Q's f p^{-1} beside it when Q
-        # has a pass of its own, are four kernel sizes if no buffer outlives
-        # its pass; three kernels in one buffer read 5.19 here
-        T, grid = 4, FrequencyGrid(2 ** 13)
-        monkeypatch.setattr(classical, "_PASS_BYTES", fit * grid.n_grid * T * T * 16)
-        peak = self.t4_peak(grid)
-        assert peak < 4.5 * grid.n_grid * T * T * 16
+        assert peak < 4 * grid.n_grid * T * T * 16
 
     def test_scalar_nodewise_is_matmul_bitwise(self):
         # densities and their inverses are nonnegative, so no zero changes sign
@@ -350,18 +305,6 @@ class TestKernelBuffer:
         message = "non-finite T integrand at node 700 (lambda=1.156622)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             fourier_blocks(prob, f, g)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("T, value, kernel", [(1, np.nan, "P"), (2, np.inf, "Q")])
-    def test_first_bad_kernel_and_node_are_named_in_passes(self, monkeypatch, grid1k, T, value,
-                                                           kernel):
-        self.one_kernel_per_pass(monkeypatch)
-        self.test_first_bad_kernel_and_node_are_named(grid1k, T, value, kernel)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_infinite_noise_names_the_t_kernel_in_passes(self, monkeypatch, grid1k):
-        self.one_kernel_per_pass(monkeypatch)
-        self.test_infinite_noise_names_the_t_kernel(monkeypatch, grid1k)
 
 
 class TestSolveSystem:
@@ -424,12 +367,15 @@ class TestSpectralCharacteristic:
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = constant_density(grid1k, 0.5)
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [0.7]]))
-        sol = solve_interpolation(SPEC11, f, g, fs)
-        assert np.max(np.abs(sol.h1 - sol.h2 - sol.h)) < 1e-12 * max(1.0, np.max(np.abs(sol.h)))
+        prob = Problem(SPEC11, fs, grid1k)
+        blocks, sol = _solve(prob, f, g)
+        h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
+        assert np.max(np.abs(h1 - h2 - h)) < 1e-12 * max(1.0, np.max(np.abs(h)))
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_the_solved_split(self, grid1k, T):
-        # spectral_characteristic rebuilds h from c; its split is the pipeline's, bit for bit
+        # spectral_characteristic rebuilds h from c; its split is the one whose difference
+        # is the pipeline's h, bit for bit
         if T == 1:
             spec = GMIncrementSpec((2,), (1,), (1,))
             f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
@@ -441,7 +387,7 @@ class TestSpectralCharacteristic:
         fs = FunctionalSpec(N=2, a=np.random.default_rng(T).standard_normal((3, T)))
         sol = solve_interpolation(spec, f, g, fs)
         h, h1, h2 = spectral_characteristic(Problem(spec, fs, grid1k), f, g, sol.c)
-        assert h1.tobytes() == sol.h1.tobytes() and h2.tobytes() == sol.h2.tobytes()
+        assert (h1 - h2).tobytes() == sol.h.tobytes()
         assert np.max(np.abs(h - sol.h)) <= 1e-12 * np.max(np.abs(sol.h))
 
     def test_zero_noise_reduction(self, grid1k):
@@ -465,9 +411,7 @@ class TestNodeBlocks:
     the 1024-node stacks here fit in one block otherwise."""
 
     @pytest.mark.parametrize("T", [1, 2, 4])
-    @pytest.mark.parametrize("pass_bytes", [None, 1], ids=["one buffer", "one kernel a pass"])
-    def test_blocks_and_characteristic_match_in_one_node_blocks(self, monkeypatch, grid1k, T,
-                                                                pass_bytes):
+    def test_blocks_and_characteristic_match_in_one_node_blocks(self, monkeypatch, grid1k, T):
         f, g = ma_pair(grid1k, T)
         fs = FunctionalSpec(N=3, a=np.random.default_rng(T).standard_normal((4, T)))
         prob = Problem(GMIncrementSpec((2,), (1,), (1,)), fs, grid1k)
@@ -481,8 +425,6 @@ class TestNodeBlocks:
         whole = stages()
         assert whole[:3] == bits(blocks.P, blocks.T, blocks.Q)
         monkeypatch.setattr(spectra, "_BLOCK_BYTES", 1)
-        if pass_bytes is not None:  # Q in a pass of its own takes its f p^{-1} g in blocks
-            monkeypatch.setattr(classical, "_PASS_BYTES", pass_bytes)
         assert stages() == whole
 
 

@@ -208,6 +208,16 @@ def test_minimax_is_byte_identical_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_minimax_without_saddle_samples_says_not_checked(tmp_path, capsys):
+    config = json.loads((CONFIGS / "minimax.json").read_text())
+    config["minimax"]["saddle_samples"] = 0
+    assert main(["minimax", "--config", str(write_config(tmp_path, config)),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" saddle=not checked")
+    report = json.loads((tmp_path / "minimax.json").read_text())["saddle_report"]
+    assert report == {"n_samples": 0, "pass": False}
+
+
 def _fm_signal_without_spec(config):
     config["problem"]["signal_density"] = {"kind": "fm",
                                            "base": {"kind": "constant", "matrix": [[1.0]]}}
