@@ -212,9 +212,14 @@ class TestFourierBlocks:
 
 
 class TestKernelBuffer:
-    """The three kernels take one buffer in turn, each checked and transformed in place."""
+    """The three kernels take one buffer in turn, each checked and transformed in place.  The
+    ``*_in_passes`` forms run the per-node stages in passes of one node each."""
 
     BLOCK_CASES = [((1,), 0, 1), ((2,), 2, 1), ((12,), 3, 1), ((1,), 2, 2), ((3,), 1, 3)]
+
+    @staticmethod
+    def one_node_per_pass(monkeypatch):
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", 1)
 
     @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
     def test_blocks_match_one_kernel_at_a_time(self, grid1k, s, N, T):
@@ -231,6 +236,11 @@ class TestKernelBuffer:
         blocks = fourier_blocks(prob, f, g)
         for got, want in zip((blocks.P, blocks.T, blocks.Q), fourier_blocks_loop(prob, f, g)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s, N, T", BLOCK_CASES)
+    def test_blocks_match_one_kernel_at_a_time_in_passes(self, monkeypatch, grid1k, s, N, T):
+        self.one_node_per_pass(monkeypatch)
+        self.test_blocks_match_one_kernel_at_a_time(grid1k, s, N, T)
 
     @staticmethod
     def t4_peak(grid: FrequencyGrid) -> int:
@@ -256,6 +266,16 @@ class TestKernelBuffer:
         T, grid = 4, FrequencyGrid(2 ** 13)
         peak = self.t4_peak(grid)
         assert peak < 4 * grid.n_grid * T * T * 16
+
+    @pytest.mark.parametrize("fit", [1, 2])
+    def test_peak_in_passes_is_p_its_inverse_and_two_kernels(self, monkeypatch, fit):
+        # with passes of fit kernel sizes the whole stack is one pass, so Q's
+        # f p^{-1} g takes a whole kernel beside the buffer: no stage may hold
+        # more than p, p^{-1} and two kernels
+        T, grid = 4, FrequencyGrid(2 ** 13)
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", fit * grid.n_grid * T * T * 16)
+        peak = self.t4_peak(grid)
+        assert peak < 4.5 * grid.n_grid * T * T * 16
 
     def test_scalar_nodewise_is_matmul_bitwise(self):
         # densities and their inverses are nonnegative, so no zero changes sign
@@ -305,6 +325,18 @@ class TestKernelBuffer:
         message = "non-finite T integrand at node 700 (lambda=1.156622)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             fourier_blocks(prob, f, g)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("T, value, kernel", [(1, np.nan, "P"), (2, np.inf, "Q")])
+    def test_first_bad_kernel_and_node_are_named_in_passes(self, monkeypatch, grid1k, T, value,
+                                                           kernel):
+        self.one_node_per_pass(monkeypatch)
+        self.test_first_bad_kernel_and_node_are_named(grid1k, T, value, kernel)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_noise_names_the_t_kernel_in_passes(self, monkeypatch, grid1k):
+        self.one_node_per_pass(monkeypatch)
+        self.test_infinite_noise_names_the_t_kernel(monkeypatch, grid1k)
 
 
 class TestSolveSystem:
@@ -411,7 +443,10 @@ class TestNodeBlocks:
     the 1024-node stacks here fit in one block otherwise."""
 
     @pytest.mark.parametrize("T", [1, 2, 4])
-    def test_blocks_and_characteristic_match_in_one_node_blocks(self, monkeypatch, grid1k, T):
+    @pytest.mark.parametrize("loop", [False, True], ids=["one buffer", "one kernel a pass"])
+    def test_blocks_and_characteristic_match_in_one_node_blocks(self, monkeypatch, grid1k, T,
+                                                                loop):
+        # the whole-stack kernels are the solve's own, or brute's transformed one a pass
         f, g = ma_pair(grid1k, T)
         fs = FunctionalSpec(N=3, a=np.random.default_rng(T).standard_normal((4, T)))
         prob = Problem(GMIncrementSpec((2,), (1,), (1,)), fs, grid1k)
@@ -423,7 +458,8 @@ class TestNodeBlocks:
             return bits(again.P, again.T, again.Q, again.p_inv, h, h1, h2)
 
         whole = stages()
-        assert whole[:3] == bits(blocks.P, blocks.T, blocks.Q)
+        kernels = fourier_blocks_loop(prob, f, g) if loop else (blocks.P, blocks.T, blocks.Q)
+        assert whole[:3] == bits(*kernels)
         monkeypatch.setattr(spectra, "_BLOCK_BYTES", 1)
         assert stages() == whole
 
