@@ -14,13 +14,20 @@ checkout.  Each side runs in a fresh interpreter with its own ``src`` first
 on PYTHONPATH, in its own empty working directory, and both sides read the
 same config files and workload definitions.  The exit code, stdout,
 stderr and every file a run writes are compared; each difference is printed,
-and the exit status is 1 if there is any, 0 otherwise.  After the summary
+and the exit status is 1 if there is any, 0 otherwise.  A ``.json`` or
+``.csv`` file that differs but parses to the same shape on both sides also
+gets the largest absolute and relative difference among its numbers, and
+the keys that differ: dotted object keys for JSON (a list adds no key),
+header names for CSV.  After the summary
 line comes the line count of ``src/gmi`` in both checkouts and its change,
 which does not affect the exit status.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -71,6 +78,61 @@ def outcome(checkout: Path, args: list[str], work: Path) -> dict[str, bytes]:
     return result
 
 
+def leaves(name: str, data: bytes) -> list | None:
+    """(position, key, value) of every value of a JSON or CSV file, in order, or None if
+    the file is neither or does not parse.  A CSV cell that reads as a number is one."""
+    try:
+        if name.endswith(".json"):
+            out = []
+
+            def walk(obj, position, key):
+                if isinstance(obj, dict):
+                    for k, value in obj.items():
+                        walk(value, position + (k,), key + (k,))
+                elif isinstance(obj, list):
+                    for i, value in enumerate(obj):
+                        walk(value, position + (i,), key)
+                else:
+                    out.append((position, ".".join(key), obj))
+
+            walk(json.loads(data), (), ())
+            return out
+        if name.endswith(".csv"):
+            rows = list(csv.reader(io.StringIO(data.decode())))
+            header = rows[0] if rows else []
+            return [((i, j), header[j] if j < len(header) else str(j), _number(cell))
+                    for i, row in enumerate(rows) for j, cell in enumerate(row)]
+    except (UnicodeDecodeError, ValueError, csv.Error):
+        return None
+    return None
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def numeric_summary(name: str, parent: bytes, change: bytes) -> str:
+    """How the numbers of a JSON or CSV file of the same shape on both sides differ, and
+    under which keys; empty if the file is neither, does not parse, or changed shape."""
+    sides = [leaves(name, data) for data in (parent, change)]
+    if None in sides or [p for p, _, _ in sides[0]] != [p for p, _, _ in sides[1]]:
+        return ""
+    absolute = relative = 0.0
+    keys = {}
+    for (_, key, a), (_, _, b) in zip(*sides):
+        if a != b:
+            keys[key] = None
+            if {type(a), type(b)} <= {int, float}:  # not bool: true and 1 are not one value
+                absolute = max(absolute, abs(a - b))
+                relative = max(relative, abs(a - b) / max(abs(a), abs(b)))
+    label = "columns" if name.endswith(".csv") else "keys"
+    return (f"; numbers differ by up to {absolute:.3g} absolute, {relative:.3g} relative; "
+            f"{label} {', '.join(keys)}")
+
+
 def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
     """What differs between two outcomes of one run, one line each."""
     lines = []
@@ -80,7 +142,8 @@ def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]
         elif key not in parent:
             lines.append(f"{key}: only in the change")
         elif parent[key] != change[key]:
-            lines.append(f"{key}: differs ({len(parent[key])} and {len(change[key])} bytes)")
+            lines.append(f"{key}: differs ({len(parent[key])} and {len(change[key])} bytes)"
+                         + numeric_summary(key, parent[key], change[key]))
     return lines
 
 

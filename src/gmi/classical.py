@@ -2,9 +2,10 @@
 
 Pipeline: lift periodic scalar problems to vector form, transform the target
 weights, assemble the block Fourier matrices of the projection equations,
-solve for the polynomial coefficients c, evaluate the spectral characteristic
-h on the grid, and compute the error by two independent routes (a quadratic
-form in the solved system, and direct quadrature of the error spectra).
+solve for the polynomial coefficients c, form the spectral characteristic h
+on the grid from c (as every minimax ascent step does), and compute the
+error by two independent routes (a quadratic form in the solved system, and
+direct quadrature of the error spectra).
 ``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
 once per pair and keeps them on its ``FourierBlocks`` for the later stages,
 and transforms the three kernels one at a time in one reused buffer, so that no large
@@ -251,20 +252,14 @@ def padded_b(b: np.ndarray, n_gamma: int) -> np.ndarray:
 
 @dataclass
 class SystemSolution:
-    c: np.ndarray          # (N+ng+1, T), c = c1 - c2
-    rhs: np.ndarray        # stacked right-hand side
+    c: np.ndarray          # (N+ng+1, T), the coefficients of h's C-term
+    rhs: np.ndarray        # stacked right-hand side [b]_+ - T a_mu
     condition_number: float
     residual: float
-    c1: np.ndarray         # P^{-1} [b]_+, the differenced-target part
-    c2: np.ndarray         # P^{-1} T a_mu, the noise part
 
 
 def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> SystemSolution:
-    """Solve P c = [b]_+ - T a_mu; reports conditioning and residual.
-
-    One solve with the two right-hand sides [b]_+ and T a_mu gives the
-    parts c1 and c2 of c = c1 - c2, each of the shape (N+ng+1, T) of a_mu.
-    """
+    """Solve P c = [b]_+ - T a_mu; reports conditioning and residual."""
     parts = np.stack([padded_b(b, len(a_mu) - len(b)),
                       blocks.T @ a_mu.reshape(-1).astype(complex)], axis=1)
     rhs = parts[:, 0] - parts[:, 1]
@@ -281,19 +276,15 @@ def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> Syst
             stacklevel=2,
         )
     try:
+        # two right-hand sides, differenced after the solve: c keeps the bits of
+        # P^{-1}[b]_+ - P^{-1} T a_mu, on which every pinned result rests
         c12 = np.linalg.solve(blocks.P, parts)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular projection matrix P") from exc
     c_flat = c12[:, 0] - c12[:, 1]
     residual = float(np.linalg.norm(blocks.P @ c_flat - rhs))
-    return SystemSolution(
-        c=c_flat.reshape(a_mu.shape),
-        rhs=rhs,
-        condition_number=cond,
-        residual=residual,
-        c1=c12[:, 0].reshape(a_mu.shape),
-        c2=c12[:, 1].reshape(a_mu.shape),
-    )
+    return SystemSolution(c=c_flat.reshape(a_mu.shape), rhs=rhs, condition_number=cond,
+                          residual=residual)
 
 
 def _row_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -322,17 +313,12 @@ def _solve(prob: Problem, f: DensityGrid, g: DensityGrid) -> tuple[FourierBlocks
     return blocks, solve_system(blocks, prob.b, prob.a_mu)
 
 
-def _characteristic(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray, sol: SystemSolution,
-                    c: np.ndarray | None = None):
-    """Frequency response h of the optimal estimate, with its two-part split.
+def _characteristic(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
+    """Frequency response h of the optimal estimate, from the solved coefficients c.
 
     h^T = B^T chi/beta - A^T g conj(beta) p^{-1}
           - C^T (conj(beta)/conj(chi)) p^{-1}
-
-    Returns (h, h1, h2) with h = h1 - h2 nodewise; h1 carries the
-    differenced-target part, h2 the noise part, each with its share of the
-    C-term (split through c = c1 - c2 with c1 = P^{-1}[b]_+).  Given c,
-    returns h alone, with its C-term formed from c.
     """
     target_term = prob.B * (prob.chi / prob.beta)[:, None]
     noise_term = np.empty(prob.A.shape, dtype=complex)
@@ -340,25 +326,17 @@ def _characteristic(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray, sol: S
         np.einsum("nt,nts->ns", prob.A[nodes], _nodewise(g_vals[nodes], p_inv[nodes]),
                   out=noise_term[nodes])
     noise_term *= np.conj(prob.beta)[:, None]
+    # a named weight: numpy multiplies a large temporary in place, with the complex
+    # operands swapped, and a swapped product can round differently in the last bit
     c_weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
-
-    def c_term(cc: np.ndarray) -> np.ndarray:
-        return np.einsum("nt,nts->ns", _row_polynomial(cc, prob.grid), p_inv) * c_weight
-
-    if c is not None:
-        return target_term - noise_term - c_term(np.asarray(c))
-    h1 = target_term - c_term(sol.c1)
-    h2 = noise_term - c_term(sol.c2)
-    return h1 - h2, h1, h2
+    c_term = np.einsum("nt,nts->ns", _row_polynomial(c, prob.grid), p_inv) * c_weight
+    return target_term - noise_term - c_term
 
 
-def spectral_characteristic(
-    prob: Problem, f: DensityGrid, g: DensityGrid, c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_characteristic`` of the solved densities (f, g): h rebuilt from c, and the split."""
-    blocks, sol = _solve(prob, f, g)
-    _, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
-    return _characteristic(prob, g.values, blocks.p_inv, sol, c), h1, h2
+def spectral_characteristic(prob: Problem, f: DensityGrid, g: DensityGrid,
+                            c: np.ndarray) -> np.ndarray:
+    """``_characteristic`` of the densities (f, g) with the coefficients c."""
+    return _characteristic(prob, g.values, fourier_blocks(prob, f, g).p_inv, c)
 
 
 def _error_rows(prob: Problem, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,7 +428,7 @@ def _interpolate(prob: Problem, f: DensityGrid, g: DensityGrid) -> Interpolation
     _check_weight_scale(prob, f, g)
     blocks, sol = _solve(prob, f, g)
     minimality = _minimality(spec, prob.w_inv, blocks.p, blocks.p_inv)
-    h = _characteristic(prob, g.values, blocks.p_inv, sol)[0]
+    h = _characteristic(prob, g.values, blocks.p_inv, sol.c)
     # the algebraic error next to the spectral one: they must agree to 1e-6 relative
     spectral = mse_of_characteristic(prob, f, g, h)
     delta_alg = _algebraic_mse(blocks, sol, fspec.a)

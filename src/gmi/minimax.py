@@ -559,7 +559,7 @@ def feasible_start(ctx: _Problem) -> tuple[DensityGrid, DensityGrid]:
 
 def _gradient_kernels(ctx: _Problem, g_vals, blocks, sol) -> tuple[np.ndarray, np.ndarray]:
     """Error rows r_f, r_g; the gradient kernels conj(r) r^T of the error are rank one."""
-    return _error_rows(ctx, _characteristic(ctx, g_vals, blocks.p_inv, sol, sol.c))
+    return _error_rows(ctx, _characteristic(ctx, g_vals, blocks.p_inv, sol.c))
 
 
 def _lp_f(ctx: _Problem, r_f: np.ndarray) -> np.ndarray | None:

@@ -1,7 +1,8 @@
 """Brute-force references for the tests: loop forms of vectorized code, the
 observed indices of a window in natural order, the values of a scalar
 density, the combined density and its lag covariances, a seeded spectral
-sampler, the error functional of a fixed characteristic, a least favorable
+sampler, the paper's two-part split of the spectral characteristic, the error
+functional of a fixed characteristic, a least favorable
 search, the plain extremal-equation bisection, the stable-sort box shift,
 the per-sample saddle check, the value-by-value JSON emitter, and the
 density checks decided by eigenvalues alone."""
@@ -13,10 +14,13 @@ import numpy as np
 from gmi.classical import (
     FunctionalSpec,
     Problem,
+    SystemSolution,
     _block_toeplitz,
     _error_energy,
     _error_rows,
+    _row_polynomial,
     mse_of_characteristic,
+    padded_b,
     solve_interpolation,
 )
 from gmi.errors import NumericalError, SingularDensityError, ValidationError
@@ -247,6 +251,35 @@ def fourier_blocks_loop(prob: Problem, f: DensityGrid, g: DensityGrid):
     return (_block_toeplitz(coeffs[0].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
             _block_toeplitz(coeffs[1].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
             _block_toeplitz(coeffs[2], N + 1, dim, lambda j, k: j - k))
+
+
+def characteristic_split(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray,
+                         sol: SystemSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's split h = h1 - h2 of the spectral characteristic of the solved sol.
+
+    h1^T = B^T chi/beta - C1^T (conj(beta)/conj(chi)) p^{-1} with c1 = P^{-1} [b]_+, the
+    differenced-target part; h2^T = A^T g conj(beta) p^{-1} - C2^T (conj(beta)/conj(chi))
+    p^{-1} with c2 = P^{-1} T a_mu, the noise part.  P and T are formed here from p^{-1}
+    and g, each kernel transformed alone; c1 - c2 must be the solved c.
+    """
+    spec, dim = prob.spec, p_inv.shape[1]
+    size = prob.fspec.N + spec.n_gamma() + 1
+    offsets = np.arange(-(size - 1), size)
+    w = prob.w_inv[:, None, None]
+    sign = -1.0 if spec.total_order() % 2 else 1.0
+    P, T = (_block_toeplitz(prob.grid.fourier(kern, offsets).transpose(0, 2, 1), size, dim,
+                            lambda j, k: k - j)
+            for kern in (w * p_inv, sign * w * (g_vals @ p_inv)))
+    rhs = np.stack([padded_b(prob.b, spec.n_gamma()),
+                    T @ prob.a_mu.reshape(-1).astype(complex)], axis=1)
+    c1, c2 = np.linalg.solve(P, rhs).T.reshape(2, *prob.a_mu.shape)
+    scale = np.max(np.abs(sol.c))
+    assert np.max(np.abs(c1 - c2 - sol.c)) <= 1e-10 * scale, "the split is of another system"
+    weight = (np.conj(prob.beta) / np.conj(prob.chi))[:, None]
+    c_term1, c_term2 = (np.einsum("nt,nts->ns", _row_polynomial(cc, prob.grid), p_inv) * weight
+                        for cc in (c1, c2))
+    noise = np.einsum("nt,nts->ns", prob.A, g_vals @ p_inv) * np.conj(prob.beta)[:, None]
+    return prob.B * (prob.chi / prob.beta)[:, None] - c_term1, noise - c_term2
 
 
 def refined_min_modulus(den: np.ndarray, grid: FrequencyGrid) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import (
+    characteristic_split,
     coeffs_a_mu_loop,
     fourier_blocks_loop,
     scalar_values,
@@ -392,7 +393,7 @@ class TestSpectralCharacteristic:
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
         g = constant_density(grid1k, 0.5)
         fs = FunctionalSpec(N=1, a=np.zeros((2, 1)))
-        h, h1, h2 = spectral_characteristic(Problem(SPEC11, fs, grid1k), f, g, np.zeros((3, 1)))
+        h = spectral_characteristic(Problem(SPEC11, fs, grid1k), f, g, np.zeros((3, 1)))
         assert np.max(np.abs(h)) < 1e-14
 
     def test_split_identity(self, grid1k):
@@ -401,13 +402,14 @@ class TestSpectralCharacteristic:
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [0.7]]))
         prob = Problem(SPEC11, fs, grid1k)
         blocks, sol = _solve(prob, f, g)
-        h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
+        h = _characteristic(prob, g.values, blocks.p_inv, sol.c)
+        h1, h2 = characteristic_split(prob, g.values, blocks.p_inv, sol)
         assert np.max(np.abs(h1 - h2 - h)) < 1e-12 * max(1.0, np.max(np.abs(h)))
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_matches_the_solved_split(self, grid1k, T):
-        # spectral_characteristic rebuilds h from c; its split is the one whose difference
-        # is the pipeline's h, bit for bit
+        # spectral_characteristic forms h from c as the pipeline does, bit for bit; the
+        # paper's split of the solved system differs from it by rounding only
         if T == 1:
             spec = GMIncrementSpec((2,), (1,), (1,))
             f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
@@ -418,9 +420,12 @@ class TestSpectralCharacteristic:
             g = constant_density(grid1k, [[0.4, 0.1], [0.1, 0.5]])
         fs = FunctionalSpec(N=2, a=np.random.default_rng(T).standard_normal((3, T)))
         sol = solve_interpolation(spec, f, g, fs)
-        h, h1, h2 = spectral_characteristic(Problem(spec, fs, grid1k), f, g, sol.c)
-        assert (h1 - h2).tobytes() == sol.h.tobytes()
-        assert np.max(np.abs(h - sol.h)) <= 1e-12 * np.max(np.abs(sol.h))
+        prob = Problem(spec, fs, grid1k)
+        h = spectral_characteristic(prob, f, g, sol.c)
+        assert h.tobytes() == sol.h.tobytes()
+        blocks, system = _solve(prob, f, g)
+        h1, h2 = characteristic_split(prob, g.values, blocks.p_inv, system)
+        assert np.max(np.abs(h1 - h2 - sol.h)) <= 1e-12 * np.max(np.abs(sol.h))
 
     def test_zero_noise_reduction(self, grid1k):
         f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
@@ -454,8 +459,8 @@ class TestNodeBlocks:
 
         def stages():
             again = fourier_blocks(prob, f, g)
-            h, h1, h2 = _characteristic(prob, g.values, blocks.p_inv, sol)
-            return bits(again.P, again.T, again.Q, again.p_inv, h, h1, h2)
+            h = _characteristic(prob, g.values, blocks.p_inv, sol.c)
+            return bits(again.P, again.T, again.Q, again.p_inv, h)
 
         whole = stages()
         kernels = fourier_blocks_loop(prob, f, g) if loop else (blocks.P, blocks.T, blocks.Q)

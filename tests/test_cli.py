@@ -184,9 +184,9 @@ def test_oracle_builds_the_problem_once(tmp_path, monkeypatch):
                  "--output-dir", str(tmp_path), "--quiet"])
     assert code == 0
     # symbols: the problem and the minimality check's refined grid;
-    # row polynomials: A, B and the two parts c1, c2 of the solved c
+    # row polynomials: A, B and the solved c
     assert {name: len(c) for name, c in calls.items()} == \
-        {"transform_b": 1, "_chi_beta": 2, "_row_polynomial": 4}
+        {"transform_b": 1, "_chi_beta": 2, "_row_polynomial": 3}
 
 
 @pytest.mark.parametrize("config", ["interpolate.json", "periodic.json"])

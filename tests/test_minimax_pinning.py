@@ -14,6 +14,9 @@ The saddle report of each five-step result, checked with 20 samples, is
 pinned by its repr: every count, flag and float bit must stay.  The same
 check with a sample count that fills no whole block must equal the
 per-sample reference loop of tests/brute.py.
+
+The reported h0 of a five-step result is, bit for bit, the h that the
+ascent's gradient kernels form from the solved c at (f0, g0).
 """
 
 import functools
@@ -22,10 +25,10 @@ import itertools
 import numpy as np
 import pytest
 
-from gmi.classical import FunctionalSpec
+from gmi.classical import FunctionalSpec, _characteristic, _error_rows
 from gmi.increments import GMIncrementSpec
 from gmi.minimax import (SADDLE_BLOCK, DensityClassSpec, FClassSpec, GClassSpec, MinimaxOptions,
-                         saddle_check, solve_minimax)
+                         _delta_core, _gradient_kernels, saddle_check, solve_minimax)
 from gmi.spectra import DensityGrid, DensityModel, FrequencyGrid
 
 import brute
@@ -93,39 +96,39 @@ PINNED = {
 #: case -> saddle_report of the five-step result at 20 samples and seed 5:
 #: (skipped samples, pass, max_violation, left_min_margin)
 SADDLE_PINNED = {
-    "T1-D0_1-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_1-fixed": (0, False, 0.0001162869605018102, 0.009854023757206676),
     "T1-D0_1-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
-    "T1-D0_2-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_2-fixed": (0, False, 0.0001162869605018102, 0.009854023757206676),
     "T1-D0_2-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
-    "T1-D0_3-fixed": (0, False, 0.00011628696050092202, 0.009854023757206676),
+    "T1-D0_3-fixed": (0, False, 0.0001162869605018102, 0.009854023757206676),
     "T1-D0_3-zero": (0, False, 3.9060137773549997e-05, 0.007862788626440409),
-    "T1-D0_4-fixed": (0, False, 3.172606934365163e-05, 0.005426133398334088),
+    "T1-D0_4-fixed": (0, False, 3.172606934409572e-05, 0.005426133398334088),
     "T1-D0_4-zero": (0, False, 1.9530068886774998e-05, 0.0039313943132202045),
-    "T1-D1delta_1-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_1-fixed": (0, True, -0.04220180595555778, 0.011759639202368888),
     "T1-D1delta_1-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
-    "T1-D1delta_2-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_2-fixed": (0, True, -0.04220180595555778, 0.011759639202368888),
     "T1-D1delta_2-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
     "T1-D1delta_3-fixed": (0, True, -0.04642110620956519, 0.015370465563028013),
     "T1-D1delta_3-zero": (0, True, -0.056021710407921255, 0.025793340178298152),
-    "T1-D1delta_4-fixed": (0, True, -0.04220180595555778, 0.011759639202368),
+    "T1-D1delta_4-fixed": (0, True, -0.04220180595555778, 0.011759639202368888),
     "T1-D1delta_4-zero": (0, True, -0.05736538862866203, 0.02529770019304456),
-    "T1-fixed-DVU_1": (0, True, -0.0002183914162898759, 0.017317737562736468),
+    "T1-fixed-DVU_1": (0, True, -0.0002183914162898759, 0.01731773756273558),
     "T1-fixed-DVU_2": (0, True, -0.0004967929244532598, 0.015445357759393374),
     "T1-fixed-DVU_3": (0, True, -0.0004967929244532598, 0.015445357759393374),
     "T1-fixed-DVU_4": (0, True, -0.0004967929244532598, 0.015445357759393374),
     "T1-fixed-Deps_1": (0, False, 6.30884872876436e-06, 0.006794334563629434),
     "T1-fixed-Deps_2": (0, True, -5.826131422015379e-05, 0.010435547010589907),
-    "T1-fixed-Deps_3": (0, True, -0.0002771095445943672, 0.017317737562736468),
+    "T1-fixed-Deps_3": (0, True, -0.0002771095445952554, 0.01731773756273558),
     "T1-fixed-Deps_4": (0, True, -5.826131422015379e-05, 0.010435547010589907),
     "T1-fixed-fixed": (0, True, 0.0, 0.019773493419134702),
     "T1-fixed-zero": (0, True, 4.440892098500626e-16, 0.0376692059029069),
-    "T2-D0_1-fixed": (0, False, 0.0031267759524347127, 0.003775967865954577),
+    "T2-D0_1-fixed": (0, False, 0.003126775952435157, 0.003775967865954577),
     "T2-D0_1-zero": (0, False, 0.0004336069308172874, 0.009434581349661908),
     "T2-D0_2-fixed": (0, False, 0.0024395705993891514, 0.05985794029299707),
     "T2-D0_2-zero": (0, False, 0.00020067916996713286, 0.007317315669576496),
     "T2-D0_3-fixed": (0, False, 0.0026018039246173963, 0.020132773510853408),
     "T2-D0_3-zero": (0, False, 0.00022414336284692915, 0.007452957132183302),
-    "T2-D0_4-fixed": (0, False, 0.0023327549978646722, 0.04034275912071328),
+    "T2-D0_4-fixed": (0, False, 0.0023327549978648943, 0.0403427591207135),
     "T2-D0_4-zero": (0, False, 0.00013378611331127388, 0.004878210446384035),
     "T2-D1delta_1-fixed": (0, False, 0.0046666344925396785, 0.25876701534627955),
     "T2-D1delta_1-zero": (0, False, 0.003758840754006343, 0.07032260413413804),
@@ -135,14 +138,14 @@ SADDLE_PINNED = {
     "T2-D1delta_3-zero": (0, False, 0.002898692729862873, 0.06998569723812897),
     "T2-D1delta_4-fixed": (20, False, 0.0, 0.24837911567370696),
     "T2-D1delta_4-zero": (20, False, 0.0, 0.07356243173275567),
-    "T2-fixed-DVU_1": (0, True, -0.00012744026015409915, 0.0014567210001139586),
+    "T2-fixed-DVU_1": (0, True, -0.00012744026015454324, 0.0014567210001139586),
     "T2-fixed-DVU_2": (0, False, 0.00033763231472550004, 0.0047576120999131),
-    "T2-fixed-DVU_3": (0, False, 0.00011730703703305423, 0.0014557328586595197),
-    "T2-fixed-DVU_4": (0, False, 1.902247217300257e-05, 0.0014567210001139586),
-    "T2-fixed-Deps_1": (20, False, 0.0, 0.08333349084738373),
+    "T2-fixed-DVU_3": (0, False, 0.00011730703703305423, 0.0014557328586586316),
+    "T2-fixed-DVU_4": (0, False, 1.902247217300257e-05, 0.0014567210001144026),
+    "T2-fixed-Deps_1": (20, False, 0.0, 0.08333349084738328),
     "T2-fixed-Deps_2": (0, False, 6.543037267370266e-05, 0.0022611043102394035),
-    "T2-fixed-Deps_4": (18, False, 5.421272748007411e-05, 0.003563834734207294),
-    "T2-fixed-fixed": (0, True, 1.3322676295501878e-15, 0.0021894247093561248),
+    "T2-fixed-Deps_4": (18, False, 5.421272748007411e-05, 0.003563834734207738),
+    "T2-fixed-fixed": (0, True, 8.881784197001252e-16, 0.0021894247093556807),
     "T2-fixed-zero": (0, True, 4.440892098500626e-16, 0.062195671037986955),
 }
 SADDLE_SAMPLES, SADDLE_SEED = 20, 5
@@ -249,6 +252,20 @@ def test_pinned_delta0_and_steps(name):
     delta0, steps = PINNED[name]
     assert res.delta0 == pytest.approx(delta0, rel=1e-9, abs=0)
     assert len(res.trace) == steps
+
+
+@pytest.mark.parametrize("name", ["T1-D0_1-fixed", "T2-fixed-DVU_1"])
+def test_h0_is_the_characteristic_the_ascent_forms(name):
+    """The reported h0 is the h of the ascent's gradient kernels at (f0, g0), bit for bit:
+    both form it from the solved c."""
+    res = _pinned_run(name)
+    ctx, g_vals = res.problem, res.g0.values
+    _, blocks, sol = _delta_core(ctx, res.f0.values, g_vals)
+    assert sol.c.tobytes() == res.solution.c.tobytes()
+    rows = _gradient_kernels(ctx, g_vals, blocks, sol)
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in _error_rows(ctx, res.h0)]
+    h = _characteristic(ctx, g_vals, blocks.p_inv, res.solution.c)
+    assert h.tobytes() == res.h0.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SADDLE_PINNED))

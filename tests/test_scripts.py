@@ -37,6 +37,21 @@ def test_same_outputs_names_each_difference():
     assert same_outputs.differences(parent, change) == [
         "file out/a.csv: only in the parent", "file out/b.csv: only in the change",
         "stdout: differs (8 and 8 bytes)"]
+    # a JSON or CSV file of one shape on both sides: its largest number differences and keys
+    parent = {"file minimax.json": b'{"h0":[[1.0,2.0]],"n":3,"report":{"gap":0.5,"pass":true}}',
+              "file h.csv": b"lambda,h0_re,h0_im\n0.5,1,-4\n1.5,2,8\n"}
+    change = {"file minimax.json": b'{"h0":[[1.0,2.5]],"n":3,"report":{"gap":0.5,"pass":false}}',
+              "file h.csv": b"lambda,h0_re,h0_im\n0.5,1,-4\n1.5,2,6\n"}
+    assert same_outputs.differences(parent, change) == [
+        "file h.csv: differs (36 and 36 bytes); numbers differ by up to 2 absolute, "
+        "0.25 relative; columns h0_im",
+        "file minimax.json: differs (57 and 58 bytes); numbers differ by up to 0.5 absolute, "
+        "0.2 relative; keys h0, report.pass"]
+    # a change of shape, or a file that does not parse, keeps the plain line
+    change = {"file minimax.json": b'{"h0":[[1.0]],"n":3,"report":{"gap":0.5,"pass":true}}',
+              "file h.csv": b"\xff"}
+    assert same_outputs.differences(parent, change) == [
+        "file h.csv: differs (36 and 1 bytes)", "file minimax.json: differs (57 and 53 bytes)"]
     configs = [ROOT / "configs" / name for name in ("a.json", "b.json")]
     assert len(same_outputs.runs(configs)) == (2 * len(same_outputs.COMMANDS) + 1
                                                + len(same_outputs.SEEDS))
