@@ -238,19 +238,24 @@ def combine(f: DensityGrid, g: DensityGrid, spec: GMIncrementSpec) -> DensityGri
     return _combine(f, g, np.abs(beta) ** 2)
 
 
+def _p_and_t_loop(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray):
+    """(P, T) of ``classical.fourier_blocks`` with each kernel formed and transformed alone."""
+    size = prob.fspec.N + prob.spec.n_gamma() + 1
+    offsets = np.arange(-(size - 1), size)
+    w = prob.w_inv[:, None, None]
+    sign = -1.0 if prob.spec.total_order() % 2 else 1.0
+    return tuple(_block_toeplitz(prob.grid.fourier(kern, offsets).transpose(0, 2, 1), size,
+                                 p_inv.shape[1], lambda j, k: k - j)
+                 for kern in (w * p_inv, sign * w * (g_vals @ p_inv)))
+
+
 def fourier_blocks_loop(prob: Problem, f: DensityGrid, g: DensityGrid):
     """(P, T, Q) of ``classical.fourier_blocks`` with each kernel formed and transformed alone."""
-    spec, N, dim = prob.spec, prob.fspec.N, f.dim
-    size = N + spec.n_gamma() + 1
+    N = prob.fspec.N
     p_inv = inverse_density(_combine(f, g, prob.beta2))
-    w = prob.w_inv[:, None, None]
-    sign = -1.0 if spec.total_order() % 2 else 1.0
-    kernels = (w * p_inv, sign * w * (g.values @ p_inv), f.values @ p_inv @ g.values)
-    offsets = (np.arange(-(size - 1), size),) * 2 + (np.arange(-N, N + 1),)
-    coeffs = [f.grid.fourier(k, m) for k, m in zip(kernels, offsets)]
-    return (_block_toeplitz(coeffs[0].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
-            _block_toeplitz(coeffs[1].transpose(0, 2, 1), size, dim, lambda j, k: k - j),
-            _block_toeplitz(coeffs[2], N + 1, dim, lambda j, k: j - k))
+    Q = _block_toeplitz(f.grid.fourier(f.values @ p_inv @ g.values, np.arange(-N, N + 1)),
+                        N + 1, f.dim, lambda j, k: j - k)
+    return (*_p_and_t_loop(prob, g.values, p_inv), Q)
 
 
 def characteristic_split(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray,
@@ -262,15 +267,8 @@ def characteristic_split(prob: Problem, g_vals: np.ndarray, p_inv: np.ndarray,
     p^{-1} with c2 = P^{-1} T a_mu, the noise part.  P and T are formed here from p^{-1}
     and g, each kernel transformed alone; c1 - c2 must be the solved c.
     """
-    spec, dim = prob.spec, p_inv.shape[1]
-    size = prob.fspec.N + spec.n_gamma() + 1
-    offsets = np.arange(-(size - 1), size)
-    w = prob.w_inv[:, None, None]
-    sign = -1.0 if spec.total_order() % 2 else 1.0
-    P, T = (_block_toeplitz(prob.grid.fourier(kern, offsets).transpose(0, 2, 1), size, dim,
-                            lambda j, k: k - j)
-            for kern in (w * p_inv, sign * w * (g_vals @ p_inv)))
-    rhs = np.stack([padded_b(prob.b, spec.n_gamma()),
+    P, T = _p_and_t_loop(prob, g_vals, p_inv)
+    rhs = np.stack([padded_b(prob.b, prob.spec.n_gamma()),
                     T @ prob.a_mu.reshape(-1).astype(complex)], axis=1)
     c1, c2 = np.linalg.solve(P, rhs).T.reshape(2, *prob.a_mu.shape)
     scale = np.max(np.abs(sol.c))
