@@ -11,7 +11,9 @@ which writes its ``solution.json`` and ``spectral_characteristic.csv`` (no
 shipped config reaches their grids, where the solve's stacks span several
 node blocks).  Every run goes once from PARENT_DIR and once from this
 checkout.  Each side runs in a fresh interpreter with its own ``src`` first
-on PYTHONPATH, in its own empty working directory, and both sides read the
+on PYTHONPATH and the BLAS threads capped at one (THREAD_VARS, as
+``perfbench/run.py`` caps them, so no artifact depends on the caller's
+setting), in its own empty working directory, and both sides read the
 same config files and workload definitions.  The exit code, stdout,
 stderr and every file a run writes are compared; each difference is printed,
 and the exit status is 1 if there is any, 0 otherwise.  A ``.json`` or
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("interpolate", "oracle-verify", "minimax", "classify", "coeffs")
 STUDY = "scripts/minimax_study.py"
 SEEDS = (107, 311)
+THREAD_VARS = ("GMI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # argv: the perfbench directory and a seed; one directory of artifacts per operation
 CLASSICAL_LARGE = """\
 import sys
@@ -66,7 +69,7 @@ def runs(configs: list[Path]) -> dict[str, list[str]]:
 def outcome(checkout: Path, args: list[str], work: Path) -> dict[str, bytes]:
     """Exit code, stdout, stderr and the bytes of every file written, of one run in work."""
     work.mkdir(parents=True)
-    env = dict(os.environ)
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     done = subprocess.run([sys.executable] + [a.format(checkout=checkout) for a in args],

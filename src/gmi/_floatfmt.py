@@ -1,8 +1,8 @@
 """The vectorized ``"%.17g"`` kernel behind the CSV tables and JSON arrays of
-``gmi.io``: ``format_rows`` gives, for a whole float64 table, the bytes that
-``io._format_float`` gives value by value (``format_blocks`` a block of rows
-at a time).  ``gmi.io`` imports it only when it writes a float array, so
-commands that write none never load it.
+``gmi.io``: ``format_blocks`` gives, for a float64 table, a block of rows at
+a time, the bytes that ``io._format_float`` gives value by value.  ``gmi.io``
+imports it only when it writes a float array, so commands that write none
+never load it.
 
 * Digits.  For a normal x with |x| <= 1e290 and k = floor(log10 |x|), the
   digits are D = round(V), V = |x| 10^q, q = 16 - k.  10^q is held as
@@ -191,8 +191,3 @@ def format_blocks(table: np.ndarray, tails: np.ndarray):
         io._format_float(float(table[bad][0]))  # raises ValidationError
     step = max(1, _BLOCK_VALUES // max(1, table.shape[1]))
     return (_format_block(table[i:i + step], tails) for i in range(0, table.shape[0], step))
-
-
-def format_rows(table: np.ndarray, tails: np.ndarray) -> bytes:
-    """The blocks of ``format_blocks`` joined."""
-    return b"".join(format_blocks(table, tails))

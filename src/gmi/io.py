@@ -92,14 +92,14 @@ def _emit(obj, out: list[str]):
 
 
 def _json_array(arr: np.ndarray) -> str:
-    """Nested JSON lists of a non-empty float or complex array, in one kernel pass.
+    """Nested JSON lists of a non-empty float or complex array: the kernel's blocks, joined.
 
     A value whose c innermost indices are all last closes c lists and opens
     c again after its comma; the last value's tail is cut back to one "]"
     less than the dimension count, and the outer "]" closes the array.
     """
     import numpy as np
-    from ._floatfmt import format_rows
+    from ._floatfmt import format_blocks
 
     if arr.dtype.kind == "c":
         arr = complex_array(arr)
@@ -114,7 +114,7 @@ def _json_array(arr: np.ndarray) -> str:
     for col, c in enumerate(closes):
         text = b"]" * c + b"," + b"[" * c
         tails[col, :len(text)] = np.frombuffer(text, np.uint8)
-    body = format_rows(arr.reshape(arr.shape[0], cols), tails)
+    body = b"".join(format_blocks(arr.reshape(arr.shape[0], cols), tails))
     return "[" * arr.ndim + body[:-arr.ndim].decode() + "]"
 
 

@@ -40,8 +40,6 @@ GAP_RTOL = 1e-3
 #: the line search runs LINE_SEARCH_EVALS - 2 ternary rounds (at T = 1 only if
 #: no extremal-equation candidate improves)
 LINE_SEARCH_EVALS = 16
-#: saddle samples drawn, projected and checked as one (b, n, T, T) stack
-SADDLE_BLOCK = 4
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:
@@ -55,18 +53,16 @@ def _rank_one(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.einsum("nt,ns->nts", v, np.conj(v)) / np.where(zero, 1.0, norm)[:, None, None]
 
 
-def _worst(k: int, x, floor=None):  # Python's max(max x, floor) per sample (first k axes)
-    top = np.max(np.reshape(x, np.shape(x)[:k] + (-1,)), axis=-1)
-    top = top if floor is None else np.where(floor > top, floor, top)
-    return float(top) if k == 0 else top
+def _worst(x, floor: float) -> float:
+    return max(float(np.max(x)), floor)
 
 
-def _lift(x) -> np.ndarray:  # a factor per sample of a stack, cast as its product casts it
-    return np.asarray(x, dtype=complex)[..., None, None, None]
+def _lift(x) -> complex:  # a scalar factor, cast as its product with a complex value casts it
+    return complex(x)
 
 
-def _psd_violation(y: np.ndarray, k: int = 0):
-    return _worst(k, -hermitian_eigenvalues(y), 0.0)
+def _psd_violation(y: np.ndarray) -> float:
+    return _worst(-hermitian_eigenvalues(y), 0.0)
 
 
 class _Measure:
@@ -79,8 +75,8 @@ class _Measure:
         self.name, self.dim = name, dim
         self.B = np.eye(dim) if B is None else np.atleast_2d(np.asarray(B, dtype=complex))
 
-    def below(self, y, k=0):  # largest violation of y >= 0 per sample
-        return _worst(k, -y, 0.0)
+    def below(self, y):  # largest violation of y >= 0
+        return _worst(-y, 0.0)
 
     def rescale(self, x, target, have):  # move the measure of x from have to target
         return x * _lift(target / np.maximum(have, 1e-300))
@@ -110,7 +106,7 @@ class _Diag(_Measure):
 
     def rescale(self, x, target, have):
         s = np.sqrt(target / np.maximum(have, 1e-300))
-        return x * s[..., None, None, :] * s[..., None, :, None]
+        return x * s * s[:, None]
 
     def components(self, r, budget, whiten=True):
         unit = np.eye(self.dim)
@@ -127,8 +123,7 @@ class _Matrix(_Measure):
     below = staticmethod(_psd_violation)
 
     def rescale(self, x, target, have):
-        return x * _lift(np.trace(target).real
-                         / np.maximum(np.trace(have, axis1=-2, axis2=-1).real, 1e-300))
+        return x * _lift(np.trace(target).real / np.maximum(np.trace(have).real, 1e-300))
 
     def components(self, r, budget, whiten=True):
         return [(_norm2(r), np.broadcast_to(budget, (len(r),) + budget.shape))]
@@ -153,13 +148,13 @@ class _Pinned:
     def start(self):
         return self.values.copy()
 
-    def project(self, vals):  # every sample projects onto the pinned density
-        return np.broadcast_to(self.values, vals.shape)
+    def project(self, vals):  # every value projects onto the pinned density
+        return self.values
 
     vertex = staticmethod(lambda r: None)
 
     def residual(self, vals):
-        return _worst(vals.ndim - 3, np.abs(vals - self.values))
+        return float(np.max(np.abs(vals - self.values)))
 
 
 class _Family:
@@ -186,8 +181,8 @@ class _Family:
     def params(cls, measure: str) -> tuple:
         return cls.base + ((cls.b_param,) if measure == "btrace" else ()) + (cls.budgets[measure],)
 
-    def weighted_mean(self, y, k=0):  # over the nodes, axis k of y
-        return np.mean(self.w.reshape((-1,) + (1,) * (y.ndim - 1 - k)) * y, axis=k)
+    def weighted_mean(self, y):  # over the nodes, the first axis of y
+        return np.mean(self.w.reshape((-1,) + (1,) * (y.ndim - 1)) * y, axis=0)
 
     def place(self, vals, components, scale):
         """Add each component's block at its best node pair with mass n / (2 scale_j)."""
@@ -204,10 +199,10 @@ class _Family:
 
     def residual(self, vals):
         """Noise families: the larger of the bound violations and the budget miss."""
-        k, got, (lo, hi) = vals.ndim - 3, self.m.of(vals), self.bounds
-        worst = _worst(k, np.abs(np.mean(got, axis=k) - self.budget),
-                       self.m.below(got - self.m.of(lo), k))
-        return worst if hi is None else _worst(k, worst, self.m.below(self.m.of(hi) - got, k))
+        got, (lo, hi) = self.m.of(vals), self.bounds
+        worst = _worst(np.abs(np.mean(got, axis=0) - self.budget),
+                       self.m.below(got - self.m.of(lo)))
+        return worst if hi is None else max(worst, self.m.below(self.m.of(hi) - got))
 
     def budget_residual(self, vals):
         return self.residual(vals)
@@ -248,14 +243,14 @@ class _Budget(_Family):
         self.bounds = (np.zeros((self.n, 1, 1)), None)
 
     def budget_used(self, vals):
-        return self.weighted_mean(self.m.of(vals), vals.ndim - 3)
+        return self.weighted_mean(self.m.of(vals))
 
     def start(self):
         flat = self.m.flat(self.budget) / np.mean(self.w)
         return np.broadcast_to(flat, (self.n, self.dim, self.dim)).astype(complex)
 
     def residual(self, vals):
-        return _worst(vals.ndim - 3, np.abs(self.budget_used(vals) - self.budget))
+        return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
 
     def vertex(self, r):
         zeros = np.zeros((self.n, self.dim, self.dim), dtype=complex)
@@ -280,13 +275,13 @@ class _Ball(_Family):
         self.bounds = (self.f1, None)
 
     def budget_used(self, vals):
-        return self.weighted_mean(np.abs(self.m.of(vals - self.f1)), vals.ndim - 3)
+        return self.weighted_mean(np.abs(self.m.of(vals - self.f1)))
 
     def start(self):
         return self.f1.copy()
 
     def residual(self, vals):
-        return _worst(vals.ndim - 3, self.budget_used(vals) - self.budget, 0.0)
+        return _worst(self.budget_used(vals) - self.budget, 0.0)
 
     def budget_residual(self, vals):
         return float(np.max(np.abs(self.budget_used(vals) - self.budget)))
@@ -298,10 +293,8 @@ class _Ball(_Family):
         return self.place(self.f1.copy(), m.components(r, budget, whiten=False), self.w)
 
     def project(self, vals):
-        used, bound = _worst(vals.ndim - 3, self.budget_used(vals)), float(np.max(self.budget))
-        keep = np.asarray(used <= bound)
-        return np.where(keep[..., None, None, None], vals,
-                        self.f1 + _lift(bound / np.where(keep, bound, used)) * (vals - self.f1))
+        used, bound = float(np.max(self.budget_used(vals))), float(np.max(self.budget))
+        return vals if used <= bound else self.f1 + _lift(bound / used) * (vals - self.f1)
 
 
 class _Floor(_Family):
@@ -332,8 +325,7 @@ class _Floor(_Family):
         free = vals - self.floor
         if self.dim == 1:
             free = np.maximum(free.real, 0.0).astype(complex)
-        return self.floor + self.m.rescale(free, self.free,
-                                           self.m.of(np.mean(free, axis=vals.ndim - 3)))
+        return self.floor + self.m.rescale(free, self.free, self.m.of(np.mean(free, axis=0)))
 
 
 class _Box(_Family):
@@ -386,19 +378,19 @@ class _Box(_Family):
 
     def project(self, vals):
         if self.dim == 1:
-            x = _shift_clip(vals[:, :, 0, 0].real, self.V[:, 0, 0].real, self.U[:, 0, 0].real,
+            x = _shift_clip(vals[:, 0, 0].real, self.V[:, 0, 0].real, self.U[:, 0, 0].real,
                             self.scalar_budget)
-            return x[:, :, None, None].astype(complex)
-        if self.m.name == "matrix":  # blend each sample toward the feasible start until admissible
+            return x[:, None, None].astype(complex)
+        if self.m.name == "matrix":  # blend toward the feasible start until admissible
             start, ts = self.start(), np.linspace(0.0, 1.0, 21)
-            return np.stack([next((c for c in ((1.0 - t) * v + t * start for t in ts)
-                                   if self.residual(c) <= FEASIBILITY_TOL), v) for v in vals])
+            return next((c for c in ((1.0 - t) * vals + t * start for t in ts)
+                         if self.residual(c) <= FEASIBILITY_TOL), vals)
         # shift each measured component into the box, then rescale every node to it
-        got, lo, hi = (self.m.of(x).reshape(x.shape[:-2] + (-1,)) for x in (vals, self.V, self.U))
-        t = np.stack([_shift_clip(got[..., k], lo[:, k], hi[:, k], b)
+        got, lo, hi = (self.m.of(x).reshape(self.n, -1) for x in (vals, self.V, self.U))
+        t = np.stack([_shift_clip(got[:, k], lo[:, k], hi[:, k], b)
                       for k, b in enumerate(np.reshape(self.budget, -1))], axis=-1)
         s = np.sqrt(t / np.maximum(got, 1e-300))
-        return vals * s[:, :, None, :] * s[:, :, :, None]
+        return vals * s[:, None, :] * s[:, :, None]
 
 
 #: class kind -> (family, measure): the suffixes _1.._4 differ only in the measure
@@ -518,17 +510,17 @@ class _Problem(Problem):
 
 def _sym_value(x: np.ndarray, clip: bool = False) -> np.ndarray:
     """Symmetrize so that value(-l) = value(l)^T holds exactly; clip scalar values at 0."""
-    x = x + np.swapaxes(x[..., ::-1, :, :], -1, -2)
+    x = x + np.swapaxes(x[::-1], 1, 2)
     x *= 0.5
     return np.maximum(x.real, 0.0).astype(complex) if clip and x.shape[-1] == 1 else x
 
 
 def feasibility_report(ctx: _Problem, f_vals: np.ndarray, g_vals: np.ndarray) -> dict:
-    """Signed constraint residuals of the pair (f, g), or of each in a stack; 0 means feasible."""
+    """Signed constraint residuals of the pair (f, g); 0 means feasible."""
     F, G = ctx.f, ctx.g
     rf, rg = F.residual(f_vals), G.residual(g_vals)
     return {"f": {"kind": F.kind, "residual": rf}, "g": {"kind": G.kind, "residual": rg},
-            "max_residual": _worst(f_vals.ndim - 3, rf, rg)}
+            "max_residual": max(rf, rg)}
 
 
 def validate_class_spec(class_spec: DensityClassSpec, dim: int) -> None:
@@ -594,7 +586,7 @@ def _waterfill_traces(rate: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget_m
 
 
 def _shift_clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float) -> np.ndarray:
-    """clip(x + s, lo, hi) for x (or each row of x) clipped to the box, with the s giving the mean.
+    """clip(x + s, lo, hi) for the row x clipped to the box, with the s giving the mean.
 
     The sum is piecewise linear in s: its slope rises by one where a node
     leaves lo (s = lo - x) and falls by one where it reaches hi (s = hi - x).
@@ -603,16 +595,15 @@ def _shift_clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, mean: float) -> n
     sum of exact integers, and the knots are the same values, so knots, sums
     and the np.interp result do not depend on the order.
     """
-    shape, x = np.shape(x), np.clip(np.atleast_2d(x), lo, hi)
-    knots = np.concatenate([lo - x, hi - x], axis=1)
-    sums = np.repeat([1.0, -1.0], x.shape[1])[np.argsort(knots, axis=1)]  # slope steps, sorted
-    knots.sort(axis=1)
-    step = np.diff(knots, axis=1)
-    step *= np.cumsum(sums, axis=1, out=sums)[:, :-1]  # times the slope
-    sums[:, 0], sums[:, 1:] = 0.0, np.cumsum(step, axis=1, out=step)
+    x = np.clip(x, lo, hi)
+    knots = np.concatenate([lo - x, hi - x])
+    sums = np.repeat([1.0, -1.0], len(x))[np.argsort(knots)]  # slope steps, sorted
+    knots.sort()
+    step = np.diff(knots)
+    step *= np.cumsum(sums, out=sums)[:-1]  # times the slope
+    sums[0], sums[1:] = 0.0, np.cumsum(step, out=step)
     sums += np.sum(lo)
-    shift = [np.interp(mean * x.shape[1], *row) for row in zip(sums, knots)]
-    return np.clip(x + np.reshape(shift, (-1, 1)), lo, hi).reshape(shape)
+    return np.clip(x + np.interp(mean * len(x), sums, knots), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +845,7 @@ def extremal_residuals(result: MinimaxResult) -> dict:
 
 
 def _project_f(ctx: _Problem, f_vals: np.ndarray) -> np.ndarray:
-    """Each sample of a (b, n, T, T) stack, projected onto the class (as in _project_g)."""
+    """The f values of a sample, symmetrized and projected onto the class (as in _project_g)."""
     return ctx.f.project(_sym_value(f_vals, clip=True))
 
 
@@ -872,11 +863,8 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     A pass needs an admissible sample; with no samples nothing is checked, and
     the report says only that it does not pass.
 
-    The samples go in blocks of SADDLE_BLOCK: a (b, 2, n) uniform draw is the
-    stream of 2 b draws of n, and the projections and the feasibility report
-    run once on the (b, n, T, T) stack, reducing over each sample's nodes in
-    its own order, so the report is the per-sample loop's bit for bit.  The
-    energies go sample by sample: numpy's batched einsum is slower here.
+    Each sample is drawn, projected, checked and scored on its own: one
+    (2, n) uniform draw jitters f and g, and only (n, T, T) values are held.
     """
     if n_samples <= 0:
         return {"n_samples": 0, "pass": False}
@@ -885,18 +873,15 @@ def saddle_check(result: MinimaxResult, n_samples: int, seed: int = 0) -> dict:
     n = ctx.grid.n_grid
 
     max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
-    for start in range(0, n_samples, SADDLE_BLOCK):
-        j = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(min(SADDLE_BLOCK, n_samples - start), 2, n))
-        j = 0.5 * (j + j[..., ::-1])  # cast to complex below, as a product with complex casts it
-        f_vals = _project_f(ctx, j[:, 0, :, None, None].astype(complex) * f0.values)
-        g_vals = j[:, 1, :, None, None].astype(complex) * g0.values
-        del j  # the largest projection, a box's, runs without it
-        g_vals = _project_g(ctx, g_vals)
+    for _ in range(n_samples):
+        j = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(2, n, 1, 1))
+        j = 0.5 * (j + j[:, ::-1])
+        f_vals, g_vals = _project_f(ctx, j[0] * f0.values), _project_g(ctx, j[1] * g0.values)
         # matrix-class projections are approximate; only admissible samples count
-        ok = np.flatnonzero(~(feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6))
-        skipped += len(f_vals) - len(ok)
-        max_violation = max([max_violation] + [
-            _error_energy(rows, f_vals[i], g_vals[i]) - delta0 for i in ok])
+        if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
+            skipped += 1
+        else:
+            max_violation = max(max_violation, _error_energy(rows, f_vals, g_vals) - delta0)
     if not np.isfinite(max_violation):
         max_violation = 0.0
 

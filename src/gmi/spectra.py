@@ -393,22 +393,19 @@ def _minimality(spec: GMIncrementSpec, weight: np.ndarray, p: DensityGrid,
     integrand = weight * np.trace(p_inv, axis1=1, axis2=2).real
     value = float(np.mean(integrand))
 
-    # refined midpoints sit at +-Delta/4 around each node
-    delta = 2.0 * np.pi / p.grid.n_grid
-    lam_fine = np.concatenate([lam - delta / 4.0, lam + delta / 4.0])
+    # refined point j sits at -Delta/4 from node j and point n + j at +Delta/4; each
+    # weighs its node by 3/4 and the neighbour on its side by 1/4
+    n, delta = p.grid.n_grid, 2.0 * np.pi / p.grid.n_grid
+    lam_fine = (lam + [[-delta / 4.0], [delta / 4.0]]).ravel()
     chi_f, beta_f = _chi_beta(spec.s, spec.mu, spec.d, lam_fine)
-    weight_fine = np.abs(beta_f) ** 2 / np.abs(chi_f) ** 2
-
-    def trace_inv(shift: int) -> np.ndarray:  # one half of the refined points at a time
-        n, out = p.grid.n_grid, np.empty(p.grid.n_grid)
-        for nodes in node_blocks(n, p.values[0].nbytes):  # node j - shift is rolled onto j
-            half = 0.75 * p.values[nodes] + 0.25 * p.values[
-                (np.arange(nodes.start, nodes.stop) - shift) % n]
-            out[nodes] = (1.0 / half[:, 0, 0].real if p.dim == 1
-                          else np.trace(np.linalg.inv(half), axis1=1, axis2=2).real)
-        return out
-
-    fine = float(np.mean(weight_fine * np.concatenate([trace_inv(1), trace_inv(-1)])))
+    trace_inv = np.empty(2 * n)
+    for points in node_blocks(2 * n, p.values[0].nbytes):
+        i = np.arange(points.start, points.stop)
+        half = 0.75 * p.values.take(i, 0, mode="wrap") \
+            + 0.25 * p.values.take(i + np.where(i < n, -1, 1), 0, mode="wrap")
+        trace_inv[points] = (1.0 / half[:, 0, 0].real if p.dim == 1
+                             else np.trace(np.linalg.inv(half), axis1=1, axis2=2).real)
+    fine = float(np.mean(np.abs(beta_f) ** 2 / np.abs(chi_f) ** 2 * trace_inv))
 
     is_minimal = abs(fine - value) <= 0.05 * max(abs(value), abs(fine))
     return MinimalityReport(value=value, refined_value=fine, is_minimal=is_minimal)

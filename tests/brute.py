@@ -452,8 +452,8 @@ def saddle_check_loop(result, n_samples: int, seed: int = 0) -> dict:
     max_violation, skipped, rows = -np.inf, 0, _error_rows(ctx, h0)
     for _ in range(n_samples):
         jf, jg = (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=n) for _ in range(2))
-        f_vals = _project_f(ctx, (0.5 * (jf + jf[::-1])[:, None, None] * f0.values)[None])[0]
-        g_vals = _project_g(ctx, (0.5 * (jg + jg[::-1])[:, None, None] * g0.values)[None])[0]
+        f_vals = _project_f(ctx, 0.5 * (jf + jf[::-1])[:, None, None] * f0.values)
+        g_vals = _project_g(ctx, 0.5 * (jg + jg[::-1])[:, None, None] * g0.values)
         if feasibility_report(ctx, f_vals, g_vals)["max_residual"] > 1e-6:
             skipped += 1
             continue

@@ -16,7 +16,7 @@ from conftest import count_calls
 from gmi import io
 from gmi.cli import main
 from gmi.errors import ValidationError
-from gmi._floatfmt import format_rows
+from gmi._floatfmt import format_blocks
 from gmi.io import (
     _format_float,
     canonical_json,
@@ -112,7 +112,7 @@ class TestDensityCsv:
 def column_bytes(values) -> bytes:
     """The kernel's bytes of a column of values, one per line."""
     values = np.asarray(values, dtype=float).reshape(-1, 1)
-    return format_rows(values, np.array([[ord("\n")]], np.uint8))
+    return b"".join(format_blocks(values, np.array([[ord("\n")]], np.uint8)))
 
 
 def column_loop(values) -> bytes:
@@ -247,7 +247,7 @@ class TestKernel:
         tails = np.array([[ord(",")], [ord(",")], [ord("\n")]], np.uint8)
         tracemalloc.start()
         try:
-            size = len(format_rows(table, tails))
+            size = len(b"".join(format_blocks(table, tails)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,24 @@ class TestSaddle:
         rep = saddle_check(res, n_samples=20, seed=9)
         assert rep["left_min_margin"] >= -1e-10
 
+    def test_samples_are_checked_one_at_a_time(self):
+        """The check holds a few (n, T, T) values at once, not a stack of samples."""
+        grid, eye = FrequencyGrid(4096), np.eye(2)
+        cls = DensityClassSpec(
+            FClassSpec("D1delta_1", {"f1": constant_density(grid, eye), "delta": 0.1}),
+            GClassSpec("DVU_2", {"V": constant_density(grid, 0.2 * eye),
+                                 "U": constant_density(grid, 0.6 * eye), "q": 0.7}))
+        res = solve_minimax(cls, TestHonestReports.A_T2, SPEC11, grid,
+                            MinimaxOptions(max_iter=5, saddle_samples=0))
+        saddle_check(res, 20)  # warm
+        tracemalloc.start()
+        try:
+            saddle_check(res, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * res.f0.values.nbytes
+
 
 class TestBruteForce:
     def test_smooth_family_matches_budget_optimum(self, grid2k, budget_class):
@@ -732,5 +751,3 @@ class TestShiftClipTies:
             mean = float(rng.uniform(lo.mean(), hi.mean()))
             want = shift_clip_stable(x, lo, hi, mean)
             assert np.array_equal(_shift_clip(x, lo, hi, mean), want)
-            rows = np.stack([x, x[::-1]])
-            assert np.array_equal(_shift_clip(rows, lo, hi, mean)[0], want)

@@ -57,6 +57,16 @@ def test_same_outputs_names_each_difference():
                                                + len(same_outputs.SEEDS))
 
 
+def test_same_outputs_caps_the_blas_threads_of_every_run(tmp_path, monkeypatch):
+    same_outputs = _same_outputs()
+    for var in same_outputs.THREAD_VARS:
+        monkeypatch.setenv(var, "2")
+    show = "import os; print([os.environ.get(v) for v in ('GMI_THREADS', 'OMP_NUM_THREADS', " \
+           "'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')])"
+    result = same_outputs.outcome(ROOT, ["-c", show], tmp_path / "run")
+    assert result["stdout"] == b"['1', '1', '1', '1']\n"
+
+
 def test_same_outputs_runs_every_classical_large_operation(tmp_path):
     same_outputs = _same_outputs()
     todo = same_outputs.runs([])
