@@ -51,6 +51,22 @@ for op in workloads.ClassicalLarge(Path(), int(sys.argv[2]), tiny=False)._build(
     Path(op.name).mkdir()
     op.run(Path(op.name))
 """
+# argv as above; per operation, the repr of what the ascent found (the workload's own
+# check reads only delta0, converged and the gap, so solve_minimax is wrapped for the rest)
+MINIMAX_CLASSES = """\
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from gmi import minimax
+solve, found = minimax.solve_minimax, []
+minimax.solve_minimax = lambda *args: found.append(solve(*args)) or found[-1]
+for op in workloads.MinimaxClasses(Path(), int(sys.argv[2]), tiny=False)._build(4096, 100):
+    op.run(Path())
+    r = found.pop()
+    print(op.name, repr(r.delta0), repr(r.converged), repr(r.residual_report["ascent_gap"]),
+          repr(r.saddle_report))
+"""
 
 
 def runs(configs: list[Path]) -> dict[str, list[str]]:
@@ -60,9 +76,10 @@ def runs(configs: list[Path]) -> dict[str, list[str]]:
                                         "--output-dir", "out"]
            for command in COMMANDS for config in configs}
     out[STUDY] = [f"{{checkout}}/{STUDY}"]
-    for seed in SEEDS:
-        out[f"classical-large seed {seed}"] = ["-c", CLASSICAL_LARGE, str(ROOT / "perfbench"),
-                                               str(seed)]
+    for workload, script in (("classical-large", CLASSICAL_LARGE),
+                             ("minimax-classes", MINIMAX_CLASSES)):
+        for seed in SEEDS:
+            out[f"{workload} seed {seed}"] = ["-c", script, str(ROOT / "perfbench"), str(seed)]
     return out
 
 

@@ -9,8 +9,8 @@ direct quadrature of the error spectra).
 ``fourier_blocks`` forms the observed density p = f + |beta|^2 g and p^{-1}
 once per pair and keeps them on its ``FourierBlocks`` for the later stages,
 and transforms the three kernels one at a time in one reused buffer, so that no large
-transient raises the allocator's mmap threshold.  Q's f p^{-1} g and h's noise term go
-in ``spectra.node_blocks``; sums and FFTs stay whole.
+transient raises the allocator's mmap threshold; with zero noise it transforms P alone.
+Q's f p^{-1} g and h's noise term go in ``spectra.node_blocks``; sums and FFTs stay whole.
 
 Row/column convention: the projection equations are naturally row-vector
 equations; the stacked linear system stores their transposes, so the P and T
@@ -159,7 +159,7 @@ class Problem:
 
 @dataclass
 class FourierBlocks:
-    """Stacked block matrices of the projection equations, with the densities they came from."""
+    """Stacked blocks of the projection equations and their densities; T = Q = 0 if g is 0."""
 
     P: np.ndarray  # ((N+ng+1)T, (N+ng+1)T) Hermitian
     T: np.ndarray  # ((N+ng+1)T, (N+ng+1)T)
@@ -205,12 +205,12 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
         Q: f p^{-1} g
     Each is sampled nodewise into one (n, T, T) buffer in P, T, Q order,
     checked for finite values and transformed by one FFT in place; the
-    coefficients are a copy, so the buffer takes the next kernel.  Blocks
-    depend on the index offset only.  No transient outgrows a kernel: one
-    large transient, once freed, would raise glibc's mmap threshold and keep
-    every later array below it on the heap.
-    The symbols come from the problem; the observed density p and p^{-1}
-    are kept on the result for the later stages.
+    coefficients are a copy, so the buffer takes the next kernel.  g is a factor
+    of T and Q: if no value of g is nonzero (NaN and inf are), both are zero blocks
+    and P is the only kernel.  Blocks depend on the index offset only.  No transient
+    outgrows a kernel: one large transient, once freed, would raise glibc's mmap
+    threshold and keep every later array below it on the heap.  The symbols come
+    from the problem; p and p^{-1} are kept on the result for the later stages.
     """
     grid, spec, N = f.grid, prob.spec, prob.fspec.N
     ng = spec.n_gamma()
@@ -232,6 +232,9 @@ def fourier_blocks(prob: Problem, f: DensityGrid, g: DensityGrid) -> FourierBloc
 
     np.multiply(w, p_inv, out=kern)
     P = _block_toeplitz(transform("P").transpose(0, 2, 1), size, dim, lambda j, k: k - j)
+    if not g.values.any():  # g is a factor of both kernels; NaN and inf count as nonzero
+        Q = np.zeros(((N + 1) * dim,) * 2, dtype=complex)
+        return FourierBlocks(P=P, T=np.zeros_like(P), Q=Q, p=p, p_inv=p_inv)
     _nodewise(g.values, p_inv, out=kern)
     kern *= sign * w
     T = _block_toeplitz(transform("T").transpose(0, 2, 1), size, dim, lambda j, k: k - j)

@@ -57,10 +57,6 @@ def _worst(x, floor: float) -> float:
     return max(float(np.max(x)), floor)
 
 
-def _lift(x) -> complex:  # a scalar factor, cast as its product with a complex value casts it
-    return complex(x)
-
-
 def _psd_violation(y: np.ndarray) -> float:
     return _worst(-hermitian_eigenvalues(y), 0.0)
 
@@ -79,7 +75,7 @@ class _Measure:
         return _worst(-y, 0.0)
 
     def rescale(self, x, target, have):  # move the measure of x from have to target
-        return x * _lift(target / np.maximum(have, 1e-300))
+        return x * (target / np.maximum(have, 1e-300))
 
 
 class _Trace(_Measure):
@@ -123,7 +119,7 @@ class _Matrix(_Measure):
     below = staticmethod(_psd_violation)
 
     def rescale(self, x, target, have):
-        return x * _lift(np.trace(target).real / np.maximum(np.trace(have).real, 1e-300))
+        return x * (np.trace(target).real / np.maximum(np.trace(have).real, 1e-300))
 
     def components(self, r, budget, whiten=True):
         return [(_norm2(r), np.broadcast_to(budget, (len(r),) + budget.shape))]
@@ -294,7 +290,7 @@ class _Ball(_Family):
 
     def project(self, vals):
         used, bound = float(np.max(self.budget_used(vals))), float(np.max(self.budget))
-        return vals if used <= bound else self.f1 + _lift(bound / used) * (vals - self.f1)
+        return vals if used <= bound else self.f1 + bound / used * (vals - self.f1)
 
 
 class _Floor(_Family):

@@ -18,6 +18,7 @@ from brute import (
 from conftest import (
     bits,
     constant_density,
+    count_calls,
     ma_pair,
     matrix_ma_density,
     pchi_one_density,
@@ -28,6 +29,7 @@ from gmi.classical import (
     FunctionalSpec,
     PeriodicFunctionalSpec,
     Problem,
+    _algebraic_mse,
     _block_toeplitz,
     _characteristic,
     _nodewise,
@@ -183,12 +185,53 @@ class TestWeightTransforms:
 
 
 class TestFourierBlocks:
-    def test_zero_noise_kills_t_and_q(self, grid1k):
-        f = rational_density(grid1k, [1.0, 0.4], [1.0, -0.5])
-        g = DensityGrid.zero(grid1k, 1)
-        blocks = blocks_of(SPEC11, f, g, N=1)
-        assert np.all(blocks.T == 0)
-        assert np.all(blocks.Q == 0)
+    @staticmethod
+    def noiseless(grid, T):
+        """A problem with T = 1 or 2 and its f, with the f of ``ma_pair``."""
+        fs = FunctionalSpec(N=2, a=np.random.default_rng(T).standard_normal((3, T)))
+        return Problem(GMIncrementSpec((2,), (1,), (1,)), fs, grid), ma_pair(grid, T)[0]
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_zero_noise_kills_t_and_q(self, monkeypatch, grid1k, T):
+        # g is a factor of the T and Q kernels, so a noiseless solve forms and transforms
+        # P alone; the loop's T and Q are zeros too, some of them signed
+        prob, f = self.noiseless(grid1k, T)
+        g = DensityGrid.zero(grid1k, T)
+        want = fourier_blocks_loop(prob, f, g)
+        transforms = count_calls(monkeypatch, FrequencyGrid, "fourier")
+        products = count_calls(monkeypatch, classical, "_nodewise")
+        blocks = fourier_blocks(prob, f, g)
+        assert (len(transforms), len(products)) == (1, 0)
+        assert blocks.P.tobytes() == want[0].tobytes()
+        for got, loop in zip((blocks.T, blocks.Q), want[1:]):
+            assert got.dtype == loop.dtype and np.array_equal(got, loop)
+            assert not got.any()
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_zero_noise_solve_keeps_its_bits(self, grid1k, T):
+        # T a_mu and <Q a, a> are zeros on both sides: c = c1 - 0 and delta = x + 0
+        prob, f = self.noiseless(grid1k, T)
+        blocks = fourier_blocks(prob, f, DensityGrid.zero(grid1k, T))
+        P, T_, Q = fourier_blocks_loop(prob, f, DensityGrid.zero(grid1k, T))
+        found = []
+        for side in (blocks, dataclasses.replace(blocks, P=P, T=T_, Q=Q)):
+            sol = solve_system(side, prob.b, prob.a_mu)
+            found.append(bits(sol.c, sol.rhs, np.float64(_algebraic_mse(side, sol, prob.fspec.a))))
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_noise_at_one_node_pair_forms_every_kernel(self, monkeypatch, grid1k, T):
+        # one mirrored pair of nonzero nodes is noise: all three kernels, the loop's bits
+        prob, f = self.noiseless(grid1k, T)
+        vals = np.zeros((grid1k.n_grid, T, T), dtype=complex)
+        vals[[100, grid1k.n_grid - 101]] = 0.3 * np.eye(T) + 0.05
+        g = DensityGrid(grid1k, vals)
+        want = fourier_blocks_loop(prob, f, g)
+        transforms = count_calls(monkeypatch, FrequencyGrid, "fourier")
+        blocks = fourier_blocks(prob, f, g)
+        assert len(transforms) == 3
+        assert bits(blocks.P, blocks.T, blocks.Q) == bits(*want)
+        assert blocks.T.any() and blocks.Q.any()
 
     def test_whitened_gives_identity(self, grid1k):
         f = pchi_one_density(SPEC11, grid1k)

@@ -54,7 +54,7 @@ def test_same_outputs_names_each_difference():
         "file h.csv: differs (36 and 1 bytes)", "file minimax.json: differs (57 and 53 bytes)"]
     configs = [ROOT / "configs" / name for name in ("a.json", "b.json")]
     assert len(same_outputs.runs(configs)) == (2 * len(same_outputs.COMMANDS) + 1
-                                               + len(same_outputs.SEEDS))
+                                               + 2 * len(same_outputs.SEEDS))
 
 
 def test_same_outputs_caps_the_blas_threads_of_every_run(tmp_path, monkeypatch):
@@ -79,3 +79,19 @@ def test_same_outputs_runs_every_classical_large_operation(tmp_path):
     assert sorted(key for key in result if key.startswith("file ")) == sorted(
         f"file {op}/{name}" for op in operations
         for name in ("solution.json", "spectral_characteristic.csv"))
+
+
+def test_same_outputs_runs_every_minimax_classes_operation(tmp_path):
+    same_outputs = _same_outputs()
+    todo = same_outputs.runs([])
+    assert [name for name in todo if name.startswith("minimax-classes")] == [
+        "minimax-classes seed 107", "minimax-classes seed 311"]
+    result = same_outputs.outcome(ROOT, todo["minimax-classes seed 107"], tmp_path / "run")
+    assert result["exit code"] == b"0", result["stderr"].decode()
+    lines = result["stdout"].decode().splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "ball-box-N0", "budget-zero", "budget-eps", "ball-box-N2", "T2-budget-zero"]
+    for line in lines:  # delta0, converged and the gap in full, then the saddle report
+        _, delta0, converged, gap, report = line.split(" ", 4)
+        assert repr(float(delta0)) == delta0 and converged in ("True", "False")
+        assert repr(float(gap)) == gap and report.startswith("{'n_samples': 100, ")
