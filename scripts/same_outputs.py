@@ -4,7 +4,9 @@
 Usage: python scripts/same_outputs.py PARENT_DIR
 
 Runs every ``gmi`` command (interpolate, oracle-verify, minimax, classify,
-coeffs) on every config in this checkout's ``configs/``, then
+coeffs) on every config in this checkout's ``configs/`` and on each invalid
+config of INVALID (a shipped config with one value made invalid, so that
+every check of a config value and of a record's constructor is compared), then
 ``scripts/minimax_study.py``, then the six ``classical-large`` operations of
 this checkout's ``perfbench/workloads.py`` at seeds 107 and 311, each of
 which writes its ``solution.json`` and ``spectral_characteristic.csv`` (no
@@ -40,7 +42,24 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("interpolate", "oracle-verify", "minimax", "classify", "coeffs")
 STUDY = "scripts/minimax_study.py"
 SEEDS = (107, 311)
-THREAD_VARS = ("GMI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: (name, shipped config, path of the value in it, the invalid value); seasonal-period-1
+#: and the last five reach the checks of the increment and functional records, and the
+#: config readers refuse the other five first
+INVALID = (
+    ("grid-not-power-of-two", "interpolate.json", ("problem", "grid"), 3000),
+    ("seasonal-period-1", "classify.json", ("problem", "increment", "factors", 0, "s"), 1),
+    ("negative-R", "classify.json", ("problem", "increment", "factors", 0, "R"), -1),
+    ("negative-step", "interpolate.json", ("problem", "increment", "mu"), [-1]),
+    ("unknown-density-kind", "interpolate.json", ("problem", "signal_density", "kind"), "bogus"),
+    ("unknown-class-kind", "minimax.json", ("minimax", "f_class", "kind"), "bogus"),
+    ("zero-period", "coeffs.json", ("problem", "increment", "s"), [0, 3]),
+    ("zero-step", "interpolate.json", ("problem", "increment", "mu"), [0]),
+    ("zero-orders", "coeffs.json", ("problem", "increment", "d"), [0, 0]),
+    ("periods-not-increasing", "classify.json", ("problem", "increment", "factors"),
+     [{"s": 4, "R": 0, "D": 0.1}, {"s": 2, "R": 0, "D": 0.1}]),
+    ("periodic-weights-short", "periodic.json", ("problem", "functional", "M"), 6),
+)
 # argv: the perfbench directory and a seed; one directory of artifacts per operation
 CLASSICAL_LARGE = """\
 import sys
@@ -67,6 +86,21 @@ for op in workloads.MinimaxClasses(Path(), int(sys.argv[2]), tiny=False)._build(
     print(op.name, repr(r.delta0), repr(r.converged), repr(r.residual_report["ascent_gap"]),
           repr(r.saddle_report))
 """
+
+
+def invalid_configs(configs: Path, out: Path) -> list[Path]:
+    """Write the configs of INVALID into ``out``, each as ``invalid-<name>.json``."""
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, shipped, path, value in INVALID:
+        config = json.loads((configs / shipped).read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        paths.append(out / f"invalid-{name}.json")
+        paths[-1].write_text(json.dumps(config))
+    return paths
 
 
 def runs(configs: list[Path]) -> dict[str, list[str]]:
@@ -178,9 +212,10 @@ def main(argv: list[str]) -> int:
         print("usage: python scripts/same_outputs.py PARENT_DIR", file=sys.stderr)
         return 2
     parent = Path(argv[0]).resolve()
-    todo = runs(sorted((ROOT / "configs").glob("*.json")))
     found = 0
     with tempfile.TemporaryDirectory() as tmp:
+        todo = runs(sorted((ROOT / "configs").glob("*.json"))
+                    + invalid_configs(ROOT / "configs", Path(tmp) / "invalid"))
         for k, (name, args) in enumerate(todo.items()):
             sides = [outcome(checkout, args, Path(tmp) / side / str(k))
                      for side, checkout in (("parent", parent), ("change", ROOT))]

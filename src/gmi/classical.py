@@ -20,7 +20,6 @@ kernels are transposed at block placement.  P stays Hermitian.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,17 +41,13 @@ CONDITION_WARN_THRESHOLD = 1e12
 MSE_CONSISTENCY_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
 class FunctionalSpec:
     """Target functional sum_k a(k)^T xi(k) over the unobserved block 0..N."""
 
-    N: int
-    a: np.ndarray  # (N+1, T)
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "a", a)
-        if self.N < 0 or a.shape[0] != self.N + 1:
+    def __init__(self, N: int, a):
+        self.N = N
+        self.a = a = np.atleast_2d(np.asarray(a, dtype=float))  # (N+1, T)
+        if N < 0 or a.shape[0] != N + 1:
             raise ValidationError("weight list must have N+1 entries")
 
     @property
@@ -60,20 +55,15 @@ class FunctionalSpec:
         return self.a.shape[1]
 
 
-@dataclass(frozen=True)
 class PeriodicFunctionalSpec:
     """Scalar functional sum_{k=0}^{M} a_scalar(k) theta(k) with period T."""
 
-    M: int
-    T: int
-    a_scalar: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_scalar, dtype=float).reshape(-1)
-        object.__setattr__(self, "a_scalar", a)
-        if self.M < 0 or self.T < 1:
+    def __init__(self, M: int, T: int, a_scalar):
+        self.M, self.T = M, T
+        self.a_scalar = a = np.asarray(a_scalar, dtype=float).reshape(-1)
+        if M < 0 or T < 1:
             raise ValidationError("require M >= 0 and T >= 1")
-        if a.shape[0] != self.M + 1:
+        if a.shape[0] != M + 1:
             raise ValidationError("scalar weights must have M+1 entries")
 
 
@@ -157,15 +147,16 @@ class Problem:
         return self.beta2 / np.abs(self.chi) ** 2
 
 
-@dataclass
 class FourierBlocks:
     """Stacked blocks of the projection equations and their densities; T = Q = 0 if g is 0."""
 
-    P: np.ndarray  # ((N+ng+1)T, (N+ng+1)T) Hermitian
-    T: np.ndarray  # ((N+ng+1)T, (N+ng+1)T)
-    Q: np.ndarray  # ((N+1)T, (N+1)T) Hermitian
-    p: DensityGrid = field(repr=False)  # observed density f + |beta|^2 g
-    p_inv: np.ndarray = field(repr=False)  # (n_grid, T, T), p^{-1} node by node
+    def __init__(self, P: np.ndarray, T: np.ndarray, Q: np.ndarray, p: DensityGrid,
+                 p_inv: np.ndarray):
+        self.P = P  # ((N+ng+1)T, (N+ng+1)T) Hermitian
+        self.T = T  # ((N+ng+1)T, (N+ng+1)T)
+        self.Q = Q  # ((N+1)T, (N+1)T) Hermitian
+        self.p = p  # observed density f + |beta|^2 g
+        self.p_inv = p_inv  # (n_grid, T, T), p^{-1} node by node
 
 
 def _block_toeplitz(coeffs: np.ndarray, size: int, dim: int, index,
@@ -253,12 +244,13 @@ def padded_b(b: np.ndarray, n_gamma: int) -> np.ndarray:
     return out
 
 
-@dataclass
 class SystemSolution:
-    c: np.ndarray          # (N+ng+1, T), the coefficients of h's C-term
-    rhs: np.ndarray        # stacked right-hand side [b]_+ - T a_mu
-    condition_number: float
-    residual: float
+    def __init__(self, c: np.ndarray, rhs: np.ndarray, condition_number: float,
+                 residual: float):
+        self.c = c      # (N+ng+1, T), the coefficients of h's C-term
+        self.rhs = rhs  # stacked right-hand side [b]_+ - T a_mu
+        self.condition_number = condition_number
+        self.residual = residual
 
 
 def solve_system(blocks: FourierBlocks, b: np.ndarray, a_mu: np.ndarray) -> SystemSolution:
@@ -394,23 +386,25 @@ def _algebraic_mse(blocks: FourierBlocks, sol: SystemSolution, a: np.ndarray) ->
                   + np.vdot(a_flat, blocks.Q @ a_flat)).real)
 
 
-@dataclass
 class InterpolationSolution:
     """Everything the exact interpolation produces for one problem."""
 
-    spec: GMIncrementSpec
-    fspec: FunctionalSpec
-    c: np.ndarray                 # (N+ng+1, T)
-    v: np.ndarray                 # (ng, T), rows are k = -1 .. -ng
-    h: np.ndarray                 # (n_grid, T)
-    delta: float
-    delta_spectral: float
-    b: np.ndarray                 # (N+1, T)
-    a_mu: np.ndarray              # (N+ng+1, T)
-    condition_number: float
-    residual: float
-    minimality: MinimalityReport
-    grid: FrequencyGrid = field(repr=False, default=None)
+    def __init__(self, spec: GMIncrementSpec, fspec: FunctionalSpec, c, v, h, delta: float,
+                 delta_spectral: float, b, a_mu, condition_number: float, residual: float,
+                 minimality: MinimalityReport, grid: FrequencyGrid | None = None):
+        self.spec = spec
+        self.fspec = fspec
+        self.c = c        # (N+ng+1, T)
+        self.v = v        # (ng, T), rows are k = -1 .. -ng
+        self.h = h        # (n_grid, T)
+        self.delta = delta
+        self.delta_spectral = delta_spectral
+        self.b = b        # (N+1, T)
+        self.a_mu = a_mu  # (N+ng+1, T)
+        self.condition_number = condition_number
+        self.residual = residual
+        self.minimality = minimality
+        self.grid = grid
 
 
 def solve_interpolation(

@@ -8,10 +8,11 @@ config value, named with its section, e.g. ``problem.functional.a``),
 3 numerical failure on valid input, 4 verification failure.  A command reads
 each key it uses once, through ``io._get``; defaults stay with their owners.
 
-Importing this module applies GMI_THREADS (it sets each unset BLAS/OpenMP
-thread variable to its value) and loads the gmi modules errors, increments
-and io, but not numpy: classify, coeffs on a GM increment and --help never
-load it.  interpolate loads numpy, classical, spectra and _floatfmt;
+Importing this module sets every BLAS/OpenMP thread variable to 1, whatever
+the caller set, so that no artifact depends on the thread count, and loads
+the gmi modules errors, increments and io, but neither numpy nor dataclasses,
+inspect or fractions: classify, coeffs on a GM increment and --help never
+load numpy.  interpolate loads numpy, classical, spectra and _floatfmt;
 oracle-verify adds oracle to those, and minimax adds minimax.
 """
 
@@ -23,12 +24,9 @@ import os
 import sys
 from pathlib import Path
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-if os.environ.get("GMI_THREADS"):  # numpy reads them when a command first imports it
-    for _var in _THREAD_VARS:
-        os.environ.setdefault(_var, os.environ["GMI_THREADS"])
+# numpy reads them when a command first imports it
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                 "NUMEXPR_NUM_THREADS"), "1"))
 
 from . import io
 from .errors import GmiError, ValidationError, VerificationError, WeightScaleError

@@ -13,8 +13,6 @@ Python ints, without numpy), fractional streams are numpy double arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateOperatorError, ValidationError
 
@@ -22,7 +20,6 @@ from .errors import DegenerateOperatorError, ValidationError
 DEFAULT_SERIES_LENGTH = 512
 
 
-@dataclass(frozen=True)
 class GMIncrementSpec:
     """Integer-order multiple seasonal difference operator.
 
@@ -36,17 +33,10 @@ class GMIncrementSpec:
         Differencing orders, non-negative, at least one >= 1.
     """
 
-    s: tuple[int, ...]
-    mu: tuple[int, ...]
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        s = tuple(int(v) for v in self.s)
-        mu = tuple(int(v) for v in self.mu)
-        d = tuple(int(v) for v in self.d)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "d", d)
+    def __init__(self, s, mu, d):
+        self.s = s = tuple(int(v) for v in s)
+        self.mu = mu = tuple(int(v) for v in mu)
+        self.d = d = tuple(int(v) for v in d)
         if not (len(s) == len(mu) == len(d)) or len(s) == 0:
             raise ValidationError("s, mu, d must be non-empty tuples of equal length")
         if any(v < 1 for v in s):
@@ -66,22 +56,17 @@ class GMIncrementSpec:
         return sum(self.d)
 
 
-@dataclass(frozen=True)
 class SeasonalFactor:
     """One fractional factor (1 - B^s)^(R + D) with integer R and real D."""
 
-    s: int
-    R: int
-    D: float
-
-    def __post_init__(self):
-        if self.s <= 1:
+    def __init__(self, s: int, R: int, D: float):
+        if s <= 1:
             raise ValidationError("seasonal factor periods must be > 1")
-        if self.R < 0:
+        if R < 0:
             raise ValidationError("integer order R must be non-negative")
+        self.s, self.R, self.D = s, R, D
 
 
-@dataclass(frozen=True)
 class FMIncrementSpec:
     """Fractional multiple difference operator with unit steps.
 
@@ -89,16 +74,11 @@ class FMIncrementSpec:
     with strictly increasing periods 1 < s_1 < ... < s_r.
     """
 
-    R0: int
-    D0: float
-    factors: tuple[SeasonalFactor, ...]
-
-    def __post_init__(self):
-        factors = tuple(
-            f if isinstance(f, SeasonalFactor) else SeasonalFactor(*f) for f in self.factors
-        )
-        object.__setattr__(self, "factors", factors)
-        if self.R0 < 0:
+    def __init__(self, R0: int, D0: float, factors):
+        self.R0, self.D0 = R0, D0
+        self.factors = factors = tuple(
+            f if isinstance(f, SeasonalFactor) else SeasonalFactor(*f) for f in factors)
+        if R0 < 0:
             raise ValidationError("R0 must be non-negative")
         periods = [f.s for f in factors]
         if any(b <= a for a, b in zip(periods, periods[1:])):
@@ -114,7 +94,6 @@ class FMIncrementSpec:
         return tuple(s), tuple(R)
 
 
-@dataclass(frozen=True)
 class FrequencyEntry:
     """A seasonal frequency with its accumulated fractional order.
 
@@ -122,15 +101,13 @@ class FrequencyEntry:
     frequency set contains ``nu`` (0 denotes the integrating factor).
     """
 
-    nu: float
-    d_nu: float
-    d_tilde: float
-    contributors: tuple[int, ...]
+    def __init__(self, nu: float, d_nu: float, d_tilde: float, contributors: tuple[int, ...]):
+        self.nu, self.d_nu, self.d_tilde, self.contributors = nu, d_nu, d_tilde, contributors
 
 
-@dataclass(frozen=True)
 class FrequencySet:
-    entries: tuple[FrequencyEntry, ...]
+    def __init__(self, entries: tuple[FrequencyEntry, ...]):
+        self.entries = entries
 
 
 def _check_int64(coeffs: list[int]) -> list[int]:
@@ -221,27 +198,30 @@ def frequency_set(spec: FMIncrementSpec) -> FrequencySet:
     k = 0 .. floor(s / 2); the orders D_j of all factors containing a
     frequency add up there.  The halved order is used at 0 and pi where
     the quadratic Gegenbauer factor degenerates to (1 -+ x)^2.
+    A frequency is kept exactly, as nu / pi = m / L over the common denominator
+    L, the least common multiple of the periods.
     """
-    acc: dict[Fraction, tuple[float, list[int]]] = {}
+    L = math.lcm(*(f.s for f in spec.factors))
+    acc: dict[int, tuple[float, list[int]]] = {}
 
-    def add(frac: Fraction, d_val: float, idx: int):
-        cur = acc.get(frac)
+    def add(m: int, d_val: float, idx: int):
+        cur = acc.get(m)
         if cur is None:
-            acc[frac] = (d_val, [idx])
+            acc[m] = (d_val, [idx])
         else:
-            acc[frac] = (cur[0] + d_val, cur[1] + [idx])
+            acc[m] = (cur[0] + d_val, cur[1] + [idx])
 
     if spec.has_integrating_factor():
-        add(Fraction(0), spec.D0, 0)
+        add(0, spec.D0, 0)
     for j, f in enumerate(spec.factors, start=1):
         for k in range(f.s // 2 + 1):
-            add(Fraction(2 * k, f.s), f.D, j)
+            add(2 * k * (L // f.s), f.D, j)
 
     entries = []
-    for frac in sorted(acc):
-        d_nu, contributors = acc[frac]
-        nu = float(frac) * math.pi
-        endpoint = frac == 0 or frac == 1
+    for m in sorted(acc):
+        d_nu, contributors = acc[m]
+        nu = m / L * math.pi  # int / int rounds the exact quotient once
+        endpoint = m == 0 or m == L
         d_tilde = d_nu / 2.0 if endpoint else d_nu
         entries.append(FrequencyEntry(nu, d_nu, d_tilde, tuple(contributors)))
     return FrequencySet(tuple(entries))
@@ -271,14 +251,11 @@ def gm_series(fset: FrequencySet, sign: str, length: int = DEFAULT_SERIES_LENGTH
     return out
 
 
-@dataclass(frozen=True)
 class PerFrequencyFlags:
-    nu: float
-    d_nu: float
-    stationary: bool
-    long_memory: bool
-    invertible: bool
-    contributors: tuple[int, ...]
+    def __init__(self, nu: float, d_nu: float, stationary: bool, long_memory: bool,
+                 invertible: bool, contributors: tuple[int, ...]):
+        self.nu, self.d_nu, self.contributors = nu, d_nu, contributors
+        self.stationary, self.long_memory, self.invertible = stationary, long_memory, invertible
 
     @property
     def condition(self) -> str:
@@ -286,14 +263,13 @@ class PerFrequencyFlags:
         return "|" + "+".join(f"D{j}" for j in self.contributors) + "| < 1/2"
 
 
-@dataclass(frozen=True)
 class StationarityReport:
-    stationary: bool
-    long_memory: bool
-    invertible: bool
-    per_nu: tuple[PerFrequencyFlags, ...]
-    conditions: tuple[str, ...]
-    invertible_frequencies: tuple[float, ...]
+    def __init__(self, stationary: bool, long_memory: bool, invertible: bool,
+                 per_nu: tuple[PerFrequencyFlags, ...], conditions: tuple[str, ...],
+                 invertible_frequencies: tuple[float, ...]):
+        self.stationary, self.long_memory, self.invertible = stationary, long_memory, invertible
+        self.per_nu, self.conditions = per_nu, conditions
+        self.invertible_frequencies = invertible_frequencies
 
 
 def classify_stationarity(spec: FMIncrementSpec) -> StationarityReport:

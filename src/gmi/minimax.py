@@ -12,7 +12,6 @@ listed in residual_report["approximate"] and never converge.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -429,57 +428,47 @@ _CONDITIONS = {"positive": lambda x: np.min(np.asarray(x, dtype=float)) > 0,
                "Hermitian positive definite": _hermitian_pd}
 
 
-@dataclass(frozen=True)
 class _ClassSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in self.table:
-            raise ValidationError(f"unknown {self.side}-class {self.kind!r}")
-        missing = [key for key in self.table[self.kind] if key not in self.params]
+    def __init__(self, kind: str, params: dict | None = None):
+        params = {} if params is None else params
+        self.kind, self.params = kind, params
+        if kind not in self.table:
+            raise ValidationError(f"unknown {self.side}-class {kind!r}")
+        missing = [key for key in self.table[kind] if key not in params]
         if missing:
             raise ValidationError(
-                f"{self.side}-class {self.kind} requires parameter(s) {', '.join(missing)}")
+                f"{self.side}-class {kind} requires parameter(s) {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
 class FClassSpec(_ClassSpec):
     side, table = "f", F_CLASS_PARAMS
 
 
-@dataclass(frozen=True)
 class GClassSpec(_ClassSpec):
     side, table = "g", G_CLASS_PARAMS
 
 
-@dataclass(frozen=True)
 class DensityClassSpec:
-    f: FClassSpec
-    g: GClassSpec
+    def __init__(self, f: FClassSpec, g: GClassSpec):
+        self.f, self.g = f, g
 
 
-@dataclass
 class MinimaxOptions:
-    tol: float = 1e-7
-    max_iter: int = 500
-    saddle_samples: int = 50
-    seed: int = 0
+    def __init__(self, tol: float = 1e-7, max_iter: int = 500, saddle_samples: int = 50,
+                 seed: int = 0):
+        self.tol, self.max_iter = tol, max_iter
+        self.saddle_samples, self.seed = saddle_samples, seed
 
 
-@dataclass
 class MinimaxResult:
-    f0: DensityGrid
-    g0: DensityGrid
-    h0: np.ndarray
-    delta0: float
-    multipliers: dict
-    residual_report: dict
-    saddle_report: dict
-    trace: list
-    converged: bool
-    solution: InterpolationSolution
-    problem: _Problem = field(repr=False)  # the run's problem and class families
+    def __init__(self, f0: DensityGrid, g0: DensityGrid, h0: np.ndarray, delta0: float,
+                 multipliers: dict, residual_report: dict, saddle_report: dict, trace: list,
+                 converged: bool, solution: InterpolationSolution, problem: _Problem):
+        self.f0, self.g0, self.h0, self.delta0 = f0, g0, h0, delta0
+        self.multipliers, self.residual_report, self.saddle_report = (
+            multipliers, residual_report, saddle_report)
+        self.trace, self.converged, self.solution = trace, converged, solution
+        self.problem = problem  # the run's problem and class families
 
 
 def _family(side: _ClassSpec, w: np.ndarray, dim: int):

@@ -24,8 +24,6 @@ by window through an eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classical import FunctionalSpec, Problem, _block_toeplitz, mse_of_characteristic
@@ -37,15 +35,13 @@ PINV_RCOND = 1e-10
 DEFAULT_SCHEDULE = (1, 5, 10, 50, 100, 200)
 
 
-@dataclass(frozen=True)
 class ObservationWindow:
     """Observed increment indices [-L, -1] and [N+ng+1, N+ng+L]."""
 
-    L: int
-
-    def __post_init__(self):
-        if self.L < 0:
+    def __init__(self, L: int):
+        if L < 0:
             raise ValidationError("window half-length must be >= 0")
+        self.L = L
 
     def gap_order(self, N: int, n_gamma: int) -> np.ndarray:
         """The indices nearest the gap first: -1, N+ng+1, -2, N+ng+2, ..."""
@@ -53,18 +49,20 @@ class ObservationWindow:
         return np.stack([-k, N + n_gamma + k], axis=1).reshape(-1)
 
 
-@dataclass
 class GramSystem:
-    gram: np.ndarray        # (|J| T, |J| T) real symmetric PSD, rows in gap order
-    cross: np.ndarray       # (|J| T,) real covariance of each observation with the target
-    target_var: float
-    indices: np.ndarray     # observed indices in gap order, one per T rows
-    # lower bound on the eigenvalues of the Gram and of every window inside it,
-    # certified above PINV_RCOND times their upper bound; None when not certified
-    eig_floor: float | None = None
-    # (|J| T + 1)^2 buffer whose leading block is ``gram`` (a view); its last
-    # row and column are left for the cross vector of ``_nested_rows``
-    bordered: np.ndarray | None = None
+    def __init__(self, gram: np.ndarray, cross: np.ndarray, target_var: float,
+                 indices: np.ndarray, eig_floor: float | None = None,
+                 bordered: np.ndarray | None = None):
+        self.gram = gram        # (|J| T, |J| T) real symmetric PSD, rows in gap order
+        self.cross = cross      # (|J| T,) real covariance of each observation with the target
+        self.target_var = target_var
+        self.indices = indices  # observed indices in gap order, one per T rows
+        # lower bound on the eigenvalues of the Gram and of every window inside it,
+        # certified above PINV_RCOND times their upper bound; None when not certified
+        self.eig_floor = eig_floor
+        # (|J| T + 1)^2 buffer whose leading block is ``gram`` (a view); its last
+        # row and column are left for the cross vector of ``_nested_rows``
+        self.bordered = bordered
 
 
 def _certified_floor(phi: np.ndarray, span: int, n_grid: int) -> float | None:

@@ -24,7 +24,6 @@ reused buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +48,6 @@ def node_blocks(n: int, node_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Symmetric midpoint grid lambda_j = -pi + (j + 1/2) * 2pi / n.
 
@@ -57,10 +55,8 @@ class FrequencyGrid:
     n_grid - 1 - j under lambda -> -lambda.
     """
 
-    n_grid: int
-
-    def __post_init__(self):
-        n = self.n_grid
+    def __init__(self, n_grid: int):
+        self.n_grid = n = n_grid
         if n < 1024 or (n & (n - 1)) != 0:
             raise ValidationError("grid size must be a power of two >= 1024")
 
@@ -224,7 +220,6 @@ class DensityGrid:
         return cls(grid, np.zeros((grid.n_grid, dim, dim), dtype=complex), validate=False)
 
 
-@dataclass(frozen=True)
 class DensityModel:
     """Closed-form density that can be sampled on any grid.
 
@@ -239,8 +234,8 @@ class DensityModel:
     kind 'zero': params {'dim': T}.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    def __init__(self, kind: str, params: dict | None = None):
+        self.kind, self.params = kind, {} if params is None else params
 
     def evaluate(self, grid: FrequencyGrid) -> DensityGrid:
         if self.kind == "constant":
@@ -350,11 +345,12 @@ def _combine(f: DensityGrid, g: DensityGrid, beta2: np.ndarray) -> DensityGrid:
     return DensityGrid(f.grid, values, validate=False)
 
 
-@dataclass(frozen=True)
 class MinimalityReport:
-    value: float
-    refined_value: float
-    is_minimal: bool
+    def __init__(self, value: float, refined_value: float, is_minimal: bool):
+        self.value, self.refined_value, self.is_minimal = value, refined_value, is_minimal
+
+    def __eq__(self, other):
+        return type(other) is MinimalityReport and vars(other) == vars(self)
 
 
 def inverse_density(p: DensityGrid) -> np.ndarray:

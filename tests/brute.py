@@ -4,10 +4,13 @@ density, the combined density and its lag covariances, a seeded spectral
 sampler, the paper's two-part split of the spectral characteristic, the error
 functional of a fixed characteristic, a least favorable
 search, the plain extremal-equation bisection, the stable-sort box shift,
-the per-sample saddle check, the value-by-value JSON emitter, and the
-density checks decided by eigenvalues alone."""
+the per-sample saddle check, the value-by-value JSON emitter, the
+density checks decided by eigenvalues alone, and the frequency set over
+exact fractions."""
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,6 +51,20 @@ from gmi.spectra import (
     hermitian_eigenvalues,
     inverse_density,
 )
+
+
+def frequency_set_fractions(spec) -> list[tuple]:
+    """(nu, D_nu, Dtilde_nu, contributors) of each seasonal frequency, in order, with
+    each frequency kept as the exact fraction nu / pi."""
+    acc = {}
+    if spec.has_integrating_factor():
+        acc[Fraction(0)] = (spec.D0, [0])
+    for j, f in enumerate(spec.factors, start=1):
+        for k in range(f.s // 2 + 1):
+            d_nu, contributors = acc.get(Fraction(2 * k, f.s), (0.0, []))
+            acc[Fraction(2 * k, f.s)] = (d_nu + f.D if contributors else f.D, contributors + [j])
+    return [(float(frac) * math.pi, d_nu, d_nu / 2.0 if frac in (0, 1) else d_nu,
+             tuple(contributors)) for frac, (d_nu, contributors) in sorted(acc.items())]
 
 
 def window_indices(window: ObservationWindow, N: int, n_gamma: int) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -26,6 +25,7 @@ from conftest import (
 )
 from gmi import classical, spectra
 from gmi.classical import (
+    FourierBlocks,
     FunctionalSpec,
     PeriodicFunctionalSpec,
     Problem,
@@ -214,7 +214,7 @@ class TestFourierBlocks:
         blocks = fourier_blocks(prob, f, DensityGrid.zero(grid1k, T))
         P, T_, Q = fourier_blocks_loop(prob, f, DensityGrid.zero(grid1k, T))
         found = []
-        for side in (blocks, dataclasses.replace(blocks, P=P, T=T_, Q=Q)):
+        for side in (blocks, FourierBlocks(P=P, T=T_, Q=Q, p=blocks.p, p_inv=blocks.p_inv)):
             sol = solve_system(side, prob.b, prob.a_mu)
             found.append(bits(sol.c, sol.rhs, np.float64(_algebraic_mse(side, sol, prob.fspec.a))))
         assert found[0] == found[1]
@@ -426,7 +426,8 @@ class TestSolveSystem:
         fs = FunctionalSpec(N=1, a=np.array([[1.0], [1.0]]))
         blocks = fourier_blocks(Problem(SPEC11, fs, grid1k), constant_density(grid1k, 1.0),
                                 DensityGrid.zero(grid1k, 1))
-        singular = dataclasses.replace(blocks, P=np.zeros_like(blocks.P))
+        singular = FourierBlocks(P=np.zeros_like(blocks.P), T=blocks.T, Q=blocks.Q, p=blocks.p,
+                                 p_inv=blocks.p_inv)
         with pytest.raises(NumericalError, match="singular"):
             solve_system(singular, transform_b(SPEC11, fs), coeffs_a_mu(SPEC11, fs))
 

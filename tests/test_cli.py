@@ -456,8 +456,14 @@ def test_commands_do_not_import_jsonschema(tmp_path):
         assert set(_python(tmp_path, "-c", script).split()) == expected, (command, name)
 
 
+#: what a start-up without numpy never loads: gmi's records are plain classes, and
+#: frequency_set keeps its frequencies as integers over a common denominator
+STARTUP_FREE = ("dataclasses", "inspect", "fractions", "numpy")
+
+
 def test_classify_coeffs_and_help_do_not_load_numpy(tmp_path):
-    """classify on every shipped config, coeffs on the GM ones and --help, in one process."""
+    """import gmi.cli, then classify on every shipped config, coeffs on the GM ones and
+    --help, in one process: none loads numpy, dataclasses, inspect or fractions."""
     shipped = ("interpolate", "periodic", "minimax", "classify", "coeffs")
     runs = [[command, "--config", str(CONFIGS / f"{name}.json"), "--output-dir", str(tmp_path),
              "--quiet"] for command in ("classify", "coeffs") for name in shipped
@@ -465,17 +471,40 @@ def test_classify_coeffs_and_help_do_not_load_numpy(tmp_path):
     script = (
         "import contextlib, sys\n"
         "from gmi.cli import main\n"
+        f"loaded = lambda: [m for m in {STARTUP_FREE!r} if m in sys.modules]\n"
+        "print('import', loaded())\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(sys.stderr):\n"
         "        try:\n"
         "            code = main(argv)\n"
         "        except SystemExit as exc:\n"
         "            code = exc.code\n"
-        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+        "    print(argv[0], code, loaded())\n"
     )
     codes = [2, 2, 2, 0, 2] + [0] * 4 + [0]  # classify refuses a GM increment
-    expected = [f"{argv[0]} {code} False" for argv, code in zip(runs, codes)]
-    assert _python(tmp_path, "-c", script).splitlines() == expected
+    expected = ["import []"] + [f"{argv[0]} {code} []" for argv, code in zip(runs, codes)]
+    assert _bare_python(tmp_path, script).splitlines() == expected
+
+
+def _bare_python(tmp_path, script: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter without ``site`` (so no ``.pth`` file
+    imports anything first), on this checkout's src and this process's sys.path."""
+    path = [str(ROOT / "src")] + sys.path
+    return _python(tmp_path, "-S", "-c", f"import sys\nsys.path[:0] = {path!r}\n{script}")
+
+
+def test_numeric_commands_load_no_dataclasses(tmp_path):
+    runs = [["interpolate", "interpolate"], ["oracle-verify", "interpolate"],
+            ["minimax", "minimax"]]
+    script = (
+        "from gmi.cli import main\n"
+        f"for command, name in {runs!r}:\n"
+        f"    argv = [command, '--config', {str(CONFIGS)!r} + f'/{{name}}.json', '--quiet',\n"
+        f"            '--output-dir', {str(tmp_path)!r}]\n"
+        "    print(command, main(argv), 'dataclasses' in sys.modules)\n"
+    )
+    assert _bare_python(tmp_path, script).splitlines() == [
+        f"{command} 0 False" for command, _ in runs]
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -502,8 +531,8 @@ sys.meta_path.insert(0, Spy())
 
 @pytest.mark.parametrize("preset", [None, "5"])
 @pytest.mark.parametrize("launch", ["main", "-m"])
-def test_gmi_threads_is_applied_before_numpy_loads(tmp_path, launch, preset):
-    """With GMI_THREADS=3, numpy first loads with each unset thread variable at 3."""
+def test_one_blas_thread_is_set_before_numpy_loads(tmp_path, launch, preset):
+    """Unset or preset by the caller, every thread variable is 1 when numpy first loads."""
     (tmp_path / "spy").mkdir()
     (tmp_path / "spy" / "sitecustomize.py").write_text(THREAD_SPY)
     # coeffs on a fractional increment is the lightest run that loads numpy
@@ -512,11 +541,23 @@ def test_gmi_threads_is_applied_before_numpy_loads(tmp_path, launch, preset):
     args = ["-c", f"import sys\nfrom gmi.cli import main\nsys.exit(main({argv!r}))"] \
         if launch == "main" else ["-m", "gmi.cli", *argv]
     spy_path = os.pathsep.join([str(tmp_path / "spy"), os.environ.get("PYTHONPATH", "")])
-    env = {var: None for var in THREAD_VARS}
-    env.update(GMI_THREADS="3", OMP_NUM_THREADS=preset, PYTHONPATH=spy_path)
-    expected = {var: "3" for var in THREAD_VARS}
-    expected["OMP_NUM_THREADS"] = preset or "3"
-    assert _python(tmp_path, *args, **env).split() == [f"{k}={v}" for k, v in expected.items()]
+    env = {var: preset for var in THREAD_VARS}
+    assert _python(tmp_path, *args, PYTHONPATH=spy_path, **env).split() == [
+        f"{var}=1" for var in THREAD_VARS]
+
+
+def test_oracle_verify_writes_the_one_thread_bytes_whatever_the_caller_sets(tmp_path):
+    """At two BLAS threads the oracle's level-3 calls give other last digits; gmi runs one."""
+    def run(threads):
+        out = tmp_path / str(threads)
+        _python(tmp_path, "-m", "gmi.cli", "oracle-verify", "--config",
+                str(CONFIGS / "interpolate.json"), "--output-dir", str(out), "--quiet",
+                **dict.fromkeys(THREAD_VARS, threads))
+        return [(out / name).read_bytes() for name in ("convergence.json", "convergence.csv")]
+
+    one = run("1")
+    assert run(None) == one
+    assert run("2") == one
 
 
 class TestClassify:

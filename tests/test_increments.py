@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import frequency_set_fractions
 from gmi.errors import DegenerateOperatorError, ValidationError
 from gmi.increments import (
     FMIncrementSpec,
@@ -154,6 +155,17 @@ class TestFrequencySet:
         assert fset.entries[0].d_nu == pytest.approx(0.3)    # D1 + D2
         assert fset.entries[1].d_nu == pytest.approx(0.2)    # D2
         assert fset.entries[2].d_nu == pytest.approx(0.3)    # D1 + D2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 400), st.floats(-0.4, 0.4)), max_size=4),
+       st.integers(0, 1), st.floats(-0.4, 0.4))
+def test_frequency_set_matches_exact_fractions(factors, R0, D0):
+    """Every frequency, order and contributor list bit for bit as over exact fractions."""
+    periods = sorted({s for s, _ in factors})
+    spec = FMIncrementSpec(R0=R0, D0=D0, factors=[(s, 0, D) for s, (_, D) in zip(periods, factors)])
+    got = [(e.nu, e.d_nu, e.d_tilde, e.contributors) for e in frequency_set(spec).entries]
+    assert repr(got) == repr(frequency_set_fractions(spec))
 
 
 class TestGmSeries:

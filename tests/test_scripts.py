@@ -1,6 +1,7 @@
 """The demo scripts run end to end, and the output-identity script names what differs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ def _same_outputs():
     return same_outputs
 
 
-def test_same_outputs_names_each_difference():
+def test_same_outputs_names_each_difference(tmp_path):
     same_outputs = _same_outputs()
     parent = {"exit code": b"0", "stdout": b"delta=1\n", "file out/a.csv": b"1\n"}
     assert same_outputs.differences(parent, dict(parent)) == []
@@ -55,16 +56,34 @@ def test_same_outputs_names_each_difference():
     configs = [ROOT / "configs" / name for name in ("a.json", "b.json")]
     assert len(same_outputs.runs(configs)) == (2 * len(same_outputs.COMMANDS) + 1
                                                + 2 * len(same_outputs.SEEDS))
+    invalid = same_outputs.invalid_configs(ROOT / "configs", tmp_path)
+    assert len(invalid) == len(same_outputs.INVALID) == 11
+    assert len(same_outputs.runs(configs + invalid)) == (13 * len(same_outputs.COMMANDS) + 1
+                                                         + 2 * len(same_outputs.SEEDS))
+
+
+def test_same_outputs_invalid_configs_are_refused(tmp_path):
+    """Each invalid config exits 2 under the command of the config it derives from."""
+    same_outputs = _same_outputs()
+    command = {"interpolate.json": "interpolate", "classify.json": "classify",
+               "minimax.json": "minimax", "coeffs.json": "coeffs", "periodic.json": "interpolate"}
+    todo = same_outputs.runs(same_outputs.invalid_configs(ROOT / "configs", tmp_path / "in"))
+    for k, (name, shipped, _, _) in enumerate(same_outputs.INVALID):
+        result = same_outputs.outcome(ROOT, todo[f"{command[shipped]} invalid-{name}.json"],
+                                      tmp_path / str(k))
+        assert result["exit code"] == b"2" and result["stdout"] == b"", name
+        assert json.loads(result["stderr"])["code"] in ("validation_error",
+                                                        "degenerate_operator"), name
 
 
 def test_same_outputs_caps_the_blas_threads_of_every_run(tmp_path, monkeypatch):
     same_outputs = _same_outputs()
     for var in same_outputs.THREAD_VARS:
         monkeypatch.setenv(var, "2")
-    show = "import os; print([os.environ.get(v) for v in ('GMI_THREADS', 'OMP_NUM_THREADS', " \
+    show = "import os; print([os.environ.get(v) for v in ('OMP_NUM_THREADS', " \
            "'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')])"
     result = same_outputs.outcome(ROOT, ["-c", show], tmp_path / "run")
-    assert result["stdout"] == b"['1', '1', '1', '1']\n"
+    assert result["stdout"] == b"['1', '1', '1']\n"
 
 
 def test_same_outputs_runs_every_classical_large_operation(tmp_path):
